@@ -1,11 +1,10 @@
 //! The `bgc` command-line interface — the single entry point of the
 //! reproduction.
 //!
-//! Subcommands drive the typed [`Experiment`] builder and the experiment-grid
-//! [`Runner`]; the 13 historical `exp_*` binaries are thin wrappers that
-//! forward to [`forward`] (e.g. `exp_table2` == `bgc table 2`), so both
-//! spellings execute the identical code path and produce byte-identical
-//! reports and cell caches.
+//! Each subcommand is one function: it parses its flags, builds an
+//! experiment-grid [`Runner`] and drives it in-process, through the typed
+//! [`Experiment`] builder (`run`, `grid`) or the paper's report
+//! regenerators (`table`, `fig`, `all`).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -15,15 +14,13 @@ use bgc_core::{attack_names, BgcError, GeneratorKind};
 use bgc_defense::defense_names;
 use bgc_eval::report_json::{self, OutcomeCollector};
 use bgc_eval::{
-    enter_wave, experiments, CancelToken, Experiment, ExperimentScale, FaultPlan, RunMetrics,
-    Runner, WaveCtx,
+    enter_wave, experiments, CancelToken, Experiment, ExperimentReport, ExperimentScale, FaultPlan,
+    RunMetrics, Runner, WaveCtx,
 };
 use bgc_graph::{DatasetKind, PoisonBudget};
 use bgc_nn::{GnnArchitecture, SampledPlan, TrainingPlan};
 use bgc_store::{Store, StoreReport};
 use serde::Value;
-
-use crate::daemon;
 
 /// The `bgc --help` text.  Snapshotted in `docs/cli-help.txt` (checked by a
 /// unit test and by CI), so help drift is caught at review time.
@@ -43,8 +40,6 @@ COMMANDS:
                     architectures|generators|scales
     lint            Check workspace invariants (determinism, panic-safety,
                     fault-point hygiene); see docs/lint.md
-    daemon <start|stop|status|ping>
-                    Manage the warm-cache bgcd daemon; see docs/daemon.md
     store <stats|gc|doctor|clear>
                     Inspect or maintain the content-addressed artifact
                     store; see docs/store.md
@@ -67,10 +62,6 @@ GLOBAL OPTIONS:
                           emits the machine-readable grid report document
     --deadline <s>        Whole-invocation deadline in seconds; cells past it
                           are cancelled and reported as timed out
-    --daemon[=auto|require]
-                          Execute run/grid/all on the bgcd daemon (warm
-                          caches across invocations); auto falls back to
-                          in-process when no daemon is up, require fails
 
 EXPERIMENT OPTIONS (run; repeatable in grid):
     --dataset <name>      cora|citeseer|flickr|reddit|arxiv (required for run)
@@ -106,12 +97,6 @@ LINT OPTIONS (lint):
     --root <dir>          Workspace root (default: the nearest ancestor
                           directory containing Cargo.toml and crates/)
 
-DAEMON OPTIONS (daemon):
-    --socket <path>       Daemon socket path (default: target/bgcd.sock, or
-                          BGC_DAEMON_SOCKET when set)
-    --foreground          daemon start: serve in this process instead of
-                          spawning a background bgcd
-
 STORE OPTIONS (store):
     --store-dir <dir>     Store root (default: target/store, or
                           BGC_STORE_DIR when set); --format json renders
@@ -126,9 +111,8 @@ EXIT CODES:
 FAULT INJECTION (testing and CI):
     BGC_FAULTS=\"point[@ctx][#n]=panic|io|delay:<ms>[;...]\" arms
     deterministic faults at named points: trainer.epoch, condense.outer,
-    stage.clean, stage.attack, runner.persist, runner.load, daemon.accept,
-    daemon.request, daemon.persist, store.read, store.write, store.lock,
-    sampler.produce.
+    stage.clean, stage.attack, runner.persist, runner.load, store.read,
+    store.write, store.lock, sampler.produce.
     @ctx fires only in cells whose canonical key contains ctx; #n fires on
     the nth matching hit (default 1).  Each fault fires exactly once, so
     retries and re-runs heal.
@@ -144,9 +128,8 @@ EXAMPLES:
     bgc table 2 --scale quick
     bgc list attacks
     bgc lint --format json
+    bgc all --scale quick    (a second run is served from the caches)
     bgc store stats
-    bgc daemon start
-    bgc all --scale quick --daemon    (second run hits the warm caches)
 ";
 
 /// A CLI failure: either a usage error (bad flag/operand, reported with a
@@ -209,18 +192,6 @@ pub struct CliOutcome {
     pub lint_stale: usize,
 }
 
-impl CliOutcome {
-    fn from_runner(runner: &Runner) -> Self {
-        let (completed, oom) = runner.completed_counts();
-        Self {
-            cell_failures: runner.failure_count(),
-            completed,
-            oom,
-            ..Self::default()
-        }
-    }
-}
-
 /// Maps a finished invocation to its exit code (see `EXIT_*`).
 pub fn exit_code(result: &Result<CliOutcome, CliError>) -> i32 {
     match result {
@@ -239,19 +210,7 @@ pub fn exit_code(result: &Result<CliOutcome, CliError>) -> i32 {
 /// with the code class of the outcome (see `EXIT_*`).
 pub fn main() -> ! {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    exit_with(run(&args))
-}
-
-/// Entry point of the `exp_*` wrapper binaries: prepends the wrapped
-/// subcommand (e.g. `["table", "2"]`) to the invocation's own arguments and
-/// runs the CLI, so wrappers and `bgc` share one code path.
-pub fn forward(prefix: &[&str]) -> ! {
-    let mut args: Vec<String> = prefix.iter().map(|s| s.to_string()).collect();
-    args.extend(std::env::args().skip(1));
-    exit_with(run(&args))
-}
-
-fn exit_with(result: Result<CliOutcome, CliError>) -> ! {
+    let result = run(&args);
     if let Err(err) = &result {
         eprintln!("error: {}", err);
     }
@@ -264,35 +223,18 @@ pub fn run(args: &[String]) -> Result<CliOutcome, CliError> {
     let command = args.next().unwrap_or("help");
     let rest: Vec<&str> = args.collect();
     match command {
-        "run" => route(&rest, "run", cmd_run),
-        "grid" => route(&rest, "grid", cmd_grid),
-        "table" => cmd_report(&rest, ReportFamily::Table),
-        "fig" => cmd_report(&rest, ReportFamily::Fig),
-        "all" => route(&rest, "all", cmd_all),
+        "run" => cmd_run(&rest),
+        "grid" => cmd_grid(&rest),
+        "table" | "fig" => cmd_report(&rest, command),
+        "all" => cmd_all(&rest),
         "list" => cmd_list(&rest),
         "lint" => cmd_lint(&rest),
-        "daemon" => daemon::cmd_daemon(&rest),
-        "store" => route(&rest, "store", cmd_store),
+        "store" => cmd_store(&rest),
         "help" | "--help" | "-h" => {
             print!("{}", HELP);
             Ok(CliOutcome::default())
         }
         other => Err(CliError::Usage(format!("unknown command '{}'", other))),
-    }
-}
-
-/// Routes `run`/`grid`/`all` either to the in-process implementation or,
-/// under `--daemon`, to a running `bgcd` (with in-process fallback in
-/// `auto` mode when no daemon is reachable).
-fn route(
-    rest: &[&str],
-    command: &str,
-    local: fn(&[&str]) -> Result<CliOutcome, CliError>,
-) -> Result<CliOutcome, CliError> {
-    let options = parse_options(rest)?;
-    match options.daemon {
-        None => local(rest),
-        Some(mode) => daemon::exec_remote_or(command, rest, &options, mode, local),
     }
 }
 
@@ -302,26 +244,17 @@ fn route(
 
 /// Output format of `run`/`grid`/`all` (`--format`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum OutputFormat {
+enum OutputFormat {
     /// Table rows plus the grid/wall-clock footer.
     Human,
     /// One machine-readable grid-report document (shared report codec).
     Json,
 }
 
-/// How `--daemon` routes `run`/`grid`/`all` (see [`crate::daemon`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum DaemonMode {
-    /// Use a running daemon; fall back to in-process when none is up.
-    Auto,
-    /// Use a running daemon; error when none is reachable.
-    Require,
-}
-
 /// Parsed flags shared by every subcommand.  `run` reads the singular
 /// experiment fields; `grid` reads the repeated ones; reports read only the
 /// globals.
-pub(crate) struct Options {
+struct Options {
     scale: ExperimentScale,
     full: bool,
     serial: bool,
@@ -330,8 +263,7 @@ pub(crate) struct Options {
     cell_timeout: Option<Duration>,
     retries: Option<usize>,
     format: OutputFormat,
-    pub(crate) deadline: Option<Duration>,
-    pub(crate) daemon: Option<DaemonMode>,
+    deadline: Option<Duration>,
     datasets: Vec<DatasetKind>,
     methods: Vec<String>,
     attacks: Vec<String>,
@@ -353,11 +285,11 @@ pub(crate) struct Options {
     operands: Vec<String>,
 }
 
-pub(crate) fn usage(msg: impl Into<String>) -> CliError {
+fn usage(msg: impl Into<String>) -> CliError {
     CliError::Usage(msg.into())
 }
 
-pub(crate) fn parse_options(args: &[&str]) -> Result<Options, CliError> {
+fn parse_options(args: &[&str]) -> Result<Options, CliError> {
     let mut options = Options {
         scale: ExperimentScale::Quick,
         full: false,
@@ -368,7 +300,6 @@ pub(crate) fn parse_options(args: &[&str]) -> Result<Options, CliError> {
         retries: None,
         format: OutputFormat::Human,
         deadline: None,
-        daemon: None,
         datasets: Vec::new(),
         methods: Vec::new(),
         attacks: Vec::new(),
@@ -430,12 +361,6 @@ pub(crate) fn parse_options(args: &[&str]) -> Result<Options, CliError> {
                     return Err(usage("--deadline expects a positive number of seconds"));
                 }
                 options.deadline = Some(Duration::from_secs_f64(seconds));
-            }
-            "--daemon" | "--daemon=auto" => options.daemon = Some(DaemonMode::Auto),
-            "--daemon=require" => options.daemon = Some(DaemonMode::Require),
-            flag if flag.starts_with("--daemon=") => {
-                let hint = "expected --daemon, --daemon=auto or --daemon=require";
-                return Err(usage(format!("unknown daemon mode '{}' ({})", flag, hint)));
             }
             "--dataset" => options
                 .datasets
@@ -513,17 +438,11 @@ fn parse_num<T: std::str::FromStr>(text: &str, flag: &str) -> Result<T, CliError
         .map_err(|_| usage(format!("{} got a malformed value '{}'", flag, text)))
 }
 
+/// Builds the invocation's runner from the parsed runner-level flags and
+/// the `BGC_FAULTS` plan.
 fn build_runner(options: &Options) -> Result<Runner, CliError> {
-    match FaultPlan::from_env() {
-        Ok(plan) => Ok(configure_runner(options, plan)),
-        Err(err) => Err(usage(format!("malformed BGC_FAULTS: {}", err))),
-    }
-}
-
-/// Builds a runner from the parsed runner-level flags and an explicit fault
-/// plan (the in-process path arms `BGC_FAULTS` via [`build_runner`]; the
-/// daemon arms the plan it was started with).
-pub(crate) fn configure_runner(options: &Options, fault_plan: Option<FaultPlan>) -> Runner {
+    let fault_plan =
+        FaultPlan::from_env().map_err(|err| usage(format!("malformed BGC_FAULTS: {}", err)))?;
     if let Some(depth) = options.prefetch_depth {
         // Process-wide training-side tuning knob: results are bit-identical
         // at every depth, so this never affects cell identity or caching.
@@ -549,22 +468,15 @@ pub(crate) fn configure_runner(options: &Options, fault_plan: Option<FaultPlan>)
     if let Some(plan) = fault_plan {
         runner = runner.with_fault_plan(plan);
     }
-    runner
+    Ok(runner)
 }
 
-/// The runner-level configuration of an invocation, as a stable key.  The
-/// daemon keeps one warm runner per distinct key, since a runner's scale,
-/// caching and fault-tolerance settings are fixed at construction.
-pub(crate) fn runner_config_key(options: &Options) -> String {
-    format!(
-        "scale={}|no_cache={}|serial={}|keep_going={}|cell_timeout_ms={:?}|retries={:?}",
-        options.scale.name(),
-        options.no_cache,
-        options.serial,
-        options.keep_going,
-        options.cell_timeout.map(|t| t.as_millis()),
-        options.retries,
-    )
+/// Rejects stray positional operands of the subcommands that take none.
+fn no_operands(options: &Options) -> Result<(), CliError> {
+    match options.operands.first() {
+        Some(operand) => Err(usage(format!("unexpected operand '{}'", operand))),
+        None => Ok(()),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -649,43 +561,9 @@ fn resolve_plan(options: &Options) -> Result<Option<TrainingPlan>, BgcError> {
     Ok(plan)
 }
 
-/// Where a subcommand's stdout lines go: the process stdout for a CLI
-/// invocation, the response stream of a daemon request for remote
-/// execution.  Routing output through the sink is what makes daemon
-/// results byte-identical to in-process ones.
-pub(crate) struct OutputSink<'a> {
-    remote: Option<&'a (dyn Fn(&str) + Sync)>,
-}
-
-impl<'a> OutputSink<'a> {
-    /// The process's stdout.
-    pub(crate) fn stdout() -> OutputSink<'static> {
-        OutputSink { remote: None }
-    }
-
-    /// A remote sink receiving each stdout line (without its newline).
-    pub(crate) fn remote(sink: &'a (dyn Fn(&str) + Sync)) -> Self {
-        OutputSink { remote: Some(sink) }
-    }
-
-    fn line(&self, text: &str) {
-        match self.remote {
-            None => println!("{}", text),
-            Some(sink) => sink(text),
-        }
-    }
-
-    /// Emits a multi-line block (e.g. a rendered report) line by line.
-    fn block(&self, text: &str) {
-        for line in text.lines() {
-            self.line(line);
-        }
-    }
-}
-
-fn print_rows(out: &OutputSink, rows: &[RunMetrics]) {
+fn print_rows(rows: &[RunMetrics]) {
     for row in rows {
-        out.line(&row.table_row());
+        println!("{}", row.table_row());
     }
 }
 
@@ -695,14 +573,11 @@ fn print_rows(out: &OutputSink, rows: &[RunMetrics]) {
 fn invocation_wave(options: &Options, collector: &Arc<OutcomeCollector>) -> WaveCtx {
     WaveCtx {
         deadline: options.deadline.map(CancelToken::with_timeout),
-        transient: false,
         observer: Some(collector.observer()),
     }
 }
 
-/// Exit-code classification from the cells this invocation observed (not
-/// the runner's lifetime counters, which accumulate across daemon
-/// requests).
+/// Exit-code classification from the cells this invocation observed.
 fn outcome_from(collector: &OutcomeCollector) -> CliOutcome {
     let (completed, oom, failures) = collector.counts();
     CliOutcome {
@@ -716,13 +591,7 @@ fn outcome_from(collector: &OutcomeCollector) -> CliOutcome {
 /// Emits the machine-readable grid-report document of `--format json`:
 /// per-cell status/attempts/results (deterministic), the runner's cache
 /// counters and the invocation outcome (execution metadata).
-fn emit_json(
-    out: &OutputSink,
-    command: &str,
-    runner: &Runner,
-    collector: &OutcomeCollector,
-    started: Instant,
-) {
+fn emit_json(command: &str, runner: &Runner, collector: &OutcomeCollector, started: Instant) {
     let (completed, oom, failures) = collector.counts();
     let doc = Value::Object(vec![
         ("command".to_string(), Value::String(command.to_string())),
@@ -748,29 +617,13 @@ fn emit_json(
             Value::Number(started.elapsed().as_secs_f64()),
         ),
     ]);
-    out.block(&doc.to_json_string_pretty());
+    println!("{}", doc.to_json_string_pretty());
 }
 
 fn cmd_run(args: &[&str]) -> Result<CliOutcome, CliError> {
     let options = parse_options(args)?;
     let runner = build_runner(&options)?;
-    exec_run(&options, &runner, &OutputSink::stdout())
-}
-
-/// `bgc run` past parsing and runner construction — shared verbatim by the
-/// CLI and the daemon handler (which supplies a warm runner and a remote
-/// sink).
-pub(crate) fn exec_run(
-    options: &Options,
-    runner: &Runner,
-    out: &OutputSink,
-) -> Result<CliOutcome, CliError> {
-    if !options.operands.is_empty() {
-        return Err(usage(format!(
-            "unexpected operand '{}'",
-            options.operands[0]
-        )));
-    }
+    no_operands(&options)?;
     if options.datasets.len() != 1 {
         return Err(usage("run expects exactly one --dataset"));
     }
@@ -780,7 +633,7 @@ pub(crate) fn exec_run(
         ));
     }
     let experiment = experiment_for(
-        options,
+        &options,
         options.datasets[0],
         options.methods.first().map(String::as_str),
         options.attacks.first().map(String::as_str),
@@ -788,24 +641,17 @@ pub(crate) fn exec_run(
     )?;
     let started = Instant::now();
     let collector = OutcomeCollector::new();
-    let group = experiment.group(runner)?;
+    let group = experiment.group(&runner)?;
     let metrics = {
-        let _wave = enter_wave(invocation_wave(options, &collector));
-        // Submit through `run_cells` like the grid path: `metrics` alone
-        // resolves already-completed cells on its read-back path without
-        // entering the wave, which would leave a warm runner repeat (the
-        // daemon) with no observed outcomes and an empty JSON cell list.
-        if let Some(err) = runner.run_cells(&group.keys).error() {
-            return Err(CliError::Bgc(err));
-        }
+        let _wave = enter_wave(invocation_wave(&options, &collector));
         runner.metrics(&group)?
     };
     match options.format {
         OutputFormat::Human => {
-            print_rows(out, std::slice::from_ref(&metrics));
-            report_runner_stats_to(out, runner, started);
+            print_rows(std::slice::from_ref(&metrics));
+            report_runner_stats(&runner, started);
         }
-        OutputFormat::Json => emit_json(out, "run", runner, &collector, started),
+        OutputFormat::Json => emit_json("run", &runner, &collector, started),
     }
     Ok(outcome_from(&collector))
 }
@@ -813,21 +659,7 @@ pub(crate) fn exec_run(
 fn cmd_grid(args: &[&str]) -> Result<CliOutcome, CliError> {
     let options = parse_options(args)?;
     let runner = build_runner(&options)?;
-    exec_grid(&options, &runner, &OutputSink::stdout())
-}
-
-/// `bgc grid` past parsing and runner construction (see [`exec_run`]).
-pub(crate) fn exec_grid(
-    options: &Options,
-    runner: &Runner,
-    out: &OutputSink,
-) -> Result<CliOutcome, CliError> {
-    if !options.operands.is_empty() {
-        return Err(usage(format!(
-            "unexpected operand '{}'",
-            options.operands[0]
-        )));
-    }
+    no_operands(&options)?;
     if options.datasets.is_empty() {
         return Err(usage("grid expects at least one --dataset"));
     }
@@ -853,7 +685,7 @@ pub(crate) fn exec_grid(
         for method in &methods {
             for attack in &attacks {
                 for ratio in &ratios {
-                    experiments.push(experiment_for(options, dataset, *method, *attack, *ratio)?);
+                    experiments.push(experiment_for(&options, dataset, *method, *attack, *ratio)?);
                 }
             }
         }
@@ -861,15 +693,12 @@ pub(crate) fn exec_grid(
     let started = Instant::now();
     let collector = OutcomeCollector::new();
     let (report, rows) = {
-        let _wave = enter_wave(invocation_wave(options, &collector));
+        let _wave = enter_wave(invocation_wave(&options, &collector));
         let groups = experiments
             .iter()
-            .map(|e| e.group(runner))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(CliError::Bgc)?;
-        let report = runner
-            .run_groups(&groups.iter().collect::<Vec<_>>())
-            .map_err(CliError::Bgc)?;
+            .map(|e| e.group(&runner))
+            .collect::<Result<Vec<_>, _>>()?;
+        let report = runner.run_groups(&groups.iter().collect::<Vec<_>>())?;
         // Under --keep-going, render every group that completed and report
         // the failed ones; otherwise any failure already aborted above.
         let mut rows = Vec::new();
@@ -882,20 +711,15 @@ pub(crate) fn exec_grid(
         }
         (report, rows)
     };
+    if options.format == OutputFormat::Human {
+        print_rows(&rows);
+    }
+    if !report.is_ok() {
+        eprintln!("-- grid outcome: {}", report.summary());
+    }
     match options.format {
-        OutputFormat::Human => {
-            print_rows(out, &rows);
-            if !report.is_ok() {
-                eprintln!("-- grid outcome: {}", report.summary());
-            }
-            report_runner_stats_to(out, runner, started);
-        }
-        OutputFormat::Json => {
-            if !report.is_ok() {
-                eprintln!("-- grid outcome: {}", report.summary());
-            }
-            emit_json(out, "grid", runner, &collector, started);
-        }
+        OutputFormat::Human => report_runner_stats(&runner, started),
+        OutputFormat::Json => emit_json("grid", &runner, &collector, started),
     }
     Ok(outcome_from(&collector))
 }
@@ -904,113 +728,88 @@ pub(crate) fn exec_grid(
 // table / fig / all
 // ---------------------------------------------------------------------------
 
-enum ReportFamily {
-    Table,
-    Fig,
-}
+/// A paper report regenerator; the flag is `--full`.
+type Regenerate = fn(&Runner, bool) -> Result<ExperimentReport, BgcError>;
 
-fn cmd_report(args: &[&str], family: ReportFamily) -> Result<CliOutcome, CliError> {
+/// Every paper report as `(family, number, regenerator)`, in `bgc all`
+/// order.
+const REPORTS: [(&str, u32, Regenerate); 13] = [
+    ("table", 1, |runner, _| experiments::table1(runner.scale())),
+    ("fig", 1, |runner, _| experiments::fig1(runner)),
+    ("table", 2, experiments::table2),
+    ("fig", 4, experiments::fig4),
+    ("table", 3, experiments::table3),
+    ("table", 4, experiments::table4),
+    ("fig", 5, |runner, _| experiments::fig5(runner)),
+    ("table", 5, |runner, _| experiments::table5(runner)),
+    ("table", 6, |runner, _| experiments::table6(runner)),
+    ("fig", 6, experiments::fig6),
+    ("table", 7, experiments::table7),
+    ("table", 8, experiments::table8),
+    ("fig", 8, |runner, _| experiments::fig8(runner)),
+];
+
+/// `bgc table <n>` / `bgc fig <n>`.
+fn cmd_report(args: &[&str], family: &str) -> Result<CliOutcome, CliError> {
     let options = parse_options(args)?;
-    let (label, numbers) = match family {
-        ReportFamily::Table => ("table", "1-8"),
-        ReportFamily::Fig => ("fig", "1, 4, 5, 6 or 8"),
+    let numbers = if family == "table" {
+        "1-8"
+    } else {
+        "1, 4, 5, 6 or 8"
     };
     if options.operands.len() != 1 {
-        return Err(usage(format!("{} expects one number ({})", label, numbers)));
+        return Err(usage(format!(
+            "{} expects one number ({})",
+            family, numbers
+        )));
     }
-    let number: u32 = parse_num(&options.operands[0], label)?;
+    let number: u32 = parse_num(&options.operands[0], family)?;
+    let Some(&(_, _, regenerate)) = REPORTS
+        .iter()
+        .find(|(f, n, _)| *f == family && *n == number)
+    else {
+        return Err(usage(format!(
+            "no such {}: {} (expected {})",
+            family, number, numbers
+        )));
+    };
     let runner = build_runner(&options)?;
     let started = Instant::now();
-    let full = options.full;
-    let report = match (family, number) {
-        (ReportFamily::Table, 1) => experiments::table1(runner.scale()),
-        (ReportFamily::Table, 2) => experiments::table2(&runner, full),
-        (ReportFamily::Table, 3) => experiments::table3(&runner, full),
-        (ReportFamily::Table, 4) => experiments::table4(&runner, full),
-        (ReportFamily::Table, 5) => experiments::table5(&runner),
-        (ReportFamily::Table, 6) => experiments::table6(&runner),
-        (ReportFamily::Table, 7) => experiments::table7(&runner, full),
-        (ReportFamily::Table, 8) => experiments::table8(&runner, full),
-        (ReportFamily::Fig, 1) => experiments::fig1(&runner),
-        (ReportFamily::Fig, 4) => experiments::fig4(&runner, full),
-        (ReportFamily::Fig, 5) => experiments::fig5(&runner),
-        (ReportFamily::Fig, 6) => experiments::fig6(&runner, full),
-        (ReportFamily::Fig, 8) => experiments::fig8(&runner),
-        _ => {
-            return Err(usage(format!(
-                "no such {}: {} (expected {})",
-                label, number, numbers
-            )))
-        }
-    }?;
+    let collector = OutcomeCollector::new();
+    let report = {
+        let _wave = enter_wave(invocation_wave(&options, &collector));
+        regenerate(&runner, options.full)?
+    };
     report.print_and_save();
     report_runner_stats(&runner, started);
-    Ok(CliOutcome::from_runner(&runner))
+    Ok(outcome_from(&collector))
 }
-
-/// A deferred report regenerator of `bgc all` (deferring lets `--keep-going`
-/// announce a failed report and move on to the next one).
-type Regenerator<'a> = Box<dyn Fn() -> Result<bgc_eval::ExperimentReport, BgcError> + 'a>;
 
 fn cmd_all(args: &[&str]) -> Result<CliOutcome, CliError> {
     let options = parse_options(args)?;
     let runner = build_runner(&options)?;
-    exec_all(&options, &runner, &OutputSink::stdout())
-}
-
-/// `bgc all` past parsing and runner construction (see [`exec_run`]).
-pub(crate) fn exec_all(
-    options: &Options,
-    runner: &Runner,
-    out: &OutputSink,
-) -> Result<CliOutcome, CliError> {
-    if !options.operands.is_empty() {
-        return Err(usage(format!(
-            "unexpected operand '{}'",
-            options.operands[0]
-        )));
-    }
-    let full = options.full;
+    no_operands(&options)?;
     let started = Instant::now();
     let collector = OutcomeCollector::new();
-    let _wave = enter_wave(invocation_wave(options, &collector));
+    let _wave = enter_wave(invocation_wave(&options, &collector));
 
     // Under --keep-going a failed report is announced and the remaining
     // reports still regenerate (cells that failed stay failed on this
     // runner, so reports sharing them fail fast instead of re-running).
-    let reports: Vec<(&str, Regenerator)> = vec![
-        ("table 1", Box::new(|| experiments::table1(runner.scale()))),
-        ("fig 1", Box::new(|| experiments::fig1(runner))),
-        ("table 2", Box::new(|| experiments::table2(runner, full))),
-        ("fig 4", Box::new(|| experiments::fig4(runner, full))),
-        ("table 3", Box::new(|| experiments::table3(runner, full))),
-        ("table 4", Box::new(|| experiments::table4(runner, full))),
-        ("fig 5", Box::new(|| experiments::fig5(runner))),
-        ("table 5", Box::new(|| experiments::table5(runner))),
-        ("table 6", Box::new(|| experiments::table6(runner))),
-        ("fig 6", Box::new(|| experiments::fig6(runner, full))),
-        ("table 7", Box::new(|| experiments::table7(runner, full))),
-        ("table 8", Box::new(|| experiments::table8(runner, full))),
-        ("fig 8", Box::new(|| experiments::fig8(runner))),
-    ];
-    for (name, regenerate) in reports {
-        match regenerate() {
-            Ok(report) => {
-                if options.format == OutputFormat::Human {
-                    out.block(&report.render());
-                }
-                report.save();
-            }
+    for (family, number, regenerate) in REPORTS {
+        match regenerate(&runner, options.full) {
+            Ok(report) if options.format == OutputFormat::Human => report.print_and_save(),
+            Ok(report) => report.save(),
             Err(err) if options.keep_going => {
-                eprintln!("error: {} failed: {}", name, err);
+                eprintln!("error: {} {} failed: {}", family, number, err);
             }
             Err(err) => return Err(CliError::Bgc(err)),
         }
     }
 
     match options.format {
-        OutputFormat::Human => report_runner_stats_to(out, runner, started),
-        OutputFormat::Json => emit_json(out, "all", runner, &collector, started),
+        OutputFormat::Human => report_runner_stats(&runner, started),
+        OutputFormat::Json => emit_json("all", &runner, &collector, started),
     }
     Ok(outcome_from(&collector))
 }
@@ -1155,16 +954,11 @@ fn lint_outcome(report: &bgc_lint::LintReport) -> CliOutcome {
 // store
 // ---------------------------------------------------------------------------
 
+/// `bgc store <stats|gc|doctor|clear>`.  Administrative scans iterate in
+/// sorted name order, so the rendered report is deterministic for a given
+/// store state.
 fn cmd_store(args: &[&str]) -> Result<CliOutcome, CliError> {
     let options = parse_options(args)?;
-    exec_store(&options, &OutputSink::stdout())
-}
-
-/// `bgc store <stats|gc|doctor|clear>` past parsing — shared by the CLI and
-/// the daemon handler (which streams the report lines back to the client),
-/// like [`exec_run`].  Administrative scans iterate in sorted name order,
-/// so the rendered report is deterministic for a given store state.
-pub(crate) fn exec_store(options: &Options, out: &OutputSink) -> Result<CliOutcome, CliError> {
     if options.operands.len() != 1 {
         return Err(usage("store expects one of: stats, gc, doctor, clear"));
     }
@@ -1187,10 +981,11 @@ pub(crate) fn exec_store(options: &Options, out: &OutputSink) -> Result<CliOutco
     }
     .map_err(|err| CliError::Bgc(BgcError::invalid(format!("bgc store: {}", err))))?;
     match options.format {
-        OutputFormat::Human => out.block(&render_store_report(&report)),
-        OutputFormat::Json => {
-            out.block(&report_json::store_report_value(&report).to_json_string_pretty())
-        }
+        OutputFormat::Human => println!("{}", render_store_report(&report)),
+        OutputFormat::Json => println!(
+            "{}",
+            report_json::store_report_value(&report).to_json_string_pretty()
+        ),
     }
     Ok(CliOutcome::default())
 }
@@ -1228,18 +1023,14 @@ fn render_store_report(report: &StoreReport) -> String {
 /// Prints the runner's cache-hit counters and the wall-clock time of the
 /// invocation (stdout only — the per-report JSON dumps stay byte-identical
 /// across cached re-runs).
-pub fn report_runner_stats(runner: &Runner, started: Instant) {
-    report_runner_stats_to(&OutputSink::stdout(), runner, started);
-}
-
-fn report_runner_stats_to(out: &OutputSink, runner: &Runner, started: Instant) {
+fn report_runner_stats(runner: &Runner, started: Instant) {
     let stats = runner.stats();
-    out.line(&format!("-- grid: {}", stats.summary()));
-    out.line(&format!(
+    println!("-- grid: {}", stats.summary());
+    println!(
         "-- wall clock: {:.2}s ({} total cache hits)",
         started.elapsed().as_secs_f64(),
         stats.total_hits()
-    ));
+    );
 }
 
 #[cfg(test)]

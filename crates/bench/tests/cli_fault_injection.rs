@@ -1,6 +1,7 @@
 //! Subprocess tests of the `bgc` binary's failure behaviour: distinct exit
-//! codes per failure class, `BGC_FAULTS` injection end to end, and the
-//! atomic-rename persist protocol surviving a kill mid-persist.
+//! codes per failure class, `BGC_FAULTS` injection end to end, `--deadline`
+//! timeouts, and the atomic-rename persist protocol surviving a kill
+//! mid-persist.
 //!
 //! Each test runs the real binary (`CARGO_BIN_EXE_bgc`) in its own temp
 //! working directory — the cell cache lives under the cwd-relative
@@ -91,6 +92,42 @@ fn exit_codes_distinguish_failure_classes_end_to_end() {
         .status()
         .expect("bgc runs");
     assert_eq!(status.code(), Some(0));
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_expired_deadline_times_out_runs_and_reports_without_a_panic_report() {
+    let dir = temp_workdir("deadline");
+    let invocations: [&[&str]; 2] = [
+        &["run", "--dataset", "cora", "--serial", "--no-cache"],
+        &["table", "2", "--scale", "quick", "--no-cache"],
+    ];
+    for args in invocations {
+        let output = bgc(&dir)
+            .args(args)
+            .args(["--deadline", "0.0005"])
+            .output()
+            .expect("bgc runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(3),
+            "`bgc {}` past its deadline is a cell failure:\n{}",
+            args.join(" "),
+            stderr
+        );
+        assert!(
+            stderr.contains("timed out"),
+            "the failure is reported as a timeout:\n{}",
+            stderr
+        );
+        assert!(
+            !stderr.contains("panicked at"),
+            "a cooperative cancellation prints no panic report:\n{}",
+            stderr
+        );
+    }
 
     let _ = fs::remove_dir_all(&dir);
 }

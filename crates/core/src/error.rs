@@ -58,15 +58,6 @@ pub enum BgcError {
     },
     /// Filesystem or serialization failure (reports, cell cache).
     Io(String),
-    /// An error relayed verbatim from a `bgcd` daemon.  `message` is the
-    /// exact text the in-process path would have printed and
-    /// `cell_failure` preserves its exit-code class across the wire.
-    Remote {
-        /// The remote error's rendered message.
-        message: String,
-        /// Whether the remote error classified as a cell failure.
-        cell_failure: bool,
-    },
 }
 
 impl BgcError {
@@ -92,7 +83,6 @@ impl BgcError {
             | BgcError::CellTimedOut { .. }
             | BgcError::Io(_) => true,
             BgcError::Grid { failures } => failures.iter().any(BgcError::is_cell_failure),
-            BgcError::Remote { cell_failure, .. } => *cell_failure,
             _ => false,
         }
     }
@@ -148,9 +138,6 @@ impl fmt::Display for BgcError {
                 Ok(())
             }
             BgcError::Io(msg) => write!(f, "io error: {}", msg),
-            // Verbatim: the daemon already rendered the error, and clients
-            // must print byte-identical text to the in-process path.
-            BgcError::Remote { message, .. } => write!(f, "{}", message),
         }
     }
 }
@@ -249,26 +236,5 @@ mod tests {
             failures: vec![BgcError::UnknownAttack("Ghost".into())]
         }
         .is_cell_failure());
-    }
-
-    #[test]
-    fn remote_errors_round_trip_message_and_class() {
-        let remote = BgcError::Remote {
-            message: "cell timed out after 50 ms: v2|quick|cora".into(),
-            cell_failure: true,
-        };
-        // Display is the relayed message verbatim — no added prefix — so a
-        // daemon client prints byte-identical stderr to the local path.
-        assert_eq!(
-            remote.to_string(),
-            "cell timed out after 50 ms: v2|quick|cora"
-        );
-        assert!(remote.is_cell_failure());
-        assert!(!remote.is_retriable());
-        let benign = BgcError::Remote {
-            message: "unknown attack 'Ghost'".into(),
-            cell_failure: false,
-        };
-        assert!(!benign.is_cell_failure());
     }
 }

@@ -1,6 +1,6 @@
 //! One regenerator function per table and figure of the paper's evaluation
-//! section.  Each returns an [`ExperimentReport`] that the `bgc-bench`
-//! binaries print and dump as JSON.
+//! section.  Each returns an [`ExperimentReport`] that the `bgc` CLI
+//! prints and dumps as JSON.
 //!
 //! Regenerators are *declarative*: they build the list of experiment cells
 //! they need ([`CellGroup`]s), hand the whole list to the [`Runner`] — which
@@ -22,7 +22,7 @@ use crate::tables::ExperimentReport;
 
 /// Datasets included in a sweep: all four at paper scale, the two citation
 /// graphs at quick scale (keeps the default regenerator runs short; pass
-/// `--full` to a binary to include all four).
+/// `--full` to `bgc` to include all four).
 pub fn sweep_datasets(scale: ExperimentScale, full: bool) -> Vec<DatasetKind> {
     if full || scale == ExperimentScale::Paper {
         DatasetKind::all().to_vec()

@@ -4,7 +4,7 @@
 //! Condensation"* (ICDE 2025): the CTA/ASR evaluation protocol of Section V,
 //! quick/paper experiment scales, the typed [`Experiment`] builder, and one
 //! regenerator function per table and figure of the evaluation section
-//! (consumed by the `bgc` CLI and the `exp_*` wrappers in `bgc-bench`).
+//! (consumed by the `bgc` CLI in `bgc-bench`).
 //!
 //! Attacks, condensation methods and defenses are resolved by name from the
 //! open registries in `bgc-core`, `bgc-condense` and `bgc-defense` and driven

@@ -1,9 +1,7 @@
 //! Shared JSON codec for grid reports.
 //!
 //! One serialization of [`CellStatus`] / [`CellOutcome`] / [`RunnerStats`]
-//! used by both machine-readable surfaces of the workspace — the CLI's
-//! `--format json` documents and the daemon protocol's streamed `cell`
-//! frames — so a client reading either sees the same shapes.
+//! / [`StoreReport`] behind the CLI's `--format json` documents.
 //!
 //! The cell sub-documents are deterministic (canonical key, status, result
 //! values); execution metadata that legitimately varies between runs
@@ -69,10 +67,9 @@ pub fn stats_value(stats: &RunnerStats) -> Value {
     serde_json::to_value(stats).unwrap_or(Value::Null)
 }
 
-/// A [`StoreReport`] (from `bgc store stats|gc|doctor|clear` or the
-/// daemon's store handling) as a JSON object.  One codec for both
-/// surfaces, like [`stats_value`]; field order is fixed and the list
-/// fields are sorted by the store, so rendering is deterministic.
+/// A [`StoreReport`] (from `bgc store stats|gc|doctor|clear`) as a JSON
+/// object.  Field order is fixed and the list fields are sorted by the
+/// store, so rendering is deterministic.
 pub fn store_report_value(report: &StoreReport) -> Value {
     let count = |n: usize| Value::Number(n as f64);
     let names =

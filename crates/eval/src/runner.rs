@@ -675,34 +675,29 @@ fn resolved_outcome(key: &CellKey, status: CellStatus) -> CellOutcome {
 
 /// Per-outcome progress callback of a wave scope.  Called from the pool
 /// threads as cells resolve, so implementations must synchronize their own
-/// state (e.g. a mutex around a socket).
+/// state.
 pub type WaveObserver = Arc<dyn Fn(&CellOutcome) + Send + Sync>;
 
-/// Ambient per-request execution context for [`Runner::run_cells`] waves.
+/// Ambient per-invocation execution context for [`Runner::run_cells`]
+/// waves.
 ///
-/// A caller that owns a whole unit of work spanning many waves — a daemon
-/// request, a CLI invocation with a `--deadline` — enters a `WaveCtx` via
-/// [`enter_wave`] on its thread; every wave the runner starts on that thread
-/// (including nested ones from [`Runner::metrics`] read-back) picks it up:
+/// A caller that owns a whole unit of work spanning many waves — a CLI
+/// invocation with a `--deadline` — enters a `WaveCtx` via [`enter_wave`]
+/// on its thread; every wave the runner starts on that thread (including
+/// nested ones from [`Runner::metrics`] read-back) picks it up:
 ///
-/// * `deadline` — a request-level [`CancelToken`]; cells compose it with the
-///   per-cell timeout via [`CancelToken::child_with_timeout`], so whichever
-///   fires first cancels the cell;
-/// * `transient` — failures of this wave are reported in the [`GridReport`]
-///   but *not* recorded in the runner's permanent failure map, so a shared
-///   long-lived runner (the daemon) can serve the same cell to a later
-///   request instead of pinning one client's timeout forever;
-/// * `observer` — streamed per-cell progress (the daemon's `cell` frames,
-///   the CLI's `--format json` collector).
+/// * `deadline` — an invocation-level [`CancelToken`]; cells compose it
+///   with the per-cell timeout via [`CancelToken::child_with_timeout`], so
+///   whichever fires first cancels the cell;
+/// * `observer` — streamed per-cell progress (the CLI's outcome collector
+///   behind exit codes and `--format json`).
 ///
-/// Scopes nest: every active observer receives events, the innermost
-/// deadline applies, and the wave is transient when any scope is.
+/// Scopes nest: every active observer receives events and the innermost
+/// deadline applies.
 #[derive(Clone, Default)]
 pub struct WaveCtx {
-    /// Request-level cancellation/deadline token.
+    /// Invocation-level cancellation/deadline token.
     pub deadline: Option<CancelToken>,
-    /// Do not record this wave's failures in the permanent failure map.
-    pub transient: bool,
     /// Streamed per-outcome progress callback.
     pub observer: Option<WaveObserver>,
 }
@@ -738,7 +733,6 @@ impl Drop for WaveScope {
 /// thread-local stack is not visible).
 struct MergedWave {
     deadline: Option<CancelToken>,
-    transient: bool,
     observers: Vec<WaveObserver>,
 }
 
@@ -748,7 +742,6 @@ impl MergedWave {
             let stack = stack.borrow();
             Self {
                 deadline: stack.iter().rev().find_map(|ctx| ctx.deadline.clone()),
-                transient: stack.iter().any(|ctx| ctx.transient),
                 observers: stack
                     .iter()
                     .filter_map(|ctx| ctx.observer.clone())
@@ -1014,9 +1007,8 @@ impl Runner {
 
     /// Attaches (or detaches) the content-addressed artifact store the
     /// clean- and attack-stage caches read through.  `None` keeps stages
-    /// purely in-process.  The store is shared: multiple runners, processes
-    /// and the daemon can point at one root and each artifact is computed
-    /// once.
+    /// purely in-process.  The store is shared: multiple runners and
+    /// processes can point at one root and each artifact is computed once.
     pub fn with_store(mut self, store: Option<Arc<Store>>) -> Self {
         self.store = store;
         self
@@ -1268,9 +1260,7 @@ impl Runner {
             } else {
                 let outcome = self.execute_cell(&key, &wave);
                 if !outcome.status.is_success() {
-                    if !wave.transient {
-                        relock(&self.failures).insert(key.clone(), outcome.status.clone());
-                    }
+                    relock(&self.failures).insert(key.clone(), outcome.status.clone());
                     if !self.keep_going {
                         aborted.store(true, Ordering::Relaxed);
                     }
@@ -1321,11 +1311,11 @@ impl Runner {
             attempt += 1;
             let unwound = catch_unwind(AssertUnwindSafe(|| {
                 let _faults = self.fault_plan.as_ref().map(|plan| plan.enter(&canon));
-                // The per-cell timeout composes with the ambient request
+                // The per-cell timeout composes with the ambient invocation
                 // deadline: the child token cancels on whichever fires first.
                 let deadline = match (&wave.deadline, self.cell_timeout) {
-                    (Some(request), Some(timeout)) => Some(request.child_with_timeout(timeout)),
-                    (Some(request), None) => Some(request.clone()),
+                    (Some(outer), Some(timeout)) => Some(outer.child_with_timeout(timeout)),
+                    (Some(outer), None) => Some(outer.clone()),
                     (None, Some(timeout)) => Some(CancelToken::with_timeout(timeout)),
                     (None, None) => None,
                 };
@@ -1484,26 +1474,6 @@ impl Runner {
             &column(|r| r.c_asr),
             &column(|r| r.asr),
         ))
-    }
-
-    /// Number of cells that failed terminally across all waves of this
-    /// runner (drives the CLI's cell-failure exit code).
-    pub fn failure_count(&self) -> usize {
-        relock(&self.failures).len()
-    }
-
-    /// `(completed, oom)` cell counts of the in-memory result map (drives
-    /// the CLI's OOM-only exit code).
-    pub fn completed_counts(&self) -> (usize, usize) {
-        let results = relock(&self.results);
-        let oom = results.values().filter(|r| r.oom).count();
-        (results.len(), oom)
-    }
-
-    /// Canonical keys of every completed cell in the in-memory result map,
-    /// in canonical order (daemon status / cache listings).
-    pub fn cached_cell_canons(&self) -> Vec<String> {
-        relock(&self.results).keys().map(CellKey::canon).collect()
     }
 
     /// Snapshot of the cache/execution counters.

@@ -67,8 +67,8 @@ impl ExperimentReport {
     }
 
     /// Writes the JSON dump under `target/experiments/<id>.json` without
-    /// printing (the daemon and `--format json` route the rendered text
-    /// elsewhere).  I/O failures are reported on stderr but never abort.
+    /// printing (`--format json` prints its own document instead).  I/O
+    /// failures are reported on stderr but never abort.
     pub fn save(&self) {
         let dir = PathBuf::from("target/experiments");
         if let Err(err) = fs::create_dir_all(&dir) {

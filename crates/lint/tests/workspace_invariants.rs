@@ -67,16 +67,6 @@ fn fault_point_registry_matches_fire_call_sites_exactly() {
 }
 
 #[test]
-fn daemon_fault_points_are_registered() {
-    for point in ["daemon.accept", "daemon.request", "daemon.persist"] {
-        assert!(
-            FAULT_POINTS.contains(&point),
-            "{point} must stay in bgc_runtime::FAULT_POINTS"
-        );
-    }
-}
-
-#[test]
 fn committed_baseline_is_byte_stable() {
     // Regenerating the committed baseline from the current findings must
     // reproduce it byte for byte — proof that it is neither stale nor

@@ -1,11 +1,10 @@
 //! Cooperative cancellation with deadlines.
 //!
 //! A [`CancelToken`] carries an optional deadline and a manual cancel flag.
-//! The owner of a unit of work (the experiment runner, later a daemon
-//! request handler) creates a token and [`CancelToken::enter`]s it for the
-//! duration of the work on the executing thread; the long loops beneath —
-//! trainer epochs, condensation outer epochs — call [`checkpoint`] once per
-//! iteration.  When the token is cancelled or past its deadline, the
+//! The owner of a unit of work (the experiment runner) creates a token and
+//! [`CancelToken::enter`]s it for the duration of the work on the executing
+//! thread; the long loops beneath — trainer epochs, condensation outer
+//! epochs — call [`checkpoint`] once per iteration.  When the token is cancelled or past its deadline, the
 //! checkpoint unwinds with a [`CancelUnwind`] payload, which the scope owner
 //! catches at the work boundary (`std::panic::catch_unwind`) and converts
 //! into a typed timed-out outcome.
@@ -15,7 +14,7 @@
 //! not opt in: outside a scope, [`checkpoint`] is a thread-local read.
 
 use std::cell::RefCell;
-use std::panic::panic_any;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -38,7 +37,7 @@ struct Inner {
     /// deadline is `deadline`).
     timeout: Option<Duration>,
     /// Parent token: cancelling the parent cancels every descendant, so a
-    /// request-level deadline composes with per-cell timeouts (see
+    /// whole-invocation deadline composes with per-cell timeouts (see
     /// [`CancelToken::child_with_timeout`]).
     parent: Option<Arc<Inner>>,
 }
@@ -85,9 +84,9 @@ impl CancelToken {
 
     /// A child token with its own deadline that is *also* cancelled whenever
     /// this (or any ancestor) token cancels or times out.  The experiment
-    /// runner uses this to compose a request-level deadline (a daemon
-    /// request, a whole-invocation `--deadline`) with the per-cell timeout:
-    /// the cell's checkpoints observe whichever fires first.
+    /// runner uses this to compose a whole-invocation `--deadline` with the
+    /// per-cell timeout: the cell's checkpoints observe whichever fires
+    /// first.
     pub fn child_with_timeout(&self, timeout: Duration) -> Self {
         Self {
             inner: Arc::new(Inner {
@@ -152,11 +151,14 @@ impl Drop for CancelScope {
 /// live; unwinds with a [`CancelUnwind`] payload otherwise.  Place one per
 /// epoch / outer iteration — the granularity bounds how late a deadline is
 /// observed.
+///
+/// The unwind starts with [`resume_unwind`], which skips the panic hook: a
+/// cancellation is an expected outcome, so it prints no panic report.
 pub fn checkpoint() {
     let cancelled =
         CURRENT.with(|stack| stack.borrow().last().is_some_and(CancelToken::is_cancelled));
     if cancelled {
-        panic_any(CancelUnwind);
+        resume_unwind(Box::new(CancelUnwind));
     }
 }
 

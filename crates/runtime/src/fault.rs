@@ -51,12 +51,6 @@ pub const FAULT_POINTS: &[&str] = &[
     "runner.persist",
     // Cell load: before reading a persisted cell file.
     "runner.load",
-    // Daemon accept loop: after a client connection is accepted.
-    "daemon.accept",
-    // Daemon request dispatch: before a request is executed.
-    "daemon.request",
-    // Daemon lifecycle persistence: pidfile/socket bookkeeping writes.
-    "daemon.persist",
     // Artifact-store read: before a stored artifact is read and verified.
     "store.read",
     // Artifact-store write: between the temp-file write and the atomic

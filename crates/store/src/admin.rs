@@ -1,8 +1,7 @@
 //! Administrative operations over a store directory: `stats`, `gc`,
 //! `doctor`, `clear`.  All scans iterate in sorted name order and report
 //! through [`StoreReport`], so output is deterministic given the same store
-//! contents (the `bgc store` subcommand and the daemon render the same
-//! report through one codec).
+//! contents.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -14,7 +13,7 @@ use crate::store::{
 };
 
 /// The outcome of one administrative operation, rendered by the CLI
-/// (human) and `report_json` (daemon / `--format json`) alike.
+/// (human) and `report_json` (`--format json`) alike.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StoreReport {
     /// Which operation ran: `stats`, `gc`, `doctor` or `clear`.

@@ -14,10 +14,9 @@
 //!   published by one atomic rename; every artifact carries a
 //!   length-framed FNV-1a integrity digest, so truncation or corruption is
 //!   detected on read and the file is quarantined and recomputed.
-//! * **Multi-process single-flight** — concurrent `bgc` processes and the
-//!   daemon elect one computing holder per missing artifact via `O_EXCL`
-//!   lock files; waiters block with a deadline and read the result.
-//!   Abandoned locks are recovered by pid probe (with an mtime lease as
+//! * **Multi-process single-flight** — concurrent `bgc` processes elect
+//!   one computing holder per missing artifact via `O_EXCL` lock files;
+//!   waiters block with a deadline and read the result.  Abandoned locks are recovered by pid probe (with an mtime lease as
 //!   the portable fallback).
 //! * **Graceful degradation** — a read-only, full or otherwise unavailable
 //!   store downgrades to in-process compute with a warning; the store can
