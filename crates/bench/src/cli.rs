@@ -51,7 +51,7 @@ GLOBAL OPTIONS:
                           the paper's full node counts with sampled plans)
     --full                Include all four datasets in sweeps at quick scale
     --serial              Disable the cell thread pool (bit-identical output)
-    --no-cache            Disable the on-disk cell cache and artifact store
+    --no-cache            Run in memory, without the artifact store
     --keep-going          Complete the rest of the grid around failed cells
                           (every failure is reported; exit code 3)
     --cell-timeout <s>    Per-cell deadline in seconds; cells past it are
@@ -111,8 +111,8 @@ EXIT CODES:
 FAULT INJECTION (testing and CI):
     BGC_FAULTS=\"point[@ctx][#n]=panic|io|delay:<ms>[;...]\" arms
     deterministic faults at named points: trainer.epoch, condense.outer,
-    stage.clean, stage.attack, runner.persist, runner.load, store.read,
-    store.write, store.lock, sampler.produce.
+    stage.clean, stage.attack, store.read, store.write, store.lock,
+    sampler.produce.
     @ctx fires only in cells whose canonical key contains ctx; #n fires on
     the nth matching hit (default 1).  Each fault fires exactly once, so
     retries and re-runs heal.
@@ -128,7 +128,7 @@ EXAMPLES:
     bgc table 2 --scale quick
     bgc list attacks
     bgc lint --format json
-    bgc all --scale quick    (a second run is served from the caches)
+    bgc all --scale quick    (a second run is served from the store)
     bgc store stats
 ";
 
@@ -439,8 +439,16 @@ fn parse_num<T: std::str::FromStr>(text: &str, flag: &str) -> Result<T, CliError
 }
 
 /// Builds the invocation's runner from the parsed runner-level flags and
-/// the `BGC_FAULTS` plan.
+/// the `BGC_FAULTS` plan.  The runner's store lives at
+/// [`bgc_store::default_store_root`]; `--store-dir` belongs to `bgc store`
+/// alone and is rejected here rather than silently ignored.
 fn build_runner(options: &Options) -> Result<Runner, CliError> {
+    if options.store_dir.is_some() {
+        return Err(usage(format!(
+            "--store-dir only applies to `bgc store`; set {} to move the store of other commands",
+            bgc_store::STORE_DIR_ENV
+        )));
+    }
     let fault_plan =
         FaultPlan::from_env().map_err(|err| usage(format!("malformed BGC_FAULTS: {}", err)))?;
     if let Some(depth) = options.prefetch_depth {
@@ -1248,6 +1256,18 @@ mod tests {
             Err(CliError::Usage(_))
         ));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn store_dir_is_rejected_outside_the_store_subcommand() {
+        for command in [&["run", "--dataset", "cora"][..], &["table", "2"], &["all"]] {
+            let mut argv: Vec<String> = command.iter().map(|s| s.to_string()).collect();
+            argv.extend(["--store-dir".to_string(), "elsewhere".to_string()]);
+            let Err(CliError::Usage(message)) = run(&argv) else {
+                panic!("{:?} must be a usage error", argv);
+            };
+            assert!(message.contains("BGC_STORE_DIR"), "{}", message);
+        }
     }
 
     #[test]

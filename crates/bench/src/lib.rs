@@ -6,7 +6,8 @@
 //! Reports execute their experiment cells through a shared grid
 //! [`Runner`](bgc_eval::Runner), which parallelizes independent cells,
 //! shares attack/condensation stages between overlapping cells and resumes
-//! completed cells from `target/experiments/<scale>/cells/`.
+//! completed cells from the artifact store (`target/store/`, or
+//! `BGC_STORE_DIR`).
 
 pub mod cli;
 pub mod scaling;

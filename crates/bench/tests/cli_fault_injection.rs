@@ -1,11 +1,11 @@
 //! Subprocess tests of the `bgc` binary's failure behaviour: distinct exit
 //! codes per failure class, `BGC_FAULTS` injection end to end, `--deadline`
-//! timeouts, and the atomic-rename persist protocol surviving a kill
+//! timeouts, and the store's atomic-rename publish surviving a kill
 //! mid-persist.
 //!
 //! Each test runs the real binary (`CARGO_BIN_EXE_bgc`) in its own temp
-//! working directory — the cell cache lives under the cwd-relative
-//! `target/experiments/<scale>/cells/`.
+//! working directory — the artifact store lives under the cwd-relative
+//! `target/store/`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -21,12 +21,14 @@ fn temp_workdir(tag: &str) -> PathBuf {
 
 fn bgc(workdir: &Path) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_bgc"));
-    cmd.current_dir(workdir).env_remove("BGC_FAULTS");
+    cmd.current_dir(workdir)
+        .env_remove("BGC_FAULTS")
+        .env_remove("BGC_STORE_DIR");
     cmd
 }
 
-fn cells_dir(workdir: &Path) -> PathBuf {
-    workdir.join("target/experiments/quick/cells")
+fn store_dir(workdir: &Path) -> PathBuf {
+    workdir.join("target/store")
 }
 
 fn dir_files(dir: &Path, suffix: &str) -> Vec<PathBuf> {
@@ -38,6 +40,20 @@ fn dir_files(dir: &Path, suffix: &str) -> Vec<PathBuf> {
                 .collect()
         })
         .unwrap_or_default()
+}
+
+/// The stage of every live artifact under `dir`, sorted.
+fn artifact_stages(dir: &Path) -> Vec<String> {
+    let mut stages: Vec<String> = dir_files(dir, ".art")
+        .iter()
+        .map(|path| {
+            let bytes = fs::read(path).expect("artifact readable");
+            let canon = bgc_store::parse_artifact_canon(&bytes).expect("artifact verifies");
+            canon.split('|').nth(1).unwrap_or_default().to_string()
+        })
+        .collect();
+    stages.sort();
+    stages
 }
 
 #[test]
@@ -190,22 +206,25 @@ fn sampler_thread_panic_fails_only_its_cell_and_shuts_down_cleanly() {
 #[test]
 fn kill_during_persist_leaves_no_partial_cell_file_and_rerun_heals() {
     let dir = temp_workdir("kill-persist");
+    let store = store_dir(&dir);
+    let is_tmp = |p: &PathBuf| p.to_string_lossy().contains(".art.tmp-");
 
-    // Arm a long delay between the temp-file write and the atomic rename,
-    // then kill the process inside that window.
+    // Arm a long delay between the temp-file write and the atomic rename of
+    // the cell's own `eval` artifact (the third publish, after the clean
+    // and attack stages), then kill the process inside that window.
     let mut child = bgc(&dir)
         .args(["run", "--dataset", "cora", "--serial"])
-        .env("BGC_FAULTS", "runner.persist=delay:20000")
+        .env("BGC_FAULTS", "store.write#3=delay:20000")
         .spawn()
         .expect("bgc spawns");
-    let cells = cells_dir(&dir);
+    // Once both stages are live, the only temp file left to appear is the
+    // cell's own.
     let deadline = Instant::now() + Duration::from_secs(120);
     let mut saw_tmp = false;
     while Instant::now() < deadline {
-        if !dir_files(&cells, "").iter().any(|p| {
-            p.file_name()
-                .is_some_and(|n| n.to_string_lossy().contains(".json.tmp-"))
-        }) {
+        let in_window =
+            dir_files(&store, ".art").len() == 2 && dir_files(&store, "").iter().any(is_tmp);
+        if !in_window {
             std::thread::sleep(Duration::from_millis(10));
             continue;
         }
@@ -215,42 +234,36 @@ fn kill_during_persist_leaves_no_partial_cell_file_and_rerun_heals() {
     child.kill().expect("kill mid-persist");
     let _ = child.wait();
     assert!(saw_tmp, "persist window was observed before the kill");
-    assert!(
-        dir_files(&cells, ".json").is_empty(),
-        "no live cell file exists after a kill mid-persist"
+    assert_eq!(
+        artifact_stages(&store),
+        ["attack", "clean"],
+        "no live eval artifact exists after a kill mid-persist"
     );
 
-    // A fault-free re-run sweeps the stale temp file, recomputes and
-    // persists a complete, checksummed cell file.
+    // A fault-free re-run sweeps the dead writer's temp file, evaluates the
+    // cell from the stored stages and publishes a complete artifact.
     let status = bgc(&dir)
         .args(["run", "--dataset", "cora", "--serial"])
         .status()
         .expect("bgc runs");
     assert_eq!(status.code(), Some(0));
-    let live = dir_files(&cells, ".json");
-    assert_eq!(live.len(), 1, "exactly one live cell file: {:?}", live);
+    assert_eq!(artifact_stages(&store), ["attack", "clean", "eval"]);
     assert!(
-        dir_files(&cells, "")
-            .iter()
-            .all(|p| !p.to_string_lossy().contains(".json.tmp-")),
+        !dir_files(&store, "").iter().any(is_tmp),
         "stale temp files were swept"
     );
-    let text = fs::read_to_string(&live[0]).expect("cell file reads");
-    let footer = text.trim_end().lines().last().unwrap_or_default();
-    assert!(
-        footer.starts_with("#bgc-cell v") && footer.contains("fnv1a64="),
-        "cell file carries an integrity footer: {}",
-        footer
-    );
 
-    // A third run serves the cell from disk without touching the bytes.
-    let healed = fs::read(&live[0]).expect("healed bytes");
+    // A third run serves the cell from the store without touching a byte.
+    let live = dir_files(&store, ".art");
+    let healed: Vec<Vec<u8>> = live.iter().map(|p| fs::read(p).expect("bytes")).collect();
     let status = bgc(&dir)
         .args(["run", "--dataset", "cora", "--serial"])
         .status()
         .expect("bgc runs");
     assert_eq!(status.code(), Some(0));
-    assert_eq!(fs::read(&live[0]).expect("bytes"), healed);
+    for (path, bytes) in live.iter().zip(&healed) {
+        assert_eq!(&fs::read(path).expect("bytes"), bytes);
+    }
 
     let _ = fs::remove_dir_all(&dir);
 }
@@ -280,18 +293,21 @@ fn faulted_then_clean_rerun_matches_a_never_faulted_cache_byte_for_byte() {
         .expect("bgc runs");
     assert_eq!(status.code(), Some(0));
 
-    // The healed cache is byte-identical to the never-faulted one.
-    let reference_cells = dir_files(&cells_dir(&reference), ".json");
-    let healed_cells = dir_files(&cells_dir(&faulted), ".json");
-    assert!(!reference_cells.is_empty());
-    assert_eq!(reference_cells.len(), healed_cells.len());
-    for path in &reference_cells {
+    // The healed store is byte-identical to the never-faulted one.
+    let reference_artifacts = dir_files(&store_dir(&reference), ".art");
+    let healed_artifacts = dir_files(&store_dir(&faulted), ".art");
+    assert_eq!(
+        artifact_stages(&store_dir(&reference)),
+        ["attack", "clean", "eval"]
+    );
+    assert_eq!(reference_artifacts.len(), healed_artifacts.len());
+    for path in &reference_artifacts {
         let name = path.file_name().expect("file name");
-        let healed = cells_dir(&faulted).join(name);
+        let healed = store_dir(&faulted).join(name);
         assert_eq!(
             fs::read(path).expect("reference bytes"),
             fs::read(&healed).expect("healed bytes"),
-            "cell {} healed byte-identically",
+            "artifact {} healed byte-identically",
             name.to_string_lossy()
         );
     }

@@ -1,7 +1,8 @@
 //! Multi-process contention test of the content-addressed artifact store:
 //! N concurrent `bgc run` subprocesses over one shared, cold store must
-//! produce byte-identical results, compute each stage artifact exactly
-//! once (single-flight), and leave no orphan temp or lock files behind.
+//! produce byte-identical results, compute each artifact exactly once
+//! (single-flight) — the cell itself included — and leave no orphan temp
+//! or lock files behind.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -72,13 +73,13 @@ fn concurrent_runs_share_one_store_with_exactly_once_computation() {
         })
         .collect();
 
-    // Exactly-once stage computation: across all processes the two stage
-    // artifacts (clean condensation + attack) were computed exactly once
-    // in total; nothing fell back to degraded in-process compute.
-    let computed: u64 = docs.iter().map(|doc| stat(doc, "store_computed")).sum();
-    let degraded: u64 = docs.iter().map(|doc| stat(doc, "store_degraded")).sum();
-    assert_eq!(computed, 2, "each stage artifact is computed exactly once");
-    assert_eq!(degraded, 0, "no process degraded to storeless compute");
+    // Exactly-once computation: across all processes the three artifacts
+    // (clean condensation, attack and the cell's eval result) were computed
+    // exactly once in total, so one process evaluated the cell and the
+    // others read it; nothing fell back to degraded in-process compute.
+    let sum = |counter: &str| -> u64 { docs.iter().map(|doc| stat(doc, counter)).sum() };
+    let counts = ["store_computed", "cells_computed", "store_degraded"].map(sum);
+    assert_eq!(counts, [3, 1, 0], "computed, cells computed, degraded");
 
     // Byte-identical results: every process reports the same cell canon
     // and the same measured result values.
@@ -96,18 +97,18 @@ fn concurrent_runs_share_one_store_with_exactly_once_computation() {
         assert_eq!(result, &results[0], "results are byte-identical");
     }
 
-    // The store holds exactly the two live artifacts — no orphan temp
+    // The store holds exactly the three live artifacts — no orphan temp
     // files, no leaked locks, nothing quarantined.
     let mut files = store_files(&dir);
     files.sort();
-    assert_eq!(files.len(), 2, "two live artifacts: {:?}", files);
+    assert_eq!(files.len(), 3, "three live artifacts: {:?}", files);
     assert!(
         files.iter().all(|name| name.ends_with(".art")),
         "no orphan .tmp/.lock/.corrupt files: {:?}",
         files
     );
 
-    // A warm follow-up run hits both artifacts and computes nothing.
+    // A warm follow-up run reads the cell and computes nothing.
     let output = bgc(&dir)
         .args(["run", "--dataset", "cora", "--serial", "--format", "json"])
         .output()
@@ -115,11 +116,8 @@ fn concurrent_runs_share_one_store_with_exactly_once_computation() {
     assert_eq!(output.status.code(), Some(0));
     let doc: Value = serde_json::from_str(&String::from_utf8_lossy(&output.stdout))
         .expect("warm run emits JSON");
-    assert_eq!(
-        stat(&doc, "store_computed"),
-        0,
-        "warm store: nothing computed"
-    );
+    let warm = ["store_computed", "cell_disk_hits"].map(|counter| stat(&doc, counter));
+    assert_eq!(warm, [0, 1], "warm store: nothing computed, cell read");
 
     let _ = fs::remove_dir_all(&dir);
 }

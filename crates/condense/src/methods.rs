@@ -212,10 +212,10 @@ fn condenser_registry() -> &'static Registry<dyn CondensationMethod> {
 
 /// Registers a condensation method under its [`CondensationMethod::name`].
 /// A method with the same name (case-insensitively) replaces the previous
-/// entry, so tests can shadow built-ins; note that the on-disk experiment
-/// cell cache is keyed by name, so delete `target/experiments/` after
-/// shadowing a built-in (or use an in-memory runner) to avoid being served
-/// the old implementation's cached cells.
+/// entry, so tests can shadow built-ins; note that the artifact store keys
+/// cells and stages by name, so run `bgc store clear` after shadowing a
+/// built-in (or use an in-memory runner) to avoid being served the old
+/// implementation's cached cells.
 pub fn register_condenser(method: Arc<dyn CondensationMethod>) {
     condenser_registry().register(method);
 }

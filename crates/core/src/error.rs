@@ -56,7 +56,7 @@ pub enum BgcError {
         /// The per-cell failures, in grid submission order.
         failures: Vec<BgcError>,
     },
-    /// Filesystem or serialization failure (reports, cell cache).
+    /// Filesystem or serialization failure (reports).
     Io(String),
 }
 

@@ -190,8 +190,8 @@ fn attack_registry() -> &'static Registry<dyn Attack> {
 
 /// Registers an attack under its [`Attack::name`].  An attack with the same
 /// name (case-insensitively) replaces the previous entry, so tests can shadow
-/// built-ins; note that the on-disk experiment cell cache is keyed by name,
-/// so delete `target/experiments/` after shadowing a built-in (or use an
+/// built-ins; note that the artifact store keys cells and stages by name,
+/// so run `bgc store clear` after shadowing a built-in (or use an
 /// in-memory runner) to avoid being served the old implementation's cached
 /// cells.
 pub fn register_attack(attack: Arc<dyn Attack>) {

@@ -112,11 +112,11 @@ fn defense_registry() -> &'static Registry<dyn Defense> {
 
 /// Registers a defense under its [`Defense::name`].  A defense with the same
 /// name (case-insensitively) replaces the previous entry, so tests can shadow
-/// built-ins; note that the on-disk experiment cell cache is keyed by name,
-/// so delete `target/experiments/` after shadowing a built-in (or use an
-/// in-memory runner) to avoid being served the old implementation's cached
-/// cells.  The name `standard` is reserved for the undefended evaluation
-/// mode and is rejected.
+/// built-ins; note that the artifact store keys cells by name, so run
+/// `bgc store clear` after shadowing a built-in (or use an in-memory
+/// runner) to avoid being served the old implementation's cached cells.
+/// The name `standard` is reserved for the undefended evaluation mode and
+/// is rejected.
 pub fn register_defense(defense: Arc<dyn Defense>) {
     assert!(
         !defense.name().eq_ignore_ascii_case("standard"),

@@ -1,6 +1,6 @@
 //! Binary codecs for the artifacts the runner persists in the
-//! content-addressed store: clean condensed graphs and attack outputs
-//! (condensed graph + trigger-provider snapshot).
+//! content-addressed store: clean condensed graphs, attack outputs
+//! (condensed graph + trigger-provider snapshot) and cell results.
 //!
 //! The encoding is fixed-width little-endian with `f32` values carried by
 //! their IEEE-754 bits, so a decoded artifact is bit-identical to the
@@ -18,6 +18,8 @@ use std::sync::Arc;
 use bgc_core::{AttackArtifacts, GeneratorKind, GeneratorSnapshot, TriggerSnapshot};
 use bgc_graph::CondensedGraph;
 use bgc_tensor::Matrix;
+
+use crate::runner::CellResult;
 
 /// Format version embedded in every encoded artifact; bump on layout
 /// changes so stale artifacts fail decoding and recompute.
@@ -301,6 +303,45 @@ pub fn decode_attack(bytes: &[u8]) -> Option<AttackArtifacts> {
     })
 }
 
+// ---------------------------------------------------------------------------
+// Cell results
+// ---------------------------------------------------------------------------
+
+/// Encodes a cell's measured result for the store.
+pub fn encode_cell(result: &CellResult) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_u32(&mut out, CODEC_VERSION);
+    put_f32(&mut out, result.c_cta);
+    put_f32(&mut out, result.cta);
+    put_f32(&mut out, result.c_asr);
+    put_f32(&mut out, result.asr);
+    put_u64(&mut out, result.asr_nodes as u64);
+    out.push(u8::from(result.oom));
+    out
+}
+
+/// Decodes a cell result; `None` on any malformation.
+pub fn decode_cell(bytes: &[u8]) -> Option<CellResult> {
+    let mut cur = Cursor::new(bytes);
+    if cur.u32()? != CODEC_VERSION {
+        return None;
+    }
+    // Struct fields evaluate in source order, matching the encoder.
+    let result = CellResult {
+        c_cta: cur.f32()?,
+        cta: cur.f32()?,
+        c_asr: cur.f32()?,
+        asr: cur.f32()?,
+        asr_nodes: usize::try_from(cur.u64()?).ok()?,
+        oom: match cur.u8()? {
+            0 => false,
+            1 => true,
+            _ => return None,
+        },
+    };
+    cur.finished().then_some(result)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,5 +457,37 @@ mod tests {
         };
         bad_tag[prefix] = 99;
         assert!(decode_attack(&bad_tag).is_none());
+    }
+
+    #[test]
+    fn cell_round_trip_is_bit_exact_and_total() {
+        let result = CellResult {
+            c_cta: 0.768,
+            cta: f32::from_bits(0x3ea5_1eb8),
+            c_asr: -0.0,
+            asr: 1.0,
+            asr_nodes: 1234,
+            oom: false,
+        };
+        let bytes = encode_cell(&result);
+        let decoded = decode_cell(&bytes).expect("valid payload decodes");
+        assert_eq!(encode_cell(&decoded), bytes, "bit-exact, deterministic");
+        assert_eq!(decoded.c_asr.to_bits(), result.c_asr.to_bits());
+        let oom = CellResult {
+            oom: true,
+            ..result
+        };
+        assert!(decode_cell(&encode_cell(&oom)).expect("decodes").oom);
+
+        for cut in 0..bytes.len() {
+            assert!(decode_cell(&bytes[..cut]).is_none(), "cut {}", cut);
+        }
+        let mut long = bytes.clone();
+        long.push(0);
+        assert!(decode_cell(&long).is_none());
+        let mut bad_flag = bytes.clone();
+        let last = bad_flag.len() - 1;
+        bad_flag[last] = 2;
+        assert!(decode_cell(&bad_flag).is_none());
     }
 }

@@ -41,8 +41,8 @@ pub fn status_value(status: &CellStatus) -> Value {
     Value::Object(fields)
 }
 
-/// One cell of a report: canonical key, status, attempts, persist error and
-/// (for completed cells) the measured [`CellResult`] values.
+/// One cell of a report: canonical key, status, attempts and (for completed
+/// cells) the measured [`CellResult`] values.
 pub fn outcome_value(outcome: &CellOutcome, result: Option<&CellResult>) -> Value {
     let result_value = result
         .and_then(|r| serde_json::to_value(r).ok())
@@ -51,13 +51,6 @@ pub fn outcome_value(outcome: &CellOutcome, result: Option<&CellResult>) -> Valu
         field("cell", string(outcome.key.canon())),
         field("status", status_value(&outcome.status)),
         field("attempts", Value::Number(outcome.attempts as f64)),
-        field(
-            "persist_error",
-            match &outcome.persist_error {
-                Some(reason) => string(reason.clone()),
-                None => Value::Null,
-            },
-        ),
         field("result", result_value),
     ])
 }

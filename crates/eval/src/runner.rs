@@ -9,14 +9,17 @@
 //!   RNG streams from its own key, so parallel results are bit-identical to
 //!   serial execution;
 //! * **sharing expensive stages** — the attack outcome and the clean
-//!   condensed reference per (dataset, method, ratio, seed, attack config)
-//!   are memoized in a concurrent in-memory cache, so overlapping
-//!   tables/figures (e.g. the GCond/Cora/BGC cell appearing in Table II,
-//!   Fig. 1, Fig. 4 and Table VI) pay for each attack once;
-//! * **resumably** — per-cell results are persisted as JSON under
-//!   `target/experiments/<scale>/cells/` (atomic temp-file + rename writes
-//!   with a checksum footer; corrupt or stale files are quarantined to
-//!   `<name>.corrupt` and recomputed) and re-runs are served from disk;
+//!   condensed reference are memoized in a concurrent in-memory cache keyed
+//!   by their [`StoreKey`]s, so overlapping tables/figures (e.g. the
+//!   GCond/Cora/BGC cell appearing in Table II, Fig. 1, Fig. 4 and
+//!   Table VI) pay for each attack once;
+//! * **resumably** — the content-addressed artifact store
+//!   ([`bgc_store`]) is the only persistence layer: clean condensations,
+//!   attack outputs and cell results are `clean`, `attack` and `eval`
+//!   artifacts (atomic writes, integrity-checked reads, quarantine of
+//!   corrupt files, cross-process single-flight).  A cell's `eval` key is
+//!   its canon alone, so a re-run reads each finished cell without
+//!   generating its dataset;
 //! * **fault-tolerantly** — every cell executes behind an unwind boundary,
 //!   so a panic becomes a typed [`CellStatus::Panicked`] outcome instead of
 //!   a poisoned-mutex cascade; a per-cell deadline ([`Runner::with_cell_timeout`])
@@ -39,8 +42,8 @@
 //! runner arms a [`FaultPlan`] ([`Runner::with_fault_plan`]) and enters it
 //! around each cell with the cell's canonical key as context, so the named
 //! fault points (`trainer.epoch`, `condense.outer`, `stage.clean`,
-//! `stage.attack`, `runner.persist`, `runner.load`) fire deterministically
-//! in exactly the targeted cell.
+//! `stage.attack`, `store.read`, `store.write`) fire deterministically in
+//! exactly the targeted cell.
 
 // Deterministic-by-construction collections: every map and set of this
 // module keyed by cells or stage keys is a `BTreeMap`/`BTreeSet`, so no
@@ -49,9 +52,8 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -63,11 +65,10 @@ use serde::Serialize;
 use bgc_runtime::{fault, relock, CancelToken, CancelUnwind, FaultPlan};
 use bgc_store::{KeyBuilder, Store, StoreKey, StoreRole};
 
-use bgc_condense::{CondensationMethod, MethodId};
+use bgc_condense::MethodId;
 use bgc_core::{
-    asr_sample_nodes, attach_for_evaluation, directed_attack, evaluate_backdoor, Attack,
-    AttackArtifacts, AttackId, BgcConfig, BgcError, EvaluationOptions, GeneratorKind,
-    TriggerProvider, VictimSpec,
+    asr_sample_nodes, attach_for_evaluation, directed_attack, evaluate_backdoor, AttackArtifacts,
+    AttackId, BgcConfig, BgcError, EvaluationOptions, GeneratorKind, TriggerProvider, VictimSpec,
 };
 use bgc_defense::{resolve_defense, Defense, DefenseId};
 use bgc_graph::{CondensedGraph, DatasetKind, Graph, PoisonBudget};
@@ -87,11 +88,11 @@ use crate::scale::ExperimentScale;
 /// `DEFAULT_BASE_SEED + i` (matching [`RunSpec::bgc`]).
 pub const DEFAULT_BASE_SEED: u64 = 17;
 
-/// Version tag of the on-disk cell format; bump when [`CellResult`] or the
-/// evaluation protocol changes so stale caches are recomputed.  v2: defended
-/// cells train their victim from the shared defended init stream regardless
-/// of the defense kind.  v3: the cell canon carries the code epochs of every
-/// stage, so epoch bumps invalidate persisted cells.
+/// Version tag of the cell canon grammar (its `v3|` prefix); bump it only
+/// when [`CellKey::canon`] changes shape.  Behaviour changes of the
+/// evaluation bump [`EVAL_CODE_EPOCH`] instead.  v2: defended cells train
+/// their victim from the shared defended init stream regardless of the
+/// defense kind.  v3: the cell canon carries the code epochs of every stage.
 const CELL_FILE_VERSION: u64 = 3;
 
 /// Code epoch of the evaluation protocol (victim training, CTA/ASR
@@ -325,29 +326,8 @@ impl CellOverrides {
             self.architecture.map_or("-", |a| a.name()),
             opt(&self.num_layers),
         );
-        // Appended only when set: pre-plan cell canons (and their on-disk
-        // file names) must stay byte-identical.
-        if let Some(plan) = &self.plan {
-            canon.push_str(&format!("|plan={}", plan));
-        }
-        canon
-    }
-
-    /// The subset of the overrides that changes the attack stage (everything
-    /// except the victim-side fields).
-    fn attack_canon(&self) -> String {
-        let mut canon = format!(
-            "gen={}|tsz={}|ep={}|budget={}|src={}",
-            self.generator.map_or("-", |g| g.name()),
-            self.trigger_size
-                .map_or_else(|| "-".to_string(), |v| v.to_string()),
-            self.outer_epochs
-                .map_or_else(|| "-".to_string(), |v| v.to_string()),
-            self.poison_budget
-                .map_or_else(|| "-".to_string(), |b| b.canon()),
-            self.source_class
-                .map_or_else(|| "-".to_string(), |v| v.to_string()),
-        );
+        // Appended only when set: pre-plan cell canons (and the `eval` store
+        // keys built from them) must stay byte-identical.
         if let Some(plan) = &self.plan {
             canon.push_str(&format!("|plan={}", plan));
         }
@@ -399,9 +379,10 @@ impl CellKey {
         self.base_seed + self.rep as u64
     }
 
-    /// Canonical, stable, collision-checked encoding of the key.  Used as
-    /// the in-memory stage-key prefix and (hashed) as the on-disk file name;
-    /// the full string is stored inside the cell file and verified on load.
+    /// Canonical, stable encoding of the key: the `cell` field of JSON
+    /// reports, the fault-injection context, and the only input of the
+    /// cell's `eval` store key (the store verifies the full key on read, so
+    /// a hash collision never serves another cell's result).
     pub fn canon(&self) -> String {
         format!(
             "v{}|{}|{}|{}|{}|r={:08x}|seed={}|rep={}|eval={}|{}|ce={}",
@@ -418,52 +399,6 @@ impl CellKey {
             self.epochs.canon(),
         )
     }
-
-    /// Cache key of the clean-reference condensation stage: only the fields
-    /// that influence clean condensation (no attack, victim or eval fields).
-    fn clean_stage_key(&self) -> String {
-        format!(
-            "clean|{}|{}|{}|r={:08x}|seed={}|ep={}",
-            self.scale.name(),
-            self.dataset.name(),
-            self.method,
-            self.ratio_bits,
-            self.seed(),
-            self.overrides
-                .outer_epochs
-                .map_or_else(|| "-".to_string(), |v| v.to_string()),
-        )
-    }
-
-    /// Cache key of the attack stage: everything that influences the attack
-    /// outcome, excluding the victim and eval-mode fields, so Table III's six
-    /// victims (for example) share one attack run.
-    fn attack_stage_key(&self) -> String {
-        format!(
-            "attack|{}|{}|{}|{}|r={:08x}|seed={}|{}",
-            self.scale.name(),
-            self.dataset.name(),
-            self.method,
-            self.attack,
-            self.ratio_bits,
-            self.seed(),
-            self.overrides.attack_canon(),
-        )
-    }
-
-    /// On-disk file name: 64-bit FNV-1a of the canonical encoding.
-    fn file_name(&self) -> String {
-        format!("{:016x}.json", fnv1a64(self.canon().as_bytes()))
-    }
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Raw measurements of one cell.  For [`EvalKind::Standard`] cells the
@@ -519,13 +454,13 @@ pub struct CellGroup {
 /// A memoized computation stage shared between cells.  The first cell to
 /// need a stage computes it inside the slot's `OnceLock`; concurrent cells
 /// needing the same stage block on the lock and share the value.
-struct StageCache<T> {
-    slots: Mutex<BTreeMap<String, Arc<OnceLock<T>>>>,
+struct StageCache<K, T> {
+    slots: Mutex<BTreeMap<K, Arc<OnceLock<T>>>>,
     hits: AtomicUsize,
     computed: AtomicUsize,
 }
 
-impl<T: Clone> StageCache<T> {
+impl<K: Ord + Clone, T: Clone> StageCache<K, T> {
     fn new() -> Self {
         Self {
             slots: Mutex::new(BTreeMap::new()),
@@ -534,10 +469,10 @@ impl<T: Clone> StageCache<T> {
         }
     }
 
-    fn get_or_compute(&self, key: String, compute: impl FnOnce() -> T) -> T {
+    fn get_or_compute(&self, key: &K, compute: impl FnOnce() -> T) -> T {
         let slot = {
             let mut slots = relock(&self.slots);
-            slots.entry(key).or_default().clone()
+            slots.entry(key.clone()).or_default().clone()
         };
         let mut ran = false;
         let value = slot.get_or_init(|| {
@@ -560,7 +495,7 @@ pub struct RunnerStats {
     pub cells_computed: usize,
     /// Cells served from the in-memory result map (overlap between reports).
     pub cell_memory_hits: usize,
-    /// Cells served from the on-disk cache (resumed runs).
+    /// Cells served from their `eval` artifact in the store (resumed runs).
     pub cell_disk_hits: usize,
     /// Attack stages computed from scratch.
     pub attack_stages_computed: usize,
@@ -570,19 +505,15 @@ pub struct RunnerStats {
     pub clean_stages_computed: usize,
     /// Clean condensations shared between cells (e.g. across attacks).
     pub clean_stage_hits: usize,
-    /// Corrupt/stale cell files quarantined to `<name>.corrupt` and
-    /// recomputed.
-    pub cells_quarantined: usize,
-    /// Cells whose results could not be persisted to the on-disk cache (the
-    /// in-memory results stayed valid).
-    pub persist_failures: usize,
-    /// Stages served from the content-addressed artifact store (computed by
-    /// an earlier process or another concurrent process).
+    /// Store requests (cell results and stages) served from the artifact
+    /// store (computed by an earlier process or another concurrent process).
     pub store_hits: usize,
-    /// Stages computed in this process and published to the artifact store.
+    /// Store requests computed in this process and published to the
+    /// artifact store.
     pub store_computed: usize,
-    /// Stages computed in-process because the artifact store was
-    /// unavailable, timed out or failed (graceful degradation).
+    /// Store requests computed in-process but not published, because the
+    /// artifact store was unavailable, timed out or failed to write
+    /// (graceful degradation).
     pub store_degraded: usize,
     /// Sampled-training prefetch: batches produced by sampler threads
     /// (0 when no cell used the pipeline).
@@ -601,9 +532,8 @@ impl RunnerStats {
         self.cell_memory_hits + self.cell_disk_hits + self.attack_stage_hits + self.clean_stage_hits
     }
 
-    /// One-line human-readable summary.  Quarantine and persist-failure
-    /// counts only appear when nonzero, so healthy runs print exactly what
-    /// they always printed.
+    /// One-line human-readable summary.  Store and prefetch counts only
+    /// appear when nonzero.
     pub fn summary(&self) -> String {
         let mut summary = format!(
             "cells: {} computed, {} memory hits, {} disk hits | attack stages: {} computed, {} shared | clean stages: {} computed, {} shared",
@@ -620,12 +550,6 @@ impl RunnerStats {
                 " | store: {} hits, {} computed, {} degraded",
                 self.store_hits, self.store_computed, self.store_degraded
             ));
-        }
-        if self.cells_quarantined > 0 {
-            summary.push_str(&format!(" | {} quarantined", self.cells_quarantined));
-        }
-        if self.persist_failures > 0 {
-            summary.push_str(&format!(" | {} persist failures", self.persist_failures));
         }
         if self.prefetch_produced > 0 {
             summary.push_str(&format!(
@@ -665,7 +589,6 @@ fn resolved_outcome(key: &CellKey, status: CellStatus) -> CellOutcome {
         key: key.clone(),
         status,
         attempts: 0,
-        persist_error: None,
     }
 }
 
@@ -830,9 +753,6 @@ pub struct CellOutcome {
     /// already resolved (an in-memory hit, or a cell that failed in an
     /// earlier wave of the same runner).
     pub attempts: usize,
-    /// Set when the cell computed but its result could not be written to the
-    /// on-disk cache (the in-memory result is still valid).
-    pub persist_error: Option<String>,
 }
 
 /// Per-cell statuses of one [`Runner::run_cells`] wave, in submission order
@@ -868,14 +788,6 @@ impl GridReport {
             .count()
     }
 
-    /// Cells whose results could not be written to the on-disk cache.
-    pub fn persist_failures(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| o.persist_error.is_some())
-            .count()
-    }
-
     /// Every failure aggregated into one typed error (`None` when the wave
     /// succeeded).  A multi-cell failure retains every per-cell error.
     pub fn error(&self) -> Option<BgcError> {
@@ -897,14 +809,10 @@ impl GridReport {
                 None => counts.push((label, 1)),
             }
         }
-        let mut parts: Vec<String> = counts
+        let parts: Vec<String> = counts
             .iter()
             .map(|(label, n)| format!("{} {}", n, label))
             .collect();
-        let persist = self.persist_failures();
-        if persist > 0 {
-            parts.push(format!("{} persist failures", persist));
-        }
         format!("{} cells: {}", self.outcomes.len(), parts.join(", "))
     }
 }
@@ -921,9 +829,9 @@ pub struct Runner {
     retries: usize,
     retry_backoff: Duration,
     fault_plan: Option<FaultPlan>,
-    cache_dir: Option<PathBuf>,
-    /// Content-addressed artifact store the stage caches read through
-    /// (`None`: stages stay purely in-process, as before the store existed).
+    /// Content-addressed artifact store, the runner's only persistence
+    /// layer: every stage and cell result reads through it (`None`: all of
+    /// them stay in process).
     store: Option<Arc<Store>>,
     /// Per-stage code epochs mixed into every cache key.
     epochs: CodeEpochs,
@@ -932,35 +840,25 @@ pub struct Runner {
     /// failed for the lifetime of the runner (so overlapping reports are
     /// deterministic); a fresh process retries it naturally.
     failures: Mutex<BTreeMap<CellKey, CellStatus>>,
-    clean_cache: StageCache<StageResult<Arc<CondensedGraph>>>,
-    attack_cache: StageCache<StageResult<AttackArtifacts>>,
-    /// Generated datasets, shared across cells: `(dataset, seed)` fully
-    /// determines the graph, so overlapping cells reuse one instance
-    /// instead of re-generating it.
-    graphs: StageCache<Arc<Graph>>,
-    /// Content fingerprints of generated datasets (process-independent,
-    /// unlike the `Arc`-keyed memo identity), shared across cells.
-    fingerprints: StageCache<u64>,
+    clean_cache: StageCache<StoreKey, StageResult<Arc<CondensedGraph>>>,
+    attack_cache: StageCache<StoreKey, StageResult<AttackArtifacts>>,
+    /// Generated datasets and their content fingerprints, shared across
+    /// cells: `(dataset, seed)` fully determines the graph, so overlapping
+    /// cells reuse one instance instead of re-generating it.
+    graphs: StageCache<(DatasetKind, u64), (Arc<Graph>, u64)>,
     cells_computed: AtomicUsize,
     cell_memory_hits: AtomicUsize,
     cell_disk_hits: AtomicUsize,
-    cells_quarantined: AtomicUsize,
-    persist_failure_count: AtomicUsize,
     store_hits: AtomicUsize,
     store_computed: AtomicUsize,
     store_degraded: AtomicUsize,
 }
 
 impl Runner {
-    /// A runner with the default on-disk cache under
-    /// `target/experiments/<scale>/cells/` and the shared artifact store
-    /// under [`bgc_store::default_store_root`].
+    /// A runner over the shared artifact store under
+    /// [`bgc_store::default_store_root`].
     pub fn new(scale: ExperimentScale) -> Self {
-        let dir = PathBuf::from("target/experiments")
-            .join(scale.name())
-            .join("cells");
-        Self::with_cache_dir(scale, Some(dir))
-            .with_store(Some(Store::open(bgc_store::default_store_root())))
+        Self::with_cache_dir(scale, Some(bgc_store::default_store_root()))
     }
 
     /// A runner without on-disk persistence (unit tests, library use).
@@ -968,14 +866,10 @@ impl Runner {
         Self::with_cache_dir(scale, None)
     }
 
-    /// A runner with an explicit cell-cache directory (`None` disables
-    /// persistence).  Stale temp files left behind by killed processes are
-    /// swept on construction; the atomic-rename persist protocol guarantees
-    /// they are never the live copy.
-    pub fn with_cache_dir(scale: ExperimentScale, cache_dir: Option<PathBuf>) -> Self {
-        if let Some(dir) = &cache_dir {
-            sweep_stale_tmp_files(dir);
-        }
+    /// A runner over the artifact store rooted at `root`; `None` keeps
+    /// every stage and cell result in memory.  Opening the store sweeps the
+    /// leftovers of killed processes.
+    pub fn with_cache_dir(scale: ExperimentScale, root: Option<PathBuf>) -> Self {
         Self {
             scale,
             base_seed: DEFAULT_BASE_SEED,
@@ -985,30 +879,26 @@ impl Runner {
             retries: 0,
             retry_backoff: Duration::from_millis(100),
             fault_plan: None,
-            cache_dir,
-            store: None,
+            store: root.map(Store::open),
             epochs: CodeEpochs::default(),
             results: Mutex::new(BTreeMap::new()),
             failures: Mutex::new(BTreeMap::new()),
             clean_cache: StageCache::new(),
             attack_cache: StageCache::new(),
             graphs: StageCache::new(),
-            fingerprints: StageCache::new(),
             cells_computed: AtomicUsize::new(0),
             cell_memory_hits: AtomicUsize::new(0),
             cell_disk_hits: AtomicUsize::new(0),
-            cells_quarantined: AtomicUsize::new(0),
-            persist_failure_count: AtomicUsize::new(0),
             store_hits: AtomicUsize::new(0),
             store_computed: AtomicUsize::new(0),
             store_degraded: AtomicUsize::new(0),
         }
     }
 
-    /// Attaches (or detaches) the content-addressed artifact store the
-    /// clean- and attack-stage caches read through.  `None` keeps stages
-    /// purely in-process.  The store is shared: multiple runners and
-    /// processes can point at one root and each artifact is computed once.
+    /// Attaches (or detaches) the content-addressed artifact store every
+    /// stage and cell result reads through.  `None` keeps them purely
+    /// in-process.  The store is shared: multiple runners and processes can
+    /// point at one root and each artifact is computed once.
     pub fn with_store(mut self, store: Option<Arc<Store>>) -> Self {
         self.store = store;
         self
@@ -1304,8 +1194,11 @@ impl Runner {
 
     /// Executes one cell behind the unwind boundary, with the deadline
     /// token, the fault-injection scope and bounded deterministic retry.
+    /// The cell's result reads through the store as an `eval` artifact
+    /// before anything is computed, so a stored cell loads no graph.
     fn execute_cell(&self, key: &CellKey, wave: &MergedWave) -> CellOutcome {
         let canon = key.canon();
+        let eval_key = self.eval_store_key(&canon);
         let mut attempt = 0usize;
         loop {
             attempt += 1;
@@ -1320,24 +1213,22 @@ impl Runner {
                     (None, None) => None,
                 };
                 let _scope = deadline.as_ref().map(CancelToken::enter);
-                match self.load_cell(key) {
-                    Some(result) => Ok((result, false, None)),
-                    None => self
-                        .compute_cell(key)
-                        .map(|result| (result, true, self.persist_cell(key, &result).err())),
-                }
+                let (result, role) = self.through_store(
+                    &eval_key,
+                    |bytes| artifact_codec::decode_cell(bytes).map(Ok),
+                    |result| result.as_ref().ok().map(artifact_codec::encode_cell),
+                    || self.compute_cell(key),
+                );
+                result.map(|result| (result, role == Some(StoreRole::Hit)))
             }));
             let failure = match unwound {
-                Ok(Ok((result, computed, persist_error))) => {
-                    if computed {
-                        self.cells_computed.fetch_add(1, Ordering::Relaxed);
+                Ok(Ok((result, stored))) => {
+                    let counter = if stored {
+                        &self.cell_disk_hits
                     } else {
-                        self.cell_disk_hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if let Some(reason) = &persist_error {
-                        self.persist_failure_count.fetch_add(1, Ordering::Relaxed);
-                        eprintln!("warning: {}", reason);
-                    }
+                        &self.cells_computed
+                    };
+                    counter.fetch_add(1, Ordering::Relaxed);
                     relock(&self.results).insert(key.clone(), result);
                     let status = if result.oom {
                         CellStatus::Oom
@@ -1348,7 +1239,6 @@ impl Runner {
                         key: key.clone(),
                         status,
                         attempts: attempt,
-                        persist_error,
                     };
                 }
                 Ok(Err(err)) => err,
@@ -1388,7 +1278,6 @@ impl Runner {
                 key: key.clone(),
                 status,
                 attempts: attempt,
-                persist_error: None,
             };
         }
     }
@@ -1487,8 +1376,6 @@ impl Runner {
             attack_stage_hits: self.attack_cache.hits.load(Ordering::Relaxed),
             clean_stages_computed: self.clean_cache.computed.load(Ordering::Relaxed),
             clean_stage_hits: self.clean_cache.hits.load(Ordering::Relaxed),
-            cells_quarantined: self.cells_quarantined.load(Ordering::Relaxed),
-            persist_failures: self.persist_failure_count.load(Ordering::Relaxed),
             store_hits: self.store_hits.load(Ordering::Relaxed),
             store_computed: self.store_computed.load(Ordering::Relaxed),
             store_degraded: self.store_degraded.load(Ordering::Relaxed),
@@ -1514,23 +1401,14 @@ impl Runner {
             ),
         };
 
-        let seed = key.seed();
-        let graph_memo = format!("{}|{}", key.dataset.name(), seed);
-        let graph = self.graphs.get_or_compute(graph_memo.clone(), || {
-            Arc::new(self.scale.load(key.dataset, seed))
+        // The content fingerprint is the dataset's process-independent
+        // identity in the stage keys; computed once per generated graph.
+        let (graph, graph_fp) = self.graphs.get_or_compute(&(key.dataset, key.seed()), || {
+            let graph = self.scale.load(key.dataset, key.seed());
+            let fingerprint = graph.content_fingerprint();
+            (Arc::new(graph), fingerprint)
         });
-        // Store keys need a process-independent dataset identity (the memo
-        // key above is only unique within this process); computed once per
-        // graph, and only when a store is attached.
-        let graph_fp = self.store.as_ref().map(|_| {
-            let graph = graph.clone();
-            self.fingerprints
-                .get_or_compute(graph_memo, move || graph.content_fingerprint())
-        });
-        let mut config = self.scale.bgc_config(key.dataset, key.ratio(), seed);
-        let mut victim = self.scale.victim_spec_for(key.dataset);
-        let mut options = self.scale.evaluation_options_for(key.dataset, seed);
-        key.overrides.apply(&mut config, &mut victim, &mut options);
+        let (config, victim, options) = self.cell_inputs(key);
 
         // Clean reference condensation — needed by the Standard evaluation
         // (C-CTA/C-ASR columns) and by attacks that inject into the clean
@@ -1538,11 +1416,24 @@ impl Runner {
         // skip it.
         let needs_clean = key.eval == EvalKind::Standard || attack.needs_clean_reference();
         let clean = if needs_clean {
-            let outcome = self.clean_cache.get_or_compute(key.clean_stage_key(), || {
+            let clean_key = self.clean_store_key(key, graph_fp, &config);
+            let outcome = self.clean_cache.get_or_compute(&clean_key, || {
                 // The fault point fires before the store read-through, so an
-                // injected `stage.clean` fault hits even on a warm store.
+                // injected `stage.clean` fault hits every computing cell,
+                // even when the clean artifact is stored.
                 fault::fire("stage.clean");
-                self.clean_through_store(&graph, graph_fp, key, method.as_ref(), &config)
+                self.through_store(
+                    &clean_key,
+                    |bytes| artifact_codec::decode_condensed(bytes).map(|g| Ok(Arc::new(g))),
+                    |result| {
+                        result
+                            .as_ref()
+                            .ok()
+                            .map(|g| artifact_codec::encode_condensed(g))
+                    },
+                    || clean_stage(&graph, method.as_ref(), &config).map(Arc::new),
+                )
+                .0
             });
             match outcome {
                 Ok(clean) => Some(clean),
@@ -1554,20 +1445,28 @@ impl Runner {
         };
 
         let artifacts = {
-            let outcome = self
-                .attack_cache
-                .get_or_compute(key.attack_stage_key(), || {
-                    fault::fire("stage.attack");
-                    self.attack_through_store(
-                        &graph,
-                        graph_fp,
-                        key,
-                        attack.as_ref(),
-                        method.as_ref(),
-                        &config,
-                        clean.as_deref(),
-                    )
-                });
+            let attack_key =
+                self.attack_store_key(key, graph_fp, &config, attack.needs_clean_reference());
+            let outcome = self.attack_cache.get_or_compute(&attack_key, || {
+                fault::fire("stage.attack");
+                // Artifacts whose trigger provider is not snapshottable
+                // (third-party registry attacks) stay process-local.
+                self.through_store(
+                    &attack_key,
+                    |bytes| artifact_codec::decode_attack(bytes).map(Ok),
+                    |result| result.as_ref().ok().and_then(artifact_codec::encode_attack),
+                    || {
+                        attack_stage(
+                            attack.as_ref(),
+                            method.as_ref(),
+                            &graph,
+                            &config,
+                            clean.as_deref(),
+                        )
+                    },
+                )
+                .0
+            });
             match outcome {
                 Ok(artifacts) => artifacts,
                 Err(err) if err.is_oom() => return Ok(CellResult::oom()),
@@ -1632,17 +1531,52 @@ impl Runner {
         }
     }
 
+    /// A cell's attack configuration, victim and evaluation options: the
+    /// scale's defaults with the cell's overrides applied.
+    fn cell_inputs(&self, key: &CellKey) -> (BgcConfig, VictimSpec, EvaluationOptions) {
+        let mut config = self.scale.bgc_config(key.dataset, key.ratio(), key.seed());
+        let mut victim = self.scale.victim_spec_for(key.dataset);
+        let mut options = self.scale.evaluation_options_for(key.dataset, key.seed());
+        key.overrides.apply(&mut config, &mut victim, &mut options);
+        (config, victim, options)
+    }
+
     // ------------------------------------------------------------------
-    // Content-addressed stage artifacts
+    // Content-addressed artifacts
     // ------------------------------------------------------------------
 
-    fn count_role(&self, role: StoreRole) {
+    /// Reads one request through the artifact store (plain `compute` when
+    /// no store is attached) and counts how the store served it.  Values
+    /// `encode` rejects, failed computations among them, are returned but
+    /// never persisted.
+    fn through_store<T>(
+        &self,
+        key: &StoreKey,
+        decode: impl Fn(&[u8]) -> Option<T>,
+        encode: impl Fn(&T) -> Option<Vec<u8>>,
+        compute: impl FnOnce() -> T,
+    ) -> (T, Option<StoreRole>) {
+        let Some(store) = &self.store else {
+            return (compute(), None);
+        };
+        let (value, role) = store.get_or_compute(key, decode, encode, compute);
         let counter = match role {
             StoreRole::Hit => &self.store_hits,
             StoreRole::Computed => &self.store_computed,
             StoreRole::Degraded => &self.store_degraded,
         };
         counter.fetch_add(1, Ordering::Relaxed);
+        (value, Some(role))
+    }
+
+    /// Store key of a cell's result: the evaluation code epoch and the cell
+    /// canon, which already carries every stage's code epoch.  It has no
+    /// graph fingerprint and no upstream hash, so a cell is looked up before
+    /// anything about it is computed.
+    fn eval_store_key(&self, canon: &str) -> StoreKey {
+        KeyBuilder::new("eval", self.epochs.eval)
+            .field("cell", canon)
+            .build()
     }
 
     /// Store key of a clean condensation: the dataset and condensation code
@@ -1685,264 +1619,6 @@ impl Runner {
         }
         builder.build()
     }
-
-    /// Clean-stage computation read through the artifact store (straight
-    /// compute when no store is attached).  Failed computations are
-    /// returned but never persisted.
-    fn clean_through_store(
-        &self,
-        graph: &Graph,
-        graph_fp: Option<u64>,
-        key: &CellKey,
-        method: &dyn CondensationMethod,
-        config: &BgcConfig,
-    ) -> StageResult<Arc<CondensedGraph>> {
-        let (Some(store), Some(graph_fp)) = (&self.store, graph_fp) else {
-            return clean_stage(graph, method, config).map(Arc::new);
-        };
-        let store_key = self.clean_store_key(key, graph_fp, config);
-        let (result, role) = store.get_or_compute(
-            &store_key,
-            |bytes| artifact_codec::decode_condensed(bytes).map(|g| Ok(Arc::new(g))),
-            |result| {
-                result
-                    .as_ref()
-                    .ok()
-                    .map(|g| artifact_codec::encode_condensed(g))
-            },
-            || clean_stage(graph, method, config).map(Arc::new),
-        );
-        self.count_role(role);
-        result
-    }
-
-    /// Attack-stage computation read through the artifact store.  Artifacts
-    /// whose trigger provider is not snapshottable (third-party registry
-    /// attacks) are returned but stay process-local.
-    #[allow(clippy::too_many_arguments)]
-    fn attack_through_store(
-        &self,
-        graph: &Graph,
-        graph_fp: Option<u64>,
-        key: &CellKey,
-        attack: &dyn Attack,
-        method: &dyn CondensationMethod,
-        config: &BgcConfig,
-        clean: Option<&CondensedGraph>,
-    ) -> StageResult<AttackArtifacts> {
-        let (Some(store), Some(graph_fp)) = (&self.store, graph_fp) else {
-            return attack_stage(attack, method, graph, config, clean);
-        };
-        let store_key =
-            self.attack_store_key(key, graph_fp, config, attack.needs_clean_reference());
-        let (result, role) = store.get_or_compute(
-            &store_key,
-            |bytes| artifact_codec::decode_attack(bytes).map(Ok),
-            |result| result.as_ref().ok().and_then(artifact_codec::encode_attack),
-            || attack_stage(attack, method, graph, config, clean),
-        );
-        self.count_role(role);
-        result
-    }
-
-    // ------------------------------------------------------------------
-    // On-disk cell cache
-    // ------------------------------------------------------------------
-
-    /// Loads a persisted cell, verifying the integrity footer (version and
-    /// checksum), the JSON body and the stored canonical key.  A file that
-    /// fails any check is quarantined to `<name>.corrupt` and the cell
-    /// recomputes; a read error falls back to recomputation.
-    fn load_cell(&self, key: &CellKey) -> Option<CellResult> {
-        let dir = self.cache_dir.as_ref()?;
-        let path = dir.join(key.file_name());
-        let read = fault::fire_io("runner.load").and_then(|()| fs::read_to_string(&path));
-        let text = match read {
-            Ok(text) => text,
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => return None,
-            Err(err) => {
-                eprintln!(
-                    "warning: could not read {}: {} (recomputing)",
-                    path.display(),
-                    err
-                );
-                return None;
-            }
-        };
-        match parse_cell_file(&text, key) {
-            Ok(result) => Some(result),
-            Err(reason) => {
-                self.quarantine(&path, &reason);
-                None
-            }
-        }
-    }
-
-    /// Moves a corrupt/stale cell file aside to `<name>.corrupt` so the cell
-    /// recomputes and re-persists cleanly; the original bytes are kept for
-    /// inspection.
-    fn quarantine(&self, path: &Path, reason: &str) {
-        self.cells_quarantined.fetch_add(1, Ordering::Relaxed);
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let target = path.with_file_name(format!("{}.corrupt", name));
-        match fs::rename(path, &target) {
-            Ok(()) => eprintln!(
-                "warning: quarantined corrupt cell file {} ({}); recomputing",
-                path.display(),
-                reason
-            ),
-            Err(err) => eprintln!(
-                "warning: corrupt cell file {} ({}) could not be quarantined: {}; recomputing",
-                path.display(),
-                reason,
-                err
-            ),
-        }
-    }
-
-    /// Atomically persists a completed cell: the payload (JSON plus
-    /// integrity footer) goes to a process-unique temp file which is then
-    /// renamed into place, so a crash mid-write never leaves a partial cell
-    /// file behind.  Failures are returned as a description instead of
-    /// failing the cell — the in-memory result is still valid.
-    fn persist_cell(&self, key: &CellKey, result: &CellResult) -> Result<(), String> {
-        let Some(dir) = self.cache_dir.as_ref() else {
-            return Ok(());
-        };
-        fs::create_dir_all(dir)
-            .map_err(|err| format!("could not create {}: {}", dir.display(), err))?;
-        let file = CellFile {
-            version: CELL_FILE_VERSION,
-            canon: key.canon(),
-            ratio: key.ratio(),
-            result: *result,
-        };
-        let json = serde_json::to_string_pretty(&file)
-            .map_err(|err| format!("could not serialize cell: {}", err))?;
-        let path = dir.join(key.file_name());
-        let tmp = dir.join(format!("{}.tmp-{}", key.file_name(), std::process::id()));
-        let write = (|| -> std::io::Result<()> {
-            fs::write(&tmp, seal_cell_payload(&json))?;
-            // The window between temp write and rename is the kill/abort
-            // target of the atomicity tests.
-            fault::fire_io("runner.persist")?;
-            fs::rename(&tmp, &path)
-        })();
-        write.map_err(|err| {
-            let _ = fs::remove_file(&tmp);
-            format!("could not persist {}: {}", path.display(), err)
-        })
-    }
-}
-
-/// Appends the integrity footer: a comment line carrying the cell-format
-/// version and the FNV-1a64 checksum of the JSON body, verified on load.
-fn seal_cell_payload(json: &str) -> String {
-    format!(
-        "{}\n#bgc-cell v{} fnv1a64={:016x}\n",
-        json,
-        CELL_FILE_VERSION,
-        fnv1a64(json.as_bytes())
-    )
-}
-
-/// Parses and verifies a persisted cell: footer present, version current,
-/// checksum matching, JSON well-formed and the stored canonical key equal to
-/// the requested cell's (the file name is a 64-bit hash; the canon guards
-/// against collisions).  Any violation is reported as a quarantine reason.
-fn parse_cell_file(text: &str, key: &CellKey) -> Result<CellResult, String> {
-    let trimmed = text.strip_suffix('\n').unwrap_or(text);
-    let (body, footer) = trimmed
-        .rsplit_once('\n')
-        .ok_or("missing integrity footer")?;
-    let rest = footer
-        .strip_prefix("#bgc-cell v")
-        .ok_or("missing integrity footer")?;
-    let (version, checksum) = rest
-        .split_once(" fnv1a64=")
-        .ok_or("malformed integrity footer")?;
-    let version: u64 = version
-        .parse()
-        .map_err(|_| "malformed integrity footer".to_string())?;
-    if version != CELL_FILE_VERSION {
-        return Err(format!(
-            "stale cell format v{} (current v{})",
-            version, CELL_FILE_VERSION
-        ));
-    }
-    let expected =
-        u64::from_str_radix(checksum, 16).map_err(|_| "malformed integrity footer".to_string())?;
-    let actual = fnv1a64(body.as_bytes());
-    if actual != expected {
-        return Err(format!(
-            "checksum mismatch (stored {:016x}, computed {:016x})",
-            expected, actual
-        ));
-    }
-    let value: serde_json::Value =
-        serde_json::from_str(body).map_err(|err| format!("unparseable JSON: {}", err))?;
-    let stored_version = value
-        .get("version")
-        .and_then(|v| v.as_u64())
-        .ok_or("missing version field")?;
-    if stored_version != CELL_FILE_VERSION {
-        return Err(format!("stale cell version {}", stored_version));
-    }
-    let canon = value
-        .get("canon")
-        .and_then(|v| v.as_str())
-        .ok_or("missing canon field")?;
-    if canon != key.canon() {
-        return Err("canonical key mismatch (hash collision or stale key)".to_string());
-    }
-    let result = value.get("result").ok_or("missing result field")?;
-    let field = |name: &str| -> Result<f32, String> {
-        result
-            .get(name)
-            .and_then(|v| v.as_f64())
-            .map(|v| v as f32)
-            .ok_or_else(|| format!("missing result field '{}'", name))
-    };
-    Ok(CellResult {
-        c_cta: field("c_cta")?,
-        cta: field("cta")?,
-        c_asr: field("c_asr")?,
-        asr: field("asr")?,
-        asr_nodes: result
-            .get("asr_nodes")
-            .and_then(|v| v.as_u64())
-            .ok_or("missing result field 'asr_nodes'")? as usize,
-        oom: result
-            .get("oom")
-            .and_then(|v| v.as_bool())
-            .ok_or("missing result field 'oom'")?,
-    })
-}
-
-/// Removes temp files left behind by killed processes.  The atomic-rename
-/// persist protocol guarantees a temp file is never the live copy of a
-/// cell.
-fn sweep_stale_tmp_files(dir: &Path) {
-    let Ok(entries) = fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        if entry.file_name().to_string_lossy().contains(".json.tmp-") {
-            let _ = fs::remove_file(entry.path());
-        }
-    }
-}
-
-/// On-disk representation of one completed cell.
-#[derive(Serialize)]
-struct CellFile {
-    version: u64,
-    canon: String,
-    ratio: f32,
-    result: CellResult,
 }
 
 /// CTA/ASR of a victim evaluated through a [`Defense`] (Table IV):
@@ -2013,6 +1689,24 @@ fn defended_evaluation(
 mod tests {
     use super::*;
     use bgc_condense::CondensationKind;
+    use std::fs;
+    use std::path::Path;
+
+    /// The live artifacts of a store root, by file name.
+    fn artifacts(root: &Path) -> BTreeMap<String, Vec<u8>> {
+        fs::read_dir(root)
+            .map(|entries| {
+                entries
+                    .flatten()
+                    .filter(|e| e.file_name().to_string_lossy().ends_with(".art"))
+                    .map(|e| {
+                        let name = e.file_name().to_string_lossy().into_owned();
+                        (name, fs::read(e.path()).expect("artifact readable"))
+                    })
+                    .collect()
+            })
+            .unwrap_or_default()
+    }
 
     /// A tiny two-cell grid that shares the clean stage between two attacks.
     fn tiny_groups(runner: &Runner) -> Vec<CellGroup> {
@@ -2076,12 +1770,12 @@ mod tests {
             },
         );
         assert_ne!(default.keys[0].canon(), other.keys[0].canon());
-        assert_ne!(default.keys[0].file_name(), other.keys[0].file_name());
+        let eval_key = |key: &CellKey| runner.eval_store_key(&key.canon());
+        assert_ne!(eval_key(&default.keys[0]), eval_key(&other.keys[0]));
         // The victim-side override leaves the attack stage shareable.
-        assert_eq!(
-            default.keys[0].attack_stage_key(),
-            other.keys[0].attack_stage_key()
-        );
+        let attack_key =
+            |key: &CellKey| runner.attack_store_key(key, 0, &runner.cell_inputs(key).0, true);
+        assert_eq!(attack_key(&default.keys[0]), attack_key(&other.keys[0]));
         assert_eq!(default.keys[0].seed(), 17);
     }
 
@@ -2152,12 +1846,17 @@ mod tests {
         assert_eq!(first.stats().cell_disk_hits, 0);
 
         // A fresh runner (fresh process, conceptually) is served entirely
-        // from disk, bit-identically.
+        // from the cells' `eval` artifacts, bit-identically, without
+        // generating a dataset or requesting a stage.
         let second = Runner::with_cache_dir(ExperimentScale::Quick, Some(dir.clone()));
         assert!(second.run_cells(&keys).is_ok());
         let stats = second.stats();
         assert_eq!(stats.cell_disk_hits, keys.len());
         assert_eq!(stats.cells_computed, 0);
+        assert_eq!((stats.store_hits, stats.store_computed), (keys.len(), 0));
+        assert_eq!(second.graphs.computed.load(Ordering::Relaxed), 0);
+        assert_eq!(stats.clean_stages_computed + stats.clean_stage_hits, 0);
+        assert_eq!(stats.attack_stages_computed + stats.attack_stage_hits, 0);
         for key in &keys {
             let a = first.result(key).unwrap();
             let b = second.result(key).unwrap();
@@ -2439,64 +2138,6 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_cell_files_are_quarantined_and_recomputed_identically() {
-        let dir = std::env::temp_dir().join(format!("bgc-corrupt-test-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-
-        let seed = Runner::with_cache_dir(ExperimentScale::Quick, Some(dir.clone())).serial();
-        let group = seed.group(
-            DatasetKind::Cora,
-            CondensationKind::GCondX,
-            AttackKind::Bgc,
-            0.026,
-            EvalKind::Standard,
-            CellOverrides {
-                outer_epochs: Some(4),
-                ..CellOverrides::default()
-            },
-        );
-        assert!(seed.run_cells(&group.keys).is_ok());
-        let path = dir.join(group.keys[0].file_name());
-        let pristine = fs::read_to_string(&path).expect("cell file was persisted");
-        assert!(pristine.contains("#bgc-cell v"), "integrity footer present");
-
-        let corruptions: Vec<(&str, String)> = vec![
-            ("truncated", pristine[..pristine.len() / 2].to_string()),
-            ("bit-flipped", pristine.replacen("\"cta\"", "\"ctA\"", 1)),
-            (
-                "stale-version",
-                pristine.replace("#bgc-cell v3", "#bgc-cell v2"),
-            ),
-            ("footer-less (pre-footer format)", {
-                let json_end = pristine.rfind("\n#bgc-cell").unwrap();
-                pristine[..json_end].to_string()
-            }),
-        ];
-        for (label, corrupted) in corruptions {
-            fs::write(&path, corrupted).unwrap();
-            let runner = Runner::with_cache_dir(ExperimentScale::Quick, Some(dir.clone())).serial();
-            assert!(runner.run_cells(&group.keys).is_ok(), "{}", label);
-            let stats = runner.stats();
-            assert_eq!(stats.cells_quarantined, 1, "{}", label);
-            assert_eq!(stats.cells_computed, 1, "{}: recomputed, not loaded", label);
-            assert_eq!(stats.cell_disk_hits, 0, "{}", label);
-            assert!(stats.summary().contains("1 quarantined"), "{}", label);
-            // The corrupt bytes are kept for inspection...
-            let quarantined = path.with_file_name(format!(
-                "{}.corrupt",
-                path.file_name().unwrap().to_string_lossy()
-            ));
-            assert!(quarantined.exists(), "{}", label);
-            // ...and the healed file is byte-identical to the original.
-            let healed = fs::read_to_string(&path).unwrap();
-            assert_eq!(healed, pristine, "{}", label);
-            let _ = fs::remove_file(&quarantined);
-        }
-
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn stages_read_through_the_store_and_epoch_bumps_invalidate() {
         use bgc_store::Store;
 
@@ -2516,26 +2157,21 @@ mod tests {
             )
         };
 
-        // Cold: both stages compute and publish artifacts.
+        // Cold: both stages and the cell compute and publish artifacts.
         let cold = Runner::in_memory(ExperimentScale::Quick)
             .serial()
             .with_store(Some(Store::open(&root)));
         let group = group_of(&cold);
         assert!(cold.run_cells(&group.keys).is_ok());
         let stats = cold.stats();
-        assert_eq!(stats.store_computed, 2, "clean + attack each published");
+        assert_eq!(stats.store_computed, 3, "clean + attack + eval published");
         assert_eq!(stats.store_hits, 0);
         assert_eq!(stats.store_degraded, 0);
-        assert!(stats.summary().contains("store: 0 hits, 2 computed"));
-        let artifacts = fs::read_dir(&root)
-            .unwrap()
-            .flatten()
-            .filter(|e| e.file_name().to_string_lossy().ends_with(".art"))
-            .count();
-        assert_eq!(artifacts, 2);
+        assert!(stats.summary().contains("store: 0 hits, 3 computed"));
+        assert_eq!(artifacts(&root).len(), 3);
 
-        // Warm (a fresh runner, conceptually a fresh process): both stages
-        // are served from the store, bit-identically.
+        // Warm (a fresh runner, conceptually a fresh process): the cell's
+        // `eval` artifact serves it bit-identically, and no stage is asked.
         let warm = Runner::in_memory(ExperimentScale::Quick)
             .serial()
             .with_store(Some(Store::open(&root)));
@@ -2543,7 +2179,7 @@ mod tests {
         assert_eq!(group.keys, group_warm.keys);
         assert!(warm.run_cells(&group_warm.keys).is_ok());
         let stats = warm.stats();
-        assert_eq!(stats.store_hits, 2, "clean + attack both served");
+        assert_eq!(stats.store_hits, 1, "the cell is served");
         assert_eq!(stats.store_computed, 0);
         for key in &group.keys {
             let a = cold.result(key).unwrap();
@@ -2557,7 +2193,8 @@ mod tests {
 
         // Bumping the condensation epoch invalidates the clean stage AND
         // the downstream attack stage (the attack key chains the epoch),
-        // but the cell key changes too, so this runner recomputes both.
+        // and the cell canon carries it, so this runner recomputes all
+        // three.
         let bumped_epochs = CodeEpochs {
             condense: CodeEpochs::default().condense + 1,
             ..CodeEpochs::default()
@@ -2571,10 +2208,14 @@ mod tests {
         assert!(bumped.run_cells(&group_bumped.keys).is_ok());
         let stats = bumped.stats();
         assert_eq!(stats.store_hits, 0, "old artifacts must not be served");
-        assert_eq!(stats.store_computed, 2, "both stages recomputed");
+        assert_eq!(
+            stats.store_computed, 3,
+            "both stages and the cell recomputed"
+        );
 
         // Bumping only the attack epoch leaves the clean artifact valid:
-        // exactly the attack stage (and nothing upstream) recomputes.
+        // exactly the attack stage and the cell (nothing upstream)
+        // recompute.
         let attack_bumped = Runner::in_memory(ExperimentScale::Quick)
             .serial()
             .with_store(Some(Store::open(&root)))
@@ -2586,7 +2227,10 @@ mod tests {
         assert!(attack_bumped.run_cells(&group_attack.keys).is_ok());
         let stats = attack_bumped.stats();
         assert_eq!(stats.store_hits, 1, "clean artifact still serves");
-        assert_eq!(stats.store_computed, 1, "only the attack recomputed");
+        assert_eq!(
+            stats.store_computed, 2,
+            "only the attack and the cell recomputed"
+        );
 
         // A read-only/unusable store degrades to in-process compute without
         // failing the grid.
@@ -2599,7 +2243,7 @@ mod tests {
         let group_degraded = group_of(&degraded);
         assert!(degraded.run_cells(&group_degraded.keys).is_ok());
         let stats = degraded.stats();
-        assert_eq!(stats.store_degraded, 2, "both stages degraded");
+        assert_eq!(stats.store_degraded, 3, "both stages and the cell degraded");
         assert_eq!(stats.store_hits + stats.store_computed, 0);
         let a = cold.result(&group.keys[0]).unwrap();
         let b = degraded.result(&group_degraded.keys[0]).unwrap();
@@ -2635,17 +2279,13 @@ mod tests {
         let group = group_of(&seed);
         assert!(seed.run_cells(&group.keys).is_ok());
 
-        // Truncate every artifact mid-payload.
-        let mut originals = BTreeMap::new();
-        for entry in fs::read_dir(&root).unwrap().flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.ends_with(".art") {
-                let bytes = fs::read(entry.path()).unwrap();
-                fs::write(entry.path(), &bytes[..bytes.len() / 2]).unwrap();
-                originals.insert(name, bytes);
-            }
+        // Truncate every artifact mid-payload: the cell's `eval` artifact
+        // and both stages.
+        let originals = artifacts(&root);
+        assert_eq!(originals.len(), 3);
+        for (name, bytes) in &originals {
+            fs::write(root.join(name), &bytes[..bytes.len() / 2]).unwrap();
         }
-        assert_eq!(originals.len(), 2);
 
         let healed = Runner::in_memory(ExperimentScale::Quick)
             .serial()
@@ -2653,8 +2293,10 @@ mod tests {
         let group_healed = group_of(&healed);
         assert!(healed.run_cells(&group_healed.keys).is_ok());
         let stats = healed.stats();
-        assert_eq!(stats.store_computed, 2, "corrupt artifacts recomputed");
+        assert_eq!(stats.store_computed, 3, "corrupt artifacts recomputed");
         assert_eq!(stats.store_hits, 0);
+        assert_eq!(stats.cells_computed, 1, "the cell recomputed, not loaded");
+        assert_eq!(healed.store().map(|s| s.counters().quarantined), Some(3));
         for key in &group.keys {
             let a = seed.result(key).unwrap();
             let b = healed.result(key).unwrap();
@@ -2672,16 +2314,19 @@ mod tests {
     }
 
     #[test]
-    fn persist_failures_surface_without_failing_the_cell() {
+    fn failed_cell_publish_degrades_without_failing_the_cell() {
         use bgc_runtime::{FaultAction, FaultSpec};
 
         let dir = std::env::temp_dir().join(format!("bgc-persist-test-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
 
+        // The third store write of the cell is its own `eval` publish (after
+        // the clean and attack stages).
         let runner = Runner::with_cache_dir(ExperimentScale::Quick, Some(dir.clone()))
             .serial()
             .with_fault_plan(
-                FaultPlan::new().with(FaultSpec::new("runner.persist", FaultAction::IoError)),
+                FaultPlan::new()
+                    .with(FaultSpec::new("store.write", FaultAction::IoError).on_hit(3)),
             );
         let group = runner.group(
             DatasetKind::Cora,
@@ -2695,24 +2340,32 @@ mod tests {
             },
         );
         let report = runner.run_cells(&group.keys);
-        // The cell itself succeeded; only its persistence failed.
+        // The cell itself succeeded; only its publish failed, and the store
+        // reports the unpersisted result as degraded.
         assert!(report.is_ok());
-        assert_eq!(report.persist_failures(), 1);
-        assert!(report.outcomes[0].persist_error.is_some());
-        assert_eq!(runner.stats().persist_failures, 1);
+        assert_eq!(report.outcomes[0].status, CellStatus::Ok);
         assert!(runner.result(&group.keys[0]).is_ok());
+        let stats = runner.stats();
+        assert_eq!((stats.store_computed, stats.store_degraded), (2, 1));
+        assert_eq!(stats.cells_computed, 1);
         // The atomic-rename protocol left neither a live file nor a temp
-        // file behind.
-        let path = dir.join(group.keys[0].file_name());
-        assert!(!path.exists());
-        let leftovers: Vec<_> = fs::read_dir(&dir)
-            .map(|entries| entries.flatten().collect())
+        // file of the cell behind.
+        let eval = runner.eval_store_key(&group.keys[0].canon()).file_name();
+        let leftovers: Vec<String> = fs::read_dir(&dir)
+            .map(|entries| {
+                entries
+                    .flatten()
+                    .map(|e| e.file_name().to_string_lossy().into_owned())
+                    .filter(|name| name.starts_with(&eval) || name.contains(".tmp-"))
+                    .collect()
+            })
             .unwrap_or_default();
         assert!(
             leftovers.is_empty(),
-            "no partial/tmp files: {:?}",
+            "no live, partial or tmp file of the cell: {:?}",
             leftovers
         );
+        assert_eq!(artifacts(&dir).len(), 2, "both stages were published");
 
         let _ = fs::remove_dir_all(&dir);
     }

@@ -1,9 +1,9 @@
-//! Byte-identical-output tests: the grid's observable outputs — persisted
-//! cell files and per-cell results — must not depend on cell submission
-//! order or on serial vs. parallel execution.  This is the behavioural
-//! guarantee behind the `nondet-iteration` lint rule: every map on the
-//! canonicalization/persist/report path is a `BTreeMap`, so no hash-seed
-//! or scheduling accident can leak into bytes.
+//! Byte-identical-output tests: the grid's observable outputs — the store
+//! artifacts of its stages and cells, and per-cell results — must not
+//! depend on cell submission order or on serial vs. parallel execution.
+//! This is the behavioural guarantee behind the `nondet-iteration` lint
+//! rule: every map on the canonicalization/persist/report path is a
+//! `BTreeMap`, so no hash-seed or scheduling accident can leak into bytes.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -18,16 +18,19 @@ fn fresh_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// The persisted cell files of `dir` as sorted `(file name, bytes)` pairs.
-fn cell_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+/// The live `.art` artifacts of a store root as sorted `(file name, bytes)`
+/// pairs.
+fn artifacts(dir: &Path) -> Vec<(String, Vec<u8>)> {
     let mut files = Vec::new();
-    for entry in fs::read_dir(dir).expect("cache dir exists") {
-        let path = entry.expect("cache dir entry").path();
+    for entry in fs::read_dir(dir).expect("store root exists") {
+        let path = entry.expect("store entry").path();
         let name = path
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_default();
-        files.push((name, fs::read(&path).expect("cell file readable")));
+        if name.ends_with(".art") {
+            files.push((name, fs::read(&path).expect("artifact readable")));
+        }
     }
     files.sort();
     files
@@ -63,17 +66,23 @@ fn grid_outputs_are_byte_identical_across_order_and_parallelism() {
         assert_eq!(a.asr_nodes, b.asr_nodes, "{}", key.canon());
     }
 
-    // The persisted caches are byte-identical: same file names, same bytes.
-    let files_serial = cell_files(&dir_serial);
-    let files_parallel = cell_files(&dir_parallel);
-    assert_eq!(files_serial.len(), keys.len(), "one file per cell");
+    // The stores are byte-identical: same artifact names, same bytes.  Each
+    // cell (two methods on one dataset) publishes its own clean, attack and
+    // eval artifact.
+    let files_serial = artifacts(&dir_serial);
+    let files_parallel = artifacts(&dir_parallel);
+    assert_eq!(
+        files_serial.len(),
+        3 * keys.len(),
+        "three artifacts per cell"
+    );
     let names: Vec<&str> = files_serial.iter().map(|(n, _)| n.as_str()).collect();
     let names_parallel: Vec<&str> = files_parallel.iter().map(|(n, _)| n.as_str()).collect();
     assert_eq!(names, names_parallel);
     for ((name, a), (_, b)) in files_serial.iter().zip(&files_parallel) {
         assert_eq!(
             a, b,
-            "cell file {name} differs between serial and parallel runs"
+            "artifact {name} differs between serial and parallel runs"
         );
     }
 }

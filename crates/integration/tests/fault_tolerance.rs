@@ -2,9 +2,10 @@
 //! `bgc_eval` API: injected panics stay isolated to their cell under
 //! `keep_going`, bounded retries heal transient faults bit-identically,
 //! cell deadlines cancel cooperatively inside the training stack, and
-//! corrupt cache files are quarantined and recomputed to the same bytes.
+//! corrupt store artifacts are quarantined and recomputed to the same bytes.
 
 use std::fs;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use bgc_condense::CondensationKind;
@@ -15,6 +16,24 @@ use bgc_graph::DatasetKind;
 
 fn quick_runner() -> Runner {
     Runner::in_memory(ExperimentScale::Quick).serial()
+}
+
+/// The live artifacts under a store root whose stored key belongs to
+/// `stage`, as `(path, bytes)` pairs.
+fn stage_artifacts(root: &Path, stage: &str) -> Vec<(PathBuf, Vec<u8>)> {
+    let prefix = format!("k{}|{}|", bgc_store::KEY_VERSION, stage);
+    fs::read_dir(root)
+        .map(|entries| {
+            entries
+                .filter_map(|entry| entry.ok().map(|e| e.path()))
+                .filter(|path| path.extension().is_some_and(|ext| ext == "art"))
+                .filter_map(|path| fs::read(&path).ok().map(|bytes| (path, bytes)))
+                .filter(|(_, bytes)| {
+                    bgc_store::parse_artifact_canon(bytes).is_ok_and(|c| c.starts_with(&prefix))
+                })
+                .collect()
+        })
+        .unwrap_or_default()
 }
 
 fn grid_keys(runner: &Runner) -> Vec<bgc_eval::CellKey> {
@@ -120,33 +139,33 @@ fn corrupt_cache_files_quarantine_and_heal_byte_identically() {
     let dir = std::env::temp_dir().join(format!("bgc-integration-corrupt-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
 
-    // Populate the cache and snapshot the pristine cell file.
+    // Populate the store and snapshot the cell's pristine `eval` artifact.
     let runner = Runner::with_cache_dir(ExperimentScale::Quick, Some(dir.clone())).serial();
     let group = runner.bgc_group(DatasetKind::Cora, CondensationKind::GCondX, 0.026);
     assert!(runner.run_cells(&group.keys).is_ok());
-    let cell_file = fs::read_dir(&dir)
-        .expect("cache dir exists")
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .find(|path| path.extension().is_some_and(|ext| ext == "json"))
-        .expect("one cell file persisted");
-    let pristine = fs::read(&cell_file).expect("pristine bytes");
+    let mut cells = stage_artifacts(&dir, "eval");
+    assert_eq!(cells.len(), 1, "one eval artifact persisted");
+    let (cell_file, pristine) = cells.remove(0);
 
-    // Truncate the file mid-payload; a fresh runner must quarantine it,
-    // recompute, and persist the identical bytes again.
+    // Truncate the artifact mid-payload; a fresh runner must quarantine it,
+    // recompute the cell from the stored stages, and publish the identical
+    // bytes again.
     fs::write(&cell_file, &pristine[..pristine.len() / 2]).expect("truncate");
     let recovery = Runner::with_cache_dir(ExperimentScale::Quick, Some(dir.clone())).serial();
     let group = recovery.bgc_group(DatasetKind::Cora, CondensationKind::GCondX, 0.026);
     assert!(recovery.run_cells(&group.keys).is_ok());
     let stats = recovery.stats();
-    assert_eq!(stats.cells_quarantined, 1);
+    let store = recovery.store().expect("store attached");
+    assert_eq!(store.counters().quarantined, 1);
     assert_eq!(stats.cells_computed, 1);
     assert_eq!(stats.cell_disk_hits, 0);
-    let quarantined = cell_file.with_extension("json.corrupt");
+    assert_eq!(stats.store_hits, 2, "both stages still serve");
+    let quarantined = cell_file.with_extension("art.corrupt");
     assert!(quarantined.exists(), "corrupt file kept for inspection");
     assert_eq!(
         fs::read(&cell_file).expect("healed bytes"),
         pristine,
-        "recomputed cell file is byte-identical"
+        "recomputed eval artifact is byte-identical"
     );
 
     let _ = fs::remove_dir_all(&dir);
@@ -154,27 +173,46 @@ fn corrupt_cache_files_quarantine_and_heal_byte_identically() {
 
 #[test]
 fn injected_persist_faults_keep_results_usable() {
-    // A persist failure must surface in the report without failing the cell:
-    // the in-memory result stays valid and no partial file is left behind.
+    // A failed publish of the cell's own result must not fail the cell: the
+    // in-memory result stays valid, the store counts the cell as degraded,
+    // and no partial file is left behind.  On a pre-warmed store the cell's
+    // `eval` publish is the only write.
     let dir = std::env::temp_dir().join(format!("bgc-integration-persist-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
+    let warm = Runner::with_cache_dir(ExperimentScale::Quick, Some(dir.clone())).serial();
+    let group = warm.bgc_group(DatasetKind::Cora, CondensationKind::GCondX, 0.026);
+    assert!(warm.run_cells(&group.keys).is_ok());
+    for (path, _) in stage_artifacts(&dir, "eval") {
+        fs::remove_file(path).expect("drop the cell's result");
+    }
 
-    let plan = FaultPlan::new().with(FaultSpec::new("runner.persist", FaultAction::IoError));
+    let plan = FaultPlan::new().with(FaultSpec::new("store.write", FaultAction::IoError));
     let runner = Runner::with_cache_dir(ExperimentScale::Quick, Some(dir.clone()))
         .serial()
         .with_fault_plan(plan);
-    let group = runner.bgc_group(DatasetKind::Cora, CondensationKind::GCondX, 0.026);
     let report = runner.run_cells(&group.keys);
 
-    assert!(report.is_ok(), "persist failures do not fail the cell");
-    assert_eq!(report.persist_failures(), 1);
+    assert!(report.is_ok(), "publish failures do not fail the cell");
+    assert_eq!(report.outcomes[0].status, CellStatus::Ok);
     assert!(runner.result(&group.keys[0]).is_ok());
+    let stats = runner.stats();
+    assert_eq!(stats.store_degraded, 1);
+    assert_eq!((stats.store_hits, stats.cells_computed), (2, 1));
+    assert!(
+        stage_artifacts(&dir, "eval").is_empty(),
+        "no live eval artifact"
+    );
     let leftovers: Vec<_> = fs::read_dir(&dir)
-        .map(|entries| entries.filter_map(|e| e.ok().map(|e| e.path())).collect())
+        .map(|entries| {
+            entries
+                .filter_map(|e| e.ok().map(|e| e.path()))
+                .filter(|p| p.extension().is_none_or(|ext| ext != "art"))
+                .collect()
+        })
         .unwrap_or_default();
     assert!(
         leftovers.is_empty(),
-        "no partial files after a failed persist: {:?}",
+        "no partial, tmp or lock files after a failed publish: {:?}",
         leftovers
     );
 

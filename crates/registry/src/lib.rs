@@ -48,9 +48,9 @@ impl<T: ?Sized + Named + Send + Sync> Registry<T> {
     /// the same name (case-insensitively).
     ///
     /// Shadowing does **not** invalidate previously persisted experiment
-    /// results: on-disk cell caches are keyed by name, so after replacing a
-    /// built-in, delete `target/experiments/` (or use an in-memory runner)
-    /// to avoid being served the old implementation's cached cells.
+    /// results: the artifact store keys cells and stages by name, so after
+    /// replacing a built-in, run `bgc store clear` (or use an in-memory
+    /// runner) to avoid being served the old implementation's cached cells.
     pub fn register(&self, entry: Arc<T>) {
         let mut slots = relock_write(&self.slots);
         slots.retain(|e| !e.name().eq_ignore_ascii_case(entry.name()));

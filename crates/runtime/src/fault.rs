@@ -1,7 +1,7 @@
 //! Deterministic fault injection.
 //!
 //! A [`FaultPlan`] is a list of [`FaultSpec`]s, each naming a *fault point*
-//! (a stable string like `trainer.epoch` or `runner.persist`), an optional
+//! (a stable string like `trainer.epoch` or `store.write`), an optional
 //! context filter (a substring of the executing cell's canonical key), the
 //! 1-based hit index it fires on, and an action: panic, I/O error, or delay.
 //! The experiment runner enters a [`FaultScope`] around each cell it
@@ -18,7 +18,8 @@
 //! ```text
 //! BGC_FAULTS="point[@ctx][#n]=action[;point=action...]"
 //!     point   fault-point name (trainer.epoch, condense.outer,
-//!             stage.clean, stage.attack, runner.persist, runner.load)
+//!             stage.clean, stage.attack, store.read, store.write, ...;
+//!             see FAULT_POINTS)
 //!     @ctx    only fire when the scope context contains this substring
 //!             (cell canonical keys make good filters)
 //!     #n      fire on the nth matching hit (default 1)
@@ -47,10 +48,6 @@ pub const FAULT_POINTS: &[&str] = &[
     "stage.clean",
     // The memoized attack stage (eval runner).
     "stage.attack",
-    // Cell persist: between the temp-file write and the atomic rename.
-    "runner.persist",
-    // Cell load: before reading a persisted cell file.
-    "runner.load",
     // Artifact-store read: before a stored artifact is read and verified.
     "store.read",
     // Artifact-store write: between the temp-file write and the atomic
@@ -337,12 +334,12 @@ mod tests {
     #[test]
     fn fire_is_a_noop_without_a_scope() {
         fire("trainer.epoch");
-        assert!(fire_io("runner.persist").is_ok());
+        assert!(fire_io("store.write").is_ok());
     }
 
     #[test]
     fn parse_roundtrips_every_action() {
-        let plan = FaultPlan::parse("trainer.epoch=panic;runner.persist@cora#3=io;x=delay:250")
+        let plan = FaultPlan::parse("trainer.epoch=panic;store.write@cora#3=io;x=delay:250")
             .expect("plan parses");
         assert_eq!(plan.specs.len(), 3);
         assert_eq!(plan.specs[0].point, "trainer.epoch");

@@ -14,8 +14,8 @@ use std::fmt;
 /// changes (this invalidates the whole store at once).
 pub const KEY_VERSION: u64 = 1;
 
-/// FNV-1a (64-bit) — the workspace-standard content hash, matching the cell
-/// file naming and integrity footers.
+/// FNV-1a (64-bit) — the workspace-standard content hash, used for artifact
+/// addresses and integrity digests.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {

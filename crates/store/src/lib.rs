@@ -2,11 +2,11 @@
 //!
 //! Crash-safe, content-addressed artifact store for the BGC reproduction.
 //!
-//! Stage results (clean condensations, attack artifacts) are addressed by a
-//! hash of *everything that produced them*: dataset content fingerprints,
-//! hyper-parameters, upstream artifact hashes, and a per-stage code epoch
-//! bumped whenever the implementation changes — so invalidation is precise
-//! instead of absent, and nothing stale is ever served.
+//! Stage results (clean condensations, attack artifacts, cell results) are
+//! addressed by a hash of *everything that produced them*: dataset content
+//! fingerprints, hyper-parameters, upstream artifact hashes, and a per-stage
+//! code epoch bumped whenever the implementation changes — so invalidation
+//! is precise instead of absent, and nothing stale is ever served.
 //!
 //! Robustness properties, by construction:
 //!

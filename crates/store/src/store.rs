@@ -71,10 +71,12 @@ impl Default for StoreConfig {
 pub enum StoreRole {
     /// Decoded from a stored artifact (ours or another process's).
     Hit,
-    /// Computed here; the artifact was (best-effort) persisted.
+    /// Computed here; the artifact was persisted (or the value is not
+    /// persistable, see [`Store::get_or_compute`]).
     Computed,
     /// Computed here because the store was unavailable (lock timeout,
-    /// I/O failure, read-only root); nothing was persisted.
+    /// I/O failure, read-only root) or the publish failed; nothing was
+    /// persisted.
     Degraded,
 }
 
@@ -204,6 +206,7 @@ impl Store {
                     if let Some(payload) = encode(&value) {
                         if let Err(reason) = self.write_artifact(key, &payload) {
                             self.warn_once("write", &reason);
+                            return (value, self.count_degraded());
                         }
                     }
                     return (value, self.count_computed());
@@ -460,9 +463,8 @@ impl Drop for LockGuard {
     }
 }
 
-/// Frames `payload` with the store's integrity header (the cell-file footer
-/// scheme adapted to binary payloads: the digest moves into a length-framed
-/// header so truncation anywhere is detectable):
+/// Frames `payload` with the store's integrity header (a length-framed
+/// digest, so truncation anywhere is detectable):
 ///
 /// ```text
 /// #bgc-artifact v1 len=<payload-len hex16> fnv1a64=<digest hex16>\n
@@ -801,7 +803,12 @@ mod tests {
         let (decode, encode) = text_codec();
         let k = key("cora");
         let (v, role) = store.get_or_compute(&k, &decode, &encode, || "computed".to_string());
-        assert_eq!((v.as_str(), role), ("computed", StoreRole::Computed));
+        assert_eq!(
+            (v.as_str(), role),
+            ("computed", StoreRole::Degraded),
+            "a failed publish persisted nothing"
+        );
+        assert_eq!(store.counters().degraded, 1);
         assert!(!dir.join(k.file_name()).exists(), "rename never happened");
         assert!(
             fs::read_dir(&dir)
