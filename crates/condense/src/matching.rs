@@ -7,8 +7,9 @@
 //!   ([`crate::methods`]),
 //! * the *backdoored* condensation of BGC, which interleaves trigger-generator
 //!   updates between condensation steps (Algorithm 1 of the paper) — the
-//!   attack crate calls [`GradientMatchingState::step`] with the poisoned
-//!   graph `G_P` instead of the clean graph,
+//!   attack crate calls [`GradientMatchingState::step_with_real_representation`]
+//!   with the poisoned graph `G_P` and its propagated features instead of
+//!   the clean graph,
 //! * the surrogate SGC model `f_c` (Eq. 12/16), whose weight matrix lives in
 //!   the state and is refreshed/trained here.
 
@@ -209,14 +210,20 @@ impl GradientMatchingState {
         self.epochs_done
     }
 
-    /// Real-graph representation the gradients are computed on: raw features
-    /// for DC-Graph, `Â^K X` for GCond / GCond-X.
-    pub fn real_representation(&self, graph: &Graph) -> Matrix {
+    /// Propagation depth of the real-graph representation: `K` for GCond /
+    /// GCond-X, 0 (raw features) for DC-Graph.
+    pub fn real_propagation_steps(&self) -> usize {
         if self.variant.propagates_real_features() {
-            graph.propagated_features(self.config.propagation_steps)
+            self.config.propagation_steps
         } else {
-            (*graph.features).clone()
+            0
         }
+    }
+
+    /// Real-graph representation the gradients are computed on:
+    /// `Â^k X` with `k` = [`GradientMatchingState::real_propagation_steps`].
+    pub fn real_representation(&self, graph: &Graph) -> Matrix {
+        graph.propagated_features(self.real_propagation_steps())
     }
 
     /// Draws a fresh random surrogate initialization (gradient matching is

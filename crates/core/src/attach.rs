@@ -12,6 +12,9 @@
 //!   the original graph, each group fully connected internally, linked to its
 //!   poisoned node, labelled with the target class and added to the training
 //!   split; the poisoned node itself is relabelled to the target class.
+//!   `PoisonedGraph` keeps `G_P` and its propagated features across the
+//!   epochs of a condensation loop and updates both in place when the
+//!   triggers change.
 
 use std::sync::Arc;
 
@@ -232,6 +235,109 @@ pub fn build_poisoned_graph(
     )
 }
 
+/// The poisoned graph `G_P` of a condensation loop that re-attaches fresh
+/// triggers every epoch, kept together with its propagated features
+/// `Â_P^i X_P` (`i = 1..=K`) and updated in place.
+///
+/// `G_P`'s structure (attachment pattern, labels, split, normalization) is
+/// fixed; only its trigger rows change.  [`PoisonedGraph::set_triggers`]
+/// overwrites those rows and then, per hop, recomputes only the rows whose
+/// receptive field holds a trigger row: `D_0` is the trigger rows and `D_i`
+/// the rows of `Â_P` with a stored column in `D_{i-1}`.  Every other row
+/// of layer `i` reads only rows of layer `i - 1` that did not change, and
+/// the recompute runs [`bgc_tensor::CsrMatrix::spmm`]'s per-row body, so
+/// every layer is bit-identical to a full [`Graph::propagated_features`].
+pub(crate) struct PoisonedGraph {
+    /// `G_P`; its feature matrix is layer 0 and holds the current triggers.
+    graph: Graph,
+    /// `Â_P^i X_P` for `i = 1..=K`.
+    layers: Vec<Matrix>,
+    /// `D_0..=D_K`, each ascending.
+    row_sets: Vec<Vec<usize>>,
+}
+
+impl PoisonedGraph {
+    /// Builds `G_P` with [`build_poisoned_graph`] and zero trigger rows,
+    /// propagates it `steps` hops once and derives the row sets.  Call
+    /// [`PoisonedGraph::set_triggers`] before reading it.
+    pub(crate) fn new(
+        graph: &Graph,
+        poisoned_nodes: &[usize],
+        trigger_size: usize,
+        target_class: usize,
+        steps: usize,
+    ) -> Self {
+        let triggers = Matrix::zeros(poisoned_nodes.len() * trigger_size, graph.num_features());
+        let poisoned =
+            build_poisoned_graph(graph, poisoned_nodes, &triggers, trigger_size, target_class);
+        let adj = &poisoned.normalized;
+        let mut layers: Vec<Matrix> = Vec::with_capacity(steps);
+        for _ in 0..steps {
+            let next = adj.spmm(layers.last().unwrap_or(&*poisoned.features));
+            layers.push(next);
+        }
+        let n = poisoned.num_nodes();
+        let mut row_sets = vec![(graph.num_nodes()..n).collect::<Vec<usize>>()];
+        let mut in_prev = vec![false; n];
+        for i in 0..steps {
+            in_prev.fill(false);
+            for &r in &row_sets[i] {
+                in_prev[r] = true;
+            }
+            let next = (0..n)
+                .filter(|&r| adj.row_indices(r).iter().any(|&c| in_prev[c]))
+                .collect();
+            row_sets.push(next);
+        }
+        Self {
+            graph: poisoned,
+            layers,
+            row_sets,
+        }
+    }
+
+    /// Writes `trigger_features` (consecutive `trigger_size`-row blocks, one
+    /// per poisoned node, as in [`build_poisoned_graph`]) into `G_P` and
+    /// re-propagates the rows they reach.
+    ///
+    /// # Panics
+    /// Panics unless the block has `|V_P| * trigger_size` rows of `G_P`'s
+    /// feature width.
+    pub(crate) fn set_triggers(&mut self, trigger_features: &Matrix) {
+        let trigger_rows = self.row_sets[0].len();
+        assert_eq!(
+            trigger_features.shape(),
+            (trigger_rows, self.graph.num_features()),
+            "expected {} trigger rows of width {}, got {:?}",
+            trigger_rows,
+            self.graph.num_features(),
+            trigger_features.shape()
+        );
+        // The `Arc` is unique unless a caller cloned `graph()`, so
+        // `make_mut` writes in place.
+        let features = Arc::make_mut(&mut self.graph.features);
+        let start = (features.rows() - trigger_rows) * features.cols();
+        features.data_mut()[start..].copy_from_slice(trigger_features.data());
+        for (i, rows) in self.row_sets.iter().enumerate().skip(1) {
+            let (done, rest) = self.layers.split_at_mut(i - 1);
+            let input = done.last().unwrap_or(&*self.graph.features);
+            self.graph
+                .normalized
+                .spmm_rows_into(input, rows, &mut rest[0]);
+        }
+    }
+
+    /// `G_P` with the triggers of the last [`PoisonedGraph::set_triggers`].
+    pub(crate) fn graph(&self) -> &Graph {
+        &self.graph
+    }
+
+    /// `Â_P^K X_P` (`X_P` itself for `K = 0`).
+    pub(crate) fn representation(&self) -> &Matrix {
+        self.layers.last().unwrap_or(&*self.graph.features)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,5 +415,70 @@ mod tests {
         let poisoned: Vec<usize> = graph.split.train[..2].to_vec();
         let trig = Matrix::zeros(3, graph.num_features());
         let _ = build_poisoned_graph(&graph, &poisoned, &trig, 2, 0);
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn poisoned_graph_row_sets_are_the_k_hop_closure_of_the_trigger_rows() {
+        let graph = DatasetKind::Cora.load_small(5);
+        let nodes: Vec<usize> = graph.split.train[..4].to_vec();
+        let poisoned = PoisonedGraph::new(&graph, &nodes, 3, 0, 3);
+        let gp = poisoned.graph();
+        // Breadth-first closure over the raw adjacency (every node reaches
+        // itself through the self-loop `Â` adds).
+        let mut closure: Vec<usize> = (graph.num_nodes()..gp.num_nodes()).collect();
+        assert_eq!(poisoned.row_sets[0], closure);
+        for hop in 1..=3 {
+            let mut next = closure.clone();
+            for &r in &closure {
+                next.extend_from_slice(gp.adjacency.row_indices(r));
+            }
+            next.sort_unstable();
+            next.dedup();
+            closure = next;
+            assert_eq!(poisoned.row_sets[hop], closure, "hop {hop}");
+        }
+        assert!(
+            poisoned.row_sets[3].len() > poisoned.row_sets[1].len(),
+            "the closure must grow for this test to bite"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "trigger rows")]
+    fn poisoned_graph_rejects_a_mismatched_trigger_block() {
+        let graph = DatasetKind::Cora.load_small(4);
+        let nodes: Vec<usize> = graph.split.train[..2].to_vec();
+        let mut poisoned = PoisonedGraph::new(&graph, &nodes, 2, 0, 2);
+        poisoned.set_triggers(&Matrix::zeros(3, graph.num_features()));
+    }
+
+    #[test]
+    fn poisoned_graph_updates_in_place_bit_identically_to_a_rebuild() {
+        let graph = DatasetKind::Cora.load_small(6);
+        let nodes: Vec<usize> = graph.split.train[..5].to_vec();
+        let (size, target) = (3, 1);
+        let mut rng = rng_from_seed(7);
+        for k in 0..=3 {
+            let mut poisoned = PoisonedGraph::new(&graph, &nodes, size, target, k);
+            for _ in 0..3 {
+                let trig = randn(nodes.len() * size, graph.num_features(), 0.0, 1.0, &mut rng);
+                poisoned.set_triggers(&trig);
+                let rebuilt = build_poisoned_graph(&graph, &nodes, &trig, size, target);
+                assert_eq!(
+                    poisoned.graph().content_fingerprint(),
+                    rebuilt.content_fingerprint(),
+                    "G_P must equal a rebuild (K = {k})"
+                );
+                assert_eq!(
+                    bits(poisoned.representation()),
+                    bits(&poisoned.graph().propagated_features(k)),
+                    "in-place layer {k} diverged from a full propagation"
+                );
+            }
+        }
     }
 }

@@ -4,10 +4,14 @@
 //! model on the current condensed graph (Eq. 16), (ii) updates the adaptive
 //! trigger generator so that the surrogate misclassifies triggered computation
 //! graphs into the target class (Eq. 17), (iii) attaches the current triggers
-//! to the selected poisoned nodes to form the poisoned graph `G_P`, and
+//! to the selected poisoned nodes of the poisoned graph `G_P`, and
 //! (iv) performs one gradient-matching update of the condensed graph against
-//! `G_P` (Eq. 18).  The output is the poisoned condensed graph plus the
-//! trained trigger generator used at inference time.
+//! `G_P`'s propagated features `Â_P^K X_P` (Eq. 18).  `G_P` is built once,
+//! before the loop, as a `PoisonedGraph`: step (iii) overwrites only its
+//! trigger rows and re-propagates only the rows those reach, so step (iv)
+//! sees exactly the features a from-scratch rebuild would give.  The output
+//! is the poisoned condensed graph plus the trained trigger generator used
+//! at inference time.
 
 use std::collections::BTreeMap;
 
@@ -22,7 +26,9 @@ use bgc_nn::{Adam, AdjacencyRef, Optimizer};
 use bgc_tensor::init::{rng_from_seed, sample_without_replacement};
 use bgc_tensor::{Matrix, Tape};
 
-use crate::attach::{attach_to_computation_graph, build_poisoned_graph, AttachedGraph};
+use crate::attach::{
+    attach_to_computation_graph, build_poisoned_graph, AttachedGraph, PoisonedGraph,
+};
 use crate::config::BgcConfig;
 use crate::error::BgcError;
 use crate::selector::{select_poisoned_nodes, SelectionResult};
@@ -115,11 +121,13 @@ impl BgcAttack {
             .iter()
             .map(|p| Matrix::zeros(p.rows(), p.cols()))
             .collect();
-        // The poisoned graph's structure (trigger attachment pattern,
-        // labels, split, normalization) is fixed across epochs — only the
-        // trigger features evolve — so it is assembled once and reused with
-        // replaced features afterwards.
-        let mut poisoned_structure: Option<Graph> = None;
+        let mut poisoned = PoisonedGraph::new(
+            &work,
+            &selection.poisoned_nodes,
+            self.config.trigger_size,
+            self.config.target_class,
+            state.real_propagation_steps(),
+        );
 
         for epoch in 0..self.config.condensation.outer_epochs {
             bgc_runtime::checkpoint();
@@ -144,31 +152,18 @@ impl BgcAttack {
                 );
                 trigger_losses.push(loss);
             }
-            // (iii) attach the updated triggers to V_P to form G_P.
+            // (iii) attach the updated triggers to V_P: G_P in place.
             let trigger_features = generator.generate_plain_on(
                 &mut scratch_tape,
                 &adj,
                 &work.features,
                 &selection.poisoned_nodes,
             );
-            let poisoned = match &poisoned_structure {
-                Some(template) => {
-                    template.with_replaced_features(work.features.vstack(&trigger_features))
-                }
-                None => {
-                    let built = build_poisoned_graph(
-                        &work,
-                        &selection.poisoned_nodes,
-                        &trigger_features,
-                        self.config.trigger_size,
-                        self.config.target_class,
-                    );
-                    poisoned_structure = Some(built.clone());
-                    built
-                }
-            };
+            poisoned.set_triggers(&trigger_features);
             // (iv) one condensed-graph update against G_P (Eq. 18).
-            matching_losses.push(state.step(&poisoned));
+            matching_losses.push(
+                state.step_with_real_representation(poisoned.graph(), poisoned.representation()),
+            );
         }
 
         let condensed = if method.matching_variant().is_none() {
@@ -320,6 +315,109 @@ mod tests {
         // Poisoned nodes never come from the target class.
         for &p in &outcome.poisoned_nodes {
             assert_ne!(outcome.working_graph.labels[p], attack.config.target_class);
+        }
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The attack loop with `G_P` rebuilt by `build_poisoned_graph` and
+    /// fully re-propagated by `state.step` every epoch: the oracle the
+    /// in-place `PoisonedGraph` update must match bit for bit.
+    fn rebuild_every_epoch(
+        config: &BgcConfig,
+        graph: &Graph,
+        kind: CondensationKind,
+    ) -> (Vec<f32>, Vec<f32>, CondensedGraph) {
+        let work = working_graph(graph);
+        let selection = select_poisoned_nodes(&work, config);
+        let mut rng = rng_from_seed(config.seed ^ 0xb6c);
+        let mut generator = TriggerGenerator::with_feature_scale(
+            config.generator,
+            work.num_features(),
+            config.hidden_dim,
+            config.trigger_size,
+            config.trigger_feature_scale,
+            &mut rng,
+        );
+        let adj = AdjacencyRef::from_graph(&work);
+        let variant = kind.matching_variant().unwrap_or(MatchingVariant::GCondX);
+        let mut state = GradientMatchingState::new(&work, variant, config.condensation.clone());
+        let mut generator_opt = Adam::new(config.generator_lr, 0.0);
+        let mut cache = BTreeMap::new();
+        let mut tape = Tape::new();
+        let zero_grads: Vec<Matrix> = generator
+            .parameters()
+            .iter()
+            .map(|p| Matrix::zeros(p.rows(), p.cols()))
+            .collect();
+        let (mut matching_losses, mut trigger_losses) = (Vec::new(), Vec::new());
+        for epoch in 0..config.condensation.outer_epochs {
+            if epoch % config.condensation.surrogate_resample_every == 0 {
+                state.resample_surrogate();
+            }
+            state.train_surrogate(config.surrogate_steps);
+            for _ in 0..config.generator_steps {
+                trigger_losses.push(generator_update_step(
+                    config,
+                    &mut tape,
+                    &mut generator,
+                    &mut generator_opt,
+                    &zero_grads,
+                    &work,
+                    &adj,
+                    &state.surrogate_weight,
+                    &mut rng,
+                    &mut cache,
+                ));
+            }
+            let triggers = generator.generate_plain_on(
+                &mut tape,
+                &adj,
+                &work.features,
+                &selection.poisoned_nodes,
+            );
+            let poisoned = build_poisoned_graph(
+                &work,
+                &selection.poisoned_nodes,
+                &triggers,
+                config.trigger_size,
+                config.target_class,
+            );
+            matching_losses.push(state.step(&poisoned));
+        }
+        (matching_losses, trigger_losses, state.to_condensed())
+    }
+
+    #[test]
+    fn in_place_poisoned_graph_matches_a_per_epoch_rebuild() {
+        let graph = DatasetKind::Cora.load_small(24);
+        let mut config = tiny_config();
+        config.selector_epochs = 5;
+        config.condensation.outer_epochs = 6;
+        config.condensation.surrogate_resample_every = 4;
+        for kind in [
+            CondensationKind::DcGraph,
+            CondensationKind::GCond,
+            CondensationKind::GCondX,
+        ] {
+            let outcome = BgcAttack::new(config.clone())
+                .run(&graph, kind)
+                .expect("attack should run");
+            let (matching, trigger, condensed) = rebuild_every_epoch(&config, &graph, kind);
+            assert_eq!(bits(&outcome.matching_losses), bits(&matching), "{kind:?}");
+            assert_eq!(bits(&outcome.trigger_losses), bits(&trigger), "{kind:?}");
+            assert_eq!(
+                bits(outcome.condensed.features.data()),
+                bits(condensed.features.data()),
+                "{kind:?}"
+            );
+            assert_eq!(
+                bits(outcome.condensed.adjacency.data()),
+                bits(condensed.adjacency.data()),
+                "{kind:?}"
+            );
         }
     }
 

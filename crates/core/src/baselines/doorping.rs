@@ -6,8 +6,8 @@
 //! loop.  The adaptation here follows the paper's Section VI-B: the poisoned
 //! nodes are chosen with BGC's selection module, the trigger is a single
 //! `|g| x d` feature block optimized against the condensation surrogate, and
-//! the poisoned graph is re-built with the current trigger before every
-//! condensed-graph update.
+//! the poisoned graph's trigger rows are set to the current trigger (in
+//! place, see `PoisonedGraph`) before every condensed-graph update.
 
 use std::collections::BTreeMap;
 
@@ -22,7 +22,9 @@ use bgc_nn::{Adam, Optimizer};
 use bgc_tensor::init::{randn, rng_from_seed, sample_without_replacement};
 use bgc_tensor::{Matrix, Tape};
 
-use crate::attach::{attach_to_computation_graph, build_poisoned_graph, AttachedGraph};
+use crate::attach::{
+    attach_to_computation_graph, build_poisoned_graph, AttachedGraph, PoisonedGraph,
+};
 use crate::config::BgcConfig;
 use crate::error::BgcError;
 use crate::selector::{select_poisoned_nodes, SelectionResult};
@@ -38,6 +40,10 @@ pub struct DoorpingOutcome {
     pub poisoned_nodes: Vec<usize>,
     /// Graph the condensation operated on.
     pub working_graph: Graph,
+    /// Gradient-matching loss per condensation epoch.
+    pub matching_losses: Vec<f32>,
+    /// Trigger loss per universal-trigger update.
+    pub trigger_losses: Vec<f32>,
     /// Selection details.
     pub selection: SelectionResult,
 }
@@ -150,15 +156,22 @@ impl DoorpingAttack {
         let mut cache = BTreeMap::new();
         let mut tape = Tape::new();
         let trigger_zero_grad = Matrix::zeros(trigger.rows(), trigger.cols());
-        // Fixed poisoned structure across epochs (see `BgcAttack::run_with`).
-        let mut poisoned_structure: Option<Graph> = None;
+        let mut matching_losses = Vec::new();
+        let mut trigger_losses = Vec::new();
+        let mut poisoned = PoisonedGraph::new(
+            &work,
+            &selection.poisoned_nodes,
+            self.config.trigger_size,
+            self.config.target_class,
+            state.real_propagation_steps(),
+        );
         for epoch in 0..self.config.condensation.outer_epochs {
             if epoch % self.config.condensation.surrogate_resample_every == 0 {
                 state.resample_surrogate();
             }
             state.train_surrogate(self.config.surrogate_steps);
             for _ in 0..self.config.generator_steps {
-                self.update_trigger(
+                trigger_losses.push(self.update_trigger(
                     &mut tape,
                     &mut trigger,
                     &mut optimizer,
@@ -167,46 +180,18 @@ impl DoorpingAttack {
                     &state.surrogate_weight,
                     &mut rng,
                     &mut cache,
-                );
+                ));
             }
-            // Every poisoned node receives the same universal trigger block.
-            let mut rows = Vec::with_capacity(selection.poisoned_nodes.len());
-            for _ in 0..selection.poisoned_nodes.len() {
-                rows.push(trigger.clone());
-            }
-            let stacked = rows
-                .iter()
-                .skip(1)
-                .fold(rows[0].clone(), |acc, m| acc.vstack(m));
-            let poisoned = match &poisoned_structure {
-                Some(template) => template.with_replaced_features(work.features.vstack(&stacked)),
-                None => {
-                    let built = build_poisoned_graph(
-                        &work,
-                        &selection.poisoned_nodes,
-                        &stacked,
-                        self.config.trigger_size,
-                        self.config.target_class,
-                    );
-                    poisoned_structure = Some(built.clone());
-                    built
-                }
-            };
-            state.step(&poisoned);
+            poisoned.set_triggers(&tile_trigger(&trigger, selection.poisoned_nodes.len()));
+            matching_losses.push(
+                state.step_with_real_representation(poisoned.graph(), poisoned.representation()),
+            );
         }
         let condensed = if method.matching_variant().is_none() {
-            let mut rows = Vec::with_capacity(selection.poisoned_nodes.len());
-            for _ in 0..selection.poisoned_nodes.len() {
-                rows.push(trigger.clone());
-            }
-            let stacked = rows
-                .iter()
-                .skip(1)
-                .fold(rows[0].clone(), |acc, m| acc.vstack(m));
             let poisoned = build_poisoned_graph(
                 &work,
                 &selection.poisoned_nodes,
-                &stacked,
+                &tile_trigger(&trigger, selection.poisoned_nodes.len()),
                 self.config.trigger_size,
                 self.config.target_class,
             );
@@ -219,9 +204,21 @@ impl DoorpingAttack {
             trigger: UniversalTrigger::new(trigger),
             poisoned_nodes: selection.poisoned_nodes.clone(),
             working_graph: work,
+            matching_losses,
+            trigger_losses,
             selection,
         })
     }
+}
+
+/// The trigger block of `G_P`: every one of the `copies` poisoned nodes
+/// receives the same universal trigger, stacked in one allocation.
+fn tile_trigger(trigger: &Matrix, copies: usize) -> Matrix {
+    Matrix::new(
+        copies * trigger.rows(),
+        trigger.cols(),
+        trigger.data().repeat(copies),
+    )
 }
 
 #[cfg(test)]
@@ -248,5 +245,109 @@ mod tests {
         assert!(outcome.condensed.num_nodes() >= graph.num_classes);
         // The trigger moved away from its random initialization.
         assert!(outcome.trigger.features.frobenius_norm() > 0.0);
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The DOORPING loop with the trigger tiled by repeated `vstack`, `G_P`
+    /// rebuilt by `build_poisoned_graph` and fully re-propagated by
+    /// `state.step` every epoch: the oracle for the one-allocation tiling
+    /// and the in-place `PoisonedGraph` update.
+    fn rebuild_every_epoch(
+        attack: &DoorpingAttack,
+        graph: &Graph,
+        kind: CondensationKind,
+    ) -> (Vec<f32>, Vec<f32>, CondensedGraph, Matrix) {
+        let config = &attack.config;
+        let work = working_graph(graph);
+        let selection = select_poisoned_nodes(&work, config);
+        let mut rng = rng_from_seed(config.seed ^ 0xd00);
+        let mut trigger = randn(config.trigger_size, work.num_features(), 0.0, 0.5, &mut rng);
+        let variant = kind.matching_variant().unwrap_or(MatchingVariant::GCondX);
+        let mut state = GradientMatchingState::new(&work, variant, config.condensation.clone());
+        let mut optimizer = Adam::new(config.generator_lr, 0.0);
+        let mut cache = BTreeMap::new();
+        let mut tape = Tape::new();
+        let zero_grad = Matrix::zeros(trigger.rows(), trigger.cols());
+        let (mut matching_losses, mut trigger_losses) = (Vec::new(), Vec::new());
+        for epoch in 0..config.condensation.outer_epochs {
+            if epoch % config.condensation.surrogate_resample_every == 0 {
+                state.resample_surrogate();
+            }
+            state.train_surrogate(config.surrogate_steps);
+            for _ in 0..config.generator_steps {
+                trigger_losses.push(attack.update_trigger(
+                    &mut tape,
+                    &mut trigger,
+                    &mut optimizer,
+                    &zero_grad,
+                    &work,
+                    &state.surrogate_weight,
+                    &mut rng,
+                    &mut cache,
+                ));
+            }
+            let stacked = (1..selection.poisoned_nodes.len())
+                .fold(trigger.clone(), |acc, _| acc.vstack(&trigger));
+            let poisoned = build_poisoned_graph(
+                &work,
+                &selection.poisoned_nodes,
+                &stacked,
+                config.trigger_size,
+                config.target_class,
+            );
+            matching_losses.push(state.step(&poisoned));
+        }
+        (
+            matching_losses,
+            trigger_losses,
+            state.to_condensed(),
+            trigger,
+        )
+    }
+
+    #[test]
+    fn in_place_poisoned_graph_matches_a_per_epoch_rebuild() {
+        let graph = DatasetKind::Cora.load_small(52);
+        let mut config = BgcConfig::quick();
+        config.selector_epochs = 5;
+        config.condensation.outer_epochs = 6;
+        config.condensation.surrogate_resample_every = 4;
+        config.condensation.ratio = 0.2;
+        config.poison_budget = PoisonBudget::Count(6);
+        config.max_neighbors_per_hop = 6;
+        let attack = DoorpingAttack::new(config);
+        for kind in [
+            CondensationKind::DcGraph,
+            CondensationKind::GCond,
+            CondensationKind::GCondX,
+        ] {
+            let outcome = attack.run(&graph, kind).expect("DOORPING should run");
+            let (matching, trigger_losses, condensed, trigger) =
+                rebuild_every_epoch(&attack, &graph, kind);
+            assert_eq!(bits(&outcome.matching_losses), bits(&matching), "{kind:?}");
+            assert_eq!(
+                bits(&outcome.trigger_losses),
+                bits(&trigger_losses),
+                "{kind:?}"
+            );
+            assert_eq!(
+                bits(outcome.trigger.features.data()),
+                bits(trigger.data()),
+                "{kind:?}"
+            );
+            assert_eq!(
+                bits(outcome.condensed.features.data()),
+                bits(condensed.features.data()),
+                "{kind:?}"
+            );
+            assert_eq!(
+                bits(outcome.condensed.adjacency.data()),
+                bits(condensed.adjacency.data()),
+                "{kind:?}"
+            );
+        }
     }
 }

@@ -9,7 +9,7 @@
 //! callers can diff the deterministic part byte-for-byte across warm and
 //! cold runs.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use bgc_runtime::relock;
@@ -93,18 +93,14 @@ pub fn store_report_value(report: &StoreReport) -> Value {
 }
 
 /// Collects every distinct cell outcome observed across the waves of one
-/// invocation (first occurrence wins, in observation order).  Install it as
-/// a wave observer via [`OutcomeCollector::observer`] and render the
-/// collected cells with [`OutcomeCollector::cells_value`].
+/// invocation, keyed by canonical cell key (first occurrence wins).  The
+/// key order makes the rendered `cells` array independent of the order in
+/// which parallel cells finish.  Install it as a wave observer via
+/// [`OutcomeCollector::observer`] and render the collected cells with
+/// [`OutcomeCollector::cells_value`].
 #[derive(Default)]
 pub struct OutcomeCollector {
-    state: Mutex<CollectorState>,
-}
-
-#[derive(Default)]
-struct CollectorState {
-    seen: BTreeSet<String>,
-    cells: Vec<CellOutcome>,
+    cells: Mutex<BTreeMap<String, CellOutcome>>,
 }
 
 impl OutcomeCollector {
@@ -121,10 +117,9 @@ impl OutcomeCollector {
     }
 
     fn record(&self, outcome: &CellOutcome) {
-        let mut state = relock(&self.state);
-        if state.seen.insert(outcome.key.canon()) {
-            state.cells.push(outcome.clone());
-        }
+        relock(&self.cells)
+            .entry(outcome.key.canon())
+            .or_insert_with(|| outcome.clone());
     }
 
     /// Per-invocation tallies driving exit-code classification:
@@ -132,11 +127,11 @@ impl OutcomeCollector {
     /// result (including OOM rows); failures count terminal
     /// failed/timed-out/panicked cells; skipped cells count as neither.
     pub fn counts(&self) -> (usize, usize, usize) {
-        let state = relock(&self.state);
+        let cells = relock(&self.cells);
         let mut completed = 0;
         let mut oom = 0;
         let mut failures = 0;
-        for outcome in &state.cells {
+        for outcome in cells.values() {
             match &outcome.status {
                 CellStatus::Ok => completed += 1,
                 CellStatus::Oom => {
@@ -154,7 +149,7 @@ impl OutcomeCollector {
 
     /// Number of distinct cells collected so far.
     pub fn len(&self) -> usize {
-        relock(&self.state).cells.len()
+        relock(&self.cells).len()
     }
 
     /// Whether nothing has been collected yet.
@@ -162,14 +157,12 @@ impl OutcomeCollector {
         self.len() == 0
     }
 
-    /// The collected cells as a JSON array (results looked up from
-    /// `runner`'s completed-cell map).
+    /// The collected cells as a JSON array in canonical-key order (results
+    /// looked up from `runner`'s completed-cell map).
     pub fn cells_value(&self, runner: &Runner) -> Value {
-        let state = relock(&self.state);
         Value::Array(
-            state
-                .cells
-                .iter()
+            relock(&self.cells)
+                .values()
                 .map(|outcome| outcome_value(outcome, runner.result(&outcome.key).ok().as_ref()))
                 .collect(),
         )
@@ -179,7 +172,7 @@ impl OutcomeCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{enter_wave, CellOverrides, EvalKind, WaveCtx};
+    use crate::runner::{enter_wave, CellKey, CellOverrides, EvalKind, WaveCtx};
     use crate::scale::ExperimentScale;
     use bgc_core::BgcError;
     use bgc_graph::DatasetKind;
@@ -284,5 +277,29 @@ mod tests {
         );
         let _ = EvalKind::Standard;
         let _ = CellOverrides::default();
+    }
+
+    #[test]
+    fn collected_cells_render_in_key_order_whatever_the_observation_order() {
+        let runner = Runner::in_memory(ExperimentScale::Quick)
+            .with_fault_plan(FaultPlan::new())
+            .serial();
+        let mut keys = runner.bgc_group(DatasetKind::Cora, "GCond-X", 0.026).keys;
+        keys.extend(runner.bgc_group(DatasetKind::Cora, "DC-Graph", 0.026).keys);
+        let render = |keys: &[CellKey]| {
+            let collector = OutcomeCollector::new();
+            let _scope = enter_wave(WaveCtx {
+                observer: Some(collector.observer()),
+                ..WaveCtx::default()
+            });
+            runner.run_cells(keys);
+            collector.cells_value(&runner).to_json_string()
+        };
+        // Compute the cells once, then observe them from memory in two
+        // opposite orders (so `attempts` agrees too).
+        runner.run_cells(&keys);
+        let forward = render(&keys);
+        keys.reverse();
+        assert_eq!(forward, render(&keys));
     }
 }

@@ -290,23 +290,6 @@ impl Graph {
         h
     }
 
-    /// The same graph with a replacement feature matrix (same node count):
-    /// adjacency, normalization, labels and split are shared by `Arc` /
-    /// clone instead of being rebuilt.  This is the per-epoch path of the
-    /// BGC/DOORPING attack loops, whose poisoned graph keeps a fixed
-    /// structure while the trigger features evolve.
-    pub fn with_replaced_features(&self, features: Matrix) -> Graph {
-        assert_eq!(
-            features.rows(),
-            self.num_nodes(),
-            "feature rows must equal node count"
-        );
-        Graph {
-            features: Arc::new(features),
-            ..self.clone()
-        }
-    }
-
     /// Edge homophily: fraction of edges connecting same-class endpoints.
     pub fn edge_homophily(&self) -> f32 {
         let mut same = 0usize;
@@ -419,7 +402,7 @@ mod tests {
         assert_eq!(g.content_fingerprint(), clone.content_fingerprint());
         let mut features = (*g.features).clone();
         features.set(0, 0, 42.0);
-        let edited = g.with_replaced_features(features);
+        let edited = g.with_features_and_labels(features, g.labels.clone());
         assert_ne!(g.content_fingerprint(), edited.content_fingerprint());
         let relabeled = g.with_features_and_labels((*g.features).clone(), vec![1, 0, 0, 1, 1, 1]);
         assert_ne!(g.content_fingerprint(), relabeled.content_fingerprint());

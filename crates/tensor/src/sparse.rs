@@ -398,11 +398,8 @@ impl CsrMatrix {
         out
     }
 
-    /// [`CsrMatrix::spmm`] into a caller-provided (pool-backed) output.
-    ///
-    /// `out` must be `rows x dense.cols()` and **zeroed** — the kernel
-    /// accumulates onto it.
-    pub fn spmm_into(&self, dense: &Matrix, out: &mut Matrix) {
+    /// Panics unless `self * dense` fits into `out`.
+    fn check_spmm_shapes(&self, dense: &Matrix, out: &Matrix) {
         assert_eq!(
             self.cols,
             dense.rows(),
@@ -412,19 +409,22 @@ impl CsrMatrix {
             dense.rows(),
             dense.cols()
         );
-        let cols = dense.cols();
         assert_eq!(
             out.shape(),
-            (self.rows, cols),
+            (self.rows, dense.cols()),
             "spmm_into: output shape {:?} does not match {}x{}",
             out.shape(),
             self.rows,
-            cols
+            dense.cols()
         );
-        if cols == 0 || self.nnz() == 0 {
-            return;
-        }
-        let work = self.nnz() * cols;
+    }
+
+    /// [`CsrMatrix::spmm`] into a caller-provided (pool-backed) output.
+    ///
+    /// `out` must be `rows x dense.cols()`; every row is overwritten.
+    pub fn spmm_into(&self, dense: &Matrix, out: &mut Matrix) {
+        self.check_spmm_shapes(dense, out);
+        let work = self.nnz() * dense.cols();
         if work >= kernel::PAR_SPMM_WORK && rayon::current_num_threads() > 1 {
             self.spmm_partitioned_into(dense, out, rayon::current_num_threads() * 4);
         } else {
@@ -432,14 +432,46 @@ impl CsrMatrix {
         }
     }
 
+    /// Recomputes only the listed `rows` of `self * dense` into `out` and
+    /// leaves every other row of `out` untouched.  Each listed row is
+    /// bit-identical to the same row of [`CsrMatrix::spmm`]: both run the
+    /// one per-row body.  Serial, because it is meant for row subsets that
+    /// are a small share of the matrix (an in-place update of a propagated
+    /// layer whose inputs changed in a few rows).
+    ///
+    /// # Panics
+    /// Panics on a shape mismatch or a row index `>= rows`.
+    pub fn spmm_rows_into(&self, dense: &Matrix, rows: &[usize], out: &mut Matrix) {
+        self.check_spmm_shapes(dense, out);
+        for &r in rows {
+            assert!(
+                r < self.rows,
+                "spmm_rows_into: row {} out of bounds for {} rows",
+                r,
+                self.rows
+            );
+            self.spmm_row_into(r, dense, out.row_mut(r));
+        }
+    }
+
+    /// Row `r` of `self * dense`: zero `out_row`, then one `axpy` per stored
+    /// entry in column order.  The only per-row body of every SpMM path, so
+    /// the serial, partitioned and row-subset products cannot diverge.  The
+    /// row starts from `+0.0`, as a zeroed output does: seeding it with the
+    /// first product would keep a `-0.0` that `0.0 + (-0.0) = +0.0` erases.
+    #[inline]
+    fn spmm_row_into(&self, r: usize, dense: &Matrix, out_row: &mut [f32]) {
+        out_row.fill(0.0);
+        for (c, v) in self.row_iter(r) {
+            kernel::axpy(out_row, v, dense.row(c));
+        }
+    }
+
     /// The serial row loop of [`CsrMatrix::spmm_into`] — also the reference
     /// the partitioned path must match bit for bit.
     fn spmm_serial_into(&self, dense: &Matrix, out: &mut Matrix) {
         for r in 0..self.rows {
-            let out_row = out.row_mut(r);
-            for (c, v) in self.row_iter(r) {
-                kernel::axpy(out_row, v, dense.row(c));
-            }
+            self.spmm_row_into(r, dense, out.row_mut(r));
         }
     }
 
@@ -464,9 +496,7 @@ impl CsrMatrix {
         }
         blocks.into_par_iter().for_each(|(row0, block)| {
             for (i, out_row) in block.chunks_mut(cols).enumerate() {
-                for (c, v) in self.row_iter(row0 + i) {
-                    kernel::axpy(out_row, v, dense.row(c));
-                }
+                self.spmm_row_into(row0 + i, dense, out_row);
             }
         });
     }
@@ -647,8 +677,16 @@ mod tests {
             }
         }
         let block = CsrMatrix::from_triplets(193, 611, &triplets);
-        let x = Matrix::from_fn(611, 23, |r, c| ((r * 29 + c * 7) % 97) as f32 / 9.7 - 5.0);
+        // Column 0 is all `-0.0`: a zeroed output row sums it to `+0.0`.
+        let x = Matrix::from_fn(611, 23, |r, c| {
+            if c == 0 {
+                -0.0
+            } else {
+                ((r * 29 + c * 7) % 97) as f32 / 9.7 - 5.0
+            }
+        });
         let serial = block.spmm_serial(&x);
+        assert!((0..193).all(|r| serial.get(r, 0).to_bits() == 0.0f32.to_bits()));
         for parts in [1, 2, 3, 7, 16, 64] {
             let partitioned = block.spmm_partitioned(&x, parts);
             assert_eq!(
@@ -668,6 +706,25 @@ mod tests {
         // The public entry point (whatever path it picks on this machine)
         // must agree too.
         assert_eq!(serial.data(), block.spmm(&x).data());
+        // The row-subset product recomputes exactly the listed rows, bit for
+        // bit, over a NaN-filled output whose other rows it must not touch:
+        // empty, full and hub-heavy (every `r % 37 == 0` row is a hub) sets.
+        let hub_heavy: Vec<usize> = (0..193)
+            .filter(|r| r % 37 == 0 || r % 37 == 1 || r % 11 == 5)
+            .collect();
+        for rows in [Vec::new(), (0..193).collect(), hub_heavy] {
+            let mut out = Matrix::from_fn(193, 23, |_, _| f32::NAN);
+            block.spmm_rows_into(&x, &rows, &mut out);
+            for r in 0..193 {
+                let got: Vec<u32> = out.row(r).iter().map(|v| v.to_bits()).collect();
+                let want: Vec<u32> = if rows.contains(&r) {
+                    serial.row(r).iter().map(|v| v.to_bits()).collect()
+                } else {
+                    vec![f32::NAN.to_bits(); 23]
+                };
+                assert_eq!(got, want, "row {r} of a {}-row subset", rows.len());
+            }
+        }
     }
 
     #[test]
