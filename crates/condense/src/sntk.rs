@@ -12,7 +12,8 @@
 //! "structure-based" part) and uses a degree-2 polynomial lift in place of the
 //! original arc-cosine NTK recursion — both are PSD kernels over propagated
 //! features, and the substitution keeps the objective differentiable with the
-//! operation set of `bgc-tensor` (see DESIGN.md).  The gradient flows through
+//! operation set of `bgc-tensor` (see "Substitutions" in the workspace
+//! README).  The gradient flows through
 //! the matrix solve via [`bgc_tensor::Tape::solve_spd`].
 
 use std::sync::Arc;

@@ -6,7 +6,7 @@
 //! `A' = sigmoid(s * (X'W)(X'W)^T)`, which preserves the two properties the
 //! attack and the evaluation rely on — the structure is (a) a differentiable
 //! function of `X'` and (b) symmetric — at a fraction of the cost.  The
-//! substitution is documented in DESIGN.md.
+//! substitution is listed under "Substitutions" in the workspace README.
 
 use rand::rngs::StdRng;
 

@@ -3,31 +3,23 @@
 //!
 //! DOORPING learns a *universal* trigger — a single feature pattern shared by
 //! every poisoned sample — and keeps updating it during the condensation
-//! loop.  The adaptation here follows the paper's Section VI-B: the poisoned
-//! nodes are chosen with BGC's selection module, the trigger is a single
-//! `|g| x d` feature block optimized against the condensation surrogate, and
-//! the poisoned graph's trigger rows are set to the current trigger (in
-//! place, see `PoisonedGraph`) before every condensed-graph update.
+//! loop.  The adaptation follows the paper's Section VI-B: the poisoned nodes
+//! are chosen with BGC's selection module, and the trigger, a single
+//! `|g| x d` feature block, runs through BGC's own interleaved loop
+//! (`condense_with_trigger` in [`crate::attack`]) as a [`UniversalTrigger`]:
+//! every sampled node of a trigger step and every poisoned node of `G_P`
+//! receives the same block.
 
-use std::collections::BTreeMap;
-
-use rand::rngs::StdRng;
-
-use bgc_condense::{
-    working_graph, CondensationKind, CondensationMethod, CondenseError, GradientMatchingState,
-    MatchingVariant,
-};
+use bgc_condense::{CondensationKind, CondensationMethod};
 use bgc_graph::{CondensedGraph, Graph};
-use bgc_nn::{Adam, Optimizer};
-use bgc_tensor::init::{randn, rng_from_seed, sample_without_replacement};
-use bgc_tensor::{Matrix, Tape};
+use bgc_nn::AdjacencyRef;
+use bgc_tensor::init::{randn, rng_from_seed};
+use bgc_tensor::{Matrix, Tape, Var};
 
-use crate::attach::{
-    attach_to_computation_graph, build_poisoned_graph, AttachedGraph, PoisonedGraph,
-};
+use crate::attack::{condense_with_trigger, prepare, TrainableTrigger};
 use crate::config::BgcConfig;
 use crate::error::BgcError;
-use crate::selector::{select_poisoned_nodes, SelectionResult};
+use crate::selector::SelectionResult;
 use crate::trigger::UniversalTrigger;
 
 /// Result of the adapted DOORPING attack.
@@ -60,68 +52,6 @@ impl DoorpingAttack {
         Self { config }
     }
 
-    /// One universal-trigger update against the current surrogate.
-    ///
-    /// `tape` is a pooled tape reused across updates (reset here);
-    /// `trigger_zero_grad` is the preallocated zero fallback.
-    #[allow(clippy::too_many_arguments)]
-    fn update_trigger(
-        &self,
-        tape: &mut Tape,
-        trigger: &mut Matrix,
-        optimizer: &mut Adam,
-        trigger_zero_grad: &Matrix,
-        graph: &Graph,
-        surrogate_weight: &Matrix,
-        rng: &mut StdRng,
-        cache: &mut BTreeMap<usize, AttachedGraph>,
-    ) -> f32 {
-        let sample_size = self.config.update_sample_size.min(graph.num_nodes()).max(1);
-        let sample = sample_without_replacement(graph.num_nodes(), sample_size, rng);
-        tape.reset();
-        let trig_var = tape.leaf_copied(trigger);
-        let w_const = tape.leaf_detached(surrogate_weight);
-        let mut total: Option<bgc_tensor::Var> = None;
-        for &node in &sample {
-            let attached = cache
-                .entry(node)
-                .or_insert_with(|| {
-                    attach_to_computation_graph(
-                        graph,
-                        node,
-                        self.config.trigger_size,
-                        self.config.khop,
-                        self.config.max_neighbors_per_hop,
-                    )
-                })
-                .clone();
-            let x = attached.combined_features(tape, trig_var);
-            let mut z = x;
-            for _ in 0..self.config.condensation.propagation_steps {
-                z = tape.const_matmul(attached.norm_adj.clone(), z);
-            }
-            let center = tape.row_select(z, &[attached.center]);
-            let logits = tape.matmul(center, w_const);
-            let term = tape.softmax_cross_entropy(logits, &[self.config.target_class]);
-            total = Some(match total {
-                Some(acc) => tape.add(acc, term),
-                None => term,
-            });
-        }
-        // `sample` has at least one node, so `total` is always `Some`; the
-        // early return keeps the update a no-op rather than a panic if that
-        // invariant ever changes.
-        let Some(total) = total else {
-            return 0.0;
-        };
-        let loss = tape.scale(total, 1.0 / sample.len() as f32);
-        let loss_value = tape.scalar(loss);
-        let grads = tape.backward(loss);
-        optimizer.step(&mut [trigger], &[grads.get_or(trig_var, trigger_zero_grad)]);
-        tape.absorb(grads);
-        loss_value
-    }
-
     /// Runs the attack against one of the built-in condensation methods.
     pub fn run(&self, graph: &Graph, kind: CondensationKind) -> Result<DoorpingOutcome, BgcError> {
         self.run_with(graph, kind.build().as_ref())
@@ -135,73 +65,27 @@ impl DoorpingAttack {
         graph: &Graph,
         method: &dyn CondensationMethod,
     ) -> Result<DoorpingOutcome, BgcError> {
-        let work = working_graph(graph);
-        if work.split.train.is_empty() {
-            return Err(CondenseError::NoTrainingNodes.into());
-        }
-        method.check_capacity(&work, &self.config.condensation)?;
-        let selection = select_poisoned_nodes(&work, &self.config);
-        let mut rng = rng_from_seed(self.config.seed ^ 0xd00);
-        let mut trigger = randn(
-            self.config.trigger_size,
+        let config = &self.config;
+        let (work, selection) = prepare(graph, method, config)?;
+        let mut rng = rng_from_seed(config.seed ^ 0xd00);
+        let mut trigger = UniversalTrigger::new(randn(
+            config.trigger_size,
             work.num_features(),
             0.0,
             0.5,
             &mut rng,
-        );
-        let variant = method.matching_variant().unwrap_or(MatchingVariant::GCondX);
-        let mut state =
-            GradientMatchingState::new(&work, variant, self.config.condensation.clone());
-        let mut optimizer = Adam::new(self.config.generator_lr, 0.0);
-        let mut cache = BTreeMap::new();
-        let mut tape = Tape::new();
-        let trigger_zero_grad = Matrix::zeros(trigger.rows(), trigger.cols());
-        let mut matching_losses = Vec::new();
-        let mut trigger_losses = Vec::new();
-        let mut poisoned = PoisonedGraph::new(
+        ));
+        let (condensed, matching_losses, trigger_losses) = condense_with_trigger(
+            config,
             &work,
+            method,
             &selection.poisoned_nodes,
-            self.config.trigger_size,
-            self.config.target_class,
-            state.real_propagation_steps(),
-        );
-        for epoch in 0..self.config.condensation.outer_epochs {
-            if epoch % self.config.condensation.surrogate_resample_every == 0 {
-                state.resample_surrogate();
-            }
-            state.train_surrogate(self.config.surrogate_steps);
-            for _ in 0..self.config.generator_steps {
-                trigger_losses.push(self.update_trigger(
-                    &mut tape,
-                    &mut trigger,
-                    &mut optimizer,
-                    &trigger_zero_grad,
-                    &work,
-                    &state.surrogate_weight,
-                    &mut rng,
-                    &mut cache,
-                ));
-            }
-            poisoned.set_triggers(&tile_trigger(&trigger, selection.poisoned_nodes.len()));
-            matching_losses.push(
-                state.step_with_real_representation(poisoned.graph(), poisoned.representation()),
-            );
-        }
-        let condensed = if method.matching_variant().is_none() {
-            let poisoned = build_poisoned_graph(
-                &work,
-                &selection.poisoned_nodes,
-                &tile_trigger(&trigger, selection.poisoned_nodes.len()),
-                self.config.trigger_size,
-                self.config.target_class,
-            );
-            method.condense(&poisoned, &self.config.condensation)?
-        } else {
-            state.to_condensed()
-        };
+            &mut trigger,
+            &mut rng,
+        )?;
         Ok(DoorpingOutcome {
             condensed,
-            trigger: UniversalTrigger::new(trigger),
+            trigger,
             poisoned_nodes: selection.poisoned_nodes.clone(),
             working_graph: work,
             matching_losses,
@@ -211,20 +95,48 @@ impl DoorpingAttack {
     }
 }
 
-/// The trigger block of `G_P`: every one of the `copies` poisoned nodes
-/// receives the same universal trigger, stacked in one allocation.
-fn tile_trigger(trigger: &Matrix, copies: usize) -> Matrix {
-    Matrix::new(
-        copies * trigger.rows(),
-        trigger.cols(),
-        trigger.data().repeat(copies),
-    )
+impl TrainableTrigger for UniversalTrigger {
+    fn parameters_mut(&mut self) -> Vec<&mut Matrix> {
+        vec![&mut self.features]
+    }
+
+    fn record(
+        &self,
+        tape: &mut Tape,
+        _adj: &AdjacencyRef,
+        _features: &Matrix,
+        nodes: &[usize],
+    ) -> (Vec<Var>, Vec<Var>) {
+        let shared = tape.leaf_copied(&self.features);
+        (vec![shared; nodes.len()], vec![shared])
+    }
+
+    /// Every poisoned node receives the same trigger, stacked in one
+    /// allocation.
+    fn poisoned_block(
+        &self,
+        _tape: &mut Tape,
+        _adj: &AdjacencyRef,
+        _features: &Matrix,
+        poisoned_nodes: &[usize],
+    ) -> Matrix {
+        let copies = poisoned_nodes.len();
+        Matrix::new(
+            copies * self.features.rows(),
+            self.features.cols(),
+            self.features.data().repeat(copies),
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attack::tests::{bits, rebuild_every_epoch};
+    use crate::config::SelectionStrategy;
     use bgc_graph::{DatasetKind, PoisonBudget};
+    use bgc_runtime::{CancelToken, CancelUnwind};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn doorping_runs_and_learns_a_shared_trigger() {
@@ -247,67 +159,6 @@ mod tests {
         assert!(outcome.trigger.features.frobenius_norm() > 0.0);
     }
 
-    fn bits(values: &[f32]) -> Vec<u32> {
-        values.iter().map(|v| v.to_bits()).collect()
-    }
-
-    /// The DOORPING loop with the trigger tiled by repeated `vstack`, `G_P`
-    /// rebuilt by `build_poisoned_graph` and fully re-propagated by
-    /// `state.step` every epoch: the oracle for the one-allocation tiling
-    /// and the in-place `PoisonedGraph` update.
-    fn rebuild_every_epoch(
-        attack: &DoorpingAttack,
-        graph: &Graph,
-        kind: CondensationKind,
-    ) -> (Vec<f32>, Vec<f32>, CondensedGraph, Matrix) {
-        let config = &attack.config;
-        let work = working_graph(graph);
-        let selection = select_poisoned_nodes(&work, config);
-        let mut rng = rng_from_seed(config.seed ^ 0xd00);
-        let mut trigger = randn(config.trigger_size, work.num_features(), 0.0, 0.5, &mut rng);
-        let variant = kind.matching_variant().unwrap_or(MatchingVariant::GCondX);
-        let mut state = GradientMatchingState::new(&work, variant, config.condensation.clone());
-        let mut optimizer = Adam::new(config.generator_lr, 0.0);
-        let mut cache = BTreeMap::new();
-        let mut tape = Tape::new();
-        let zero_grad = Matrix::zeros(trigger.rows(), trigger.cols());
-        let (mut matching_losses, mut trigger_losses) = (Vec::new(), Vec::new());
-        for epoch in 0..config.condensation.outer_epochs {
-            if epoch % config.condensation.surrogate_resample_every == 0 {
-                state.resample_surrogate();
-            }
-            state.train_surrogate(config.surrogate_steps);
-            for _ in 0..config.generator_steps {
-                trigger_losses.push(attack.update_trigger(
-                    &mut tape,
-                    &mut trigger,
-                    &mut optimizer,
-                    &zero_grad,
-                    &work,
-                    &state.surrogate_weight,
-                    &mut rng,
-                    &mut cache,
-                ));
-            }
-            let stacked = (1..selection.poisoned_nodes.len())
-                .fold(trigger.clone(), |acc, _| acc.vstack(&trigger));
-            let poisoned = build_poisoned_graph(
-                &work,
-                &selection.poisoned_nodes,
-                &stacked,
-                config.trigger_size,
-                config.target_class,
-            );
-            matching_losses.push(state.step(&poisoned));
-        }
-        (
-            matching_losses,
-            trigger_losses,
-            state.to_condensed(),
-            trigger,
-        )
-    }
-
     #[test]
     fn in_place_poisoned_graph_matches_a_per_epoch_rebuild() {
         let graph = DatasetKind::Cora.load_small(52);
@@ -318,15 +169,32 @@ mod tests {
         config.condensation.ratio = 0.2;
         config.poison_budget = PoisonBudget::Count(6);
         config.max_neighbors_per_hop = 6;
-        let attack = DoorpingAttack::new(config);
+        let attack = DoorpingAttack::new(config.clone());
         for kind in [
             CondensationKind::DcGraph,
             CondensationKind::GCond,
             CondensationKind::GCondX,
         ] {
             let outcome = attack.run(&graph, kind).expect("DOORPING should run");
-            let (matching, trigger_losses, condensed, trigger) =
-                rebuild_every_epoch(&attack, &graph, kind);
+            let mut rng = rng_from_seed(config.seed ^ 0xd00);
+            let mut trigger = UniversalTrigger::new(randn(
+                config.trigger_size,
+                graph.num_features(),
+                0.0,
+                0.5,
+                &mut rng,
+            ));
+            // The reference tiling: one `vstack` per extra poisoned node.
+            let (matching, trigger_losses, condensed) = rebuild_every_epoch(
+                &config,
+                &graph,
+                kind,
+                &mut trigger,
+                &mut rng,
+                |t, _, _, _, nodes| {
+                    (1..nodes.len()).fold(t.features.clone(), |acc, _| acc.vstack(&t.features))
+                },
+            );
             assert_eq!(bits(&outcome.matching_losses), bits(&matching), "{kind:?}");
             assert_eq!(
                 bits(&outcome.trigger_losses),
@@ -335,7 +203,7 @@ mod tests {
             );
             assert_eq!(
                 bits(outcome.trigger.features.data()),
-                bits(trigger.data()),
+                bits(trigger.features.data()),
                 "{kind:?}"
             );
             assert_eq!(
@@ -349,5 +217,24 @@ mod tests {
                 "{kind:?}"
             );
         }
+    }
+
+    #[test]
+    fn cancelled_run_stops_inside_the_condensation_loop() {
+        let graph = DatasetKind::Cora.load_small(53);
+        let mut config = BgcConfig::quick();
+        // Random selection trains no selector, so the loop's checkpoint is
+        // the first one the run reaches.
+        config.selection = SelectionStrategy::Random;
+        let token = CancelToken::new();
+        token.cancel();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let _scope = token.enter();
+            DoorpingAttack::new(config).run(&graph, CondensationKind::GCondX)
+        }));
+        let payload = result
+            .err()
+            .expect("a cancelled run must unwind, not complete");
+        assert!(payload.downcast_ref::<CancelUnwind>().is_some());
     }
 }

@@ -8,17 +8,17 @@
 
 use std::collections::BTreeMap;
 
-use bgc_condense::{working_graph, CondensationKind, CondensationMethod, CondenseError};
+use bgc_condense::{CondensationKind, CondensationMethod};
 use bgc_graph::{CondensedGraph, Graph};
 use bgc_nn::{Adam, AdjacencyRef};
 use bgc_tensor::init::{rng_from_seed, xavier_uniform};
 use bgc_tensor::{Matrix, Tape};
 
 use crate::attach::build_poisoned_graph;
-use crate::attack::generator_update_step;
+use crate::attack::{prepare, trigger_step, zero_grads};
 use crate::config::BgcConfig;
 use crate::error::BgcError;
-use crate::selector::{select_poisoned_nodes, SelectionResult};
+use crate::selector::SelectionResult;
 use crate::trigger::TriggerGenerator;
 
 /// Result of the adapted GTA attack.
@@ -84,12 +84,7 @@ impl GtaAttack {
         graph: &Graph,
         method: &dyn CondensationMethod,
     ) -> Result<GtaOutcome, BgcError> {
-        let work = working_graph(graph);
-        if work.split.train.is_empty() {
-            return Err(CondenseError::NoTrainingNodes.into());
-        }
-        method.check_capacity(&work, &self.config.condensation)?;
-        let selection = select_poisoned_nodes(&work, &self.config);
+        let (work, selection) = prepare(graph, method, &self.config)?;
         let mut rng = rng_from_seed(self.config.seed ^ 0x67b);
         let mut generator = TriggerGenerator::with_feature_scale(
             self.config.generator,
@@ -104,13 +99,10 @@ impl GtaAttack {
         let mut optimizer = Adam::new(self.config.generator_lr, 0.0);
         let mut cache = BTreeMap::new();
         let mut tape = Tape::new();
-        let zero_grads: Vec<Matrix> = generator
-            .parameters()
-            .iter()
-            .map(|p| Matrix::zeros(p.rows(), p.cols()))
-            .collect();
+        let zero_grads = zero_grads(&mut generator);
         for _ in 0..self.pretrain_steps {
-            generator_update_step(
+            bgc_runtime::checkpoint();
+            trigger_step(
                 &self.config,
                 &mut tape,
                 &mut generator,

@@ -1,14 +1,16 @@
 //! Attack evaluation: clean test accuracy (CTA) and attack success rate
 //! (ASR) of a victim GNN trained on a (possibly poisoned) condensed graph —
-//! the protocol of Section V / Table II.
+//! the protocol of Section V / Table II — with or without a defense
+//! (Table IV).
 
+use bgc_defense::Defense;
 use bgc_graph::{CondensedGraph, Graph};
 use bgc_nn::{
     accuracy, attack_success_rate, train_on_condensed, AdjacencyRef, GnnArchitecture, TrainConfig,
     TrainingPlan,
 };
 use bgc_tensor::init::{rng_from_seed, sample_without_replacement};
-use bgc_tensor::Tape;
+use bgc_tensor::{Matrix, Tape};
 
 use crate::attach::attach_for_evaluation;
 use crate::config::BgcConfig;
@@ -151,16 +153,13 @@ pub fn asr_sample_nodes(
 }
 
 /// Trains a victim model on `condensed` and evaluates CTA on the clean graph
-/// and ASR on triggered test nodes.
+/// and ASR on triggered test nodes: [`evaluate_with_defense`] without a
+/// defense.
 ///
 /// The generator is always the attacker's trained generator; when the victim
 /// was trained on a *clean* condensed graph this yields the paper's C-CTA /
-/// C-ASR reference columns.
-///
-/// Victim weight initialization and the ASR node subsample are drawn from two
-/// *independent* RNG streams keyed off `options.seed`: a victim that draws
-/// more or fewer initialization samples (different architecture or layer
-/// count) must not silently change which test nodes the ASR is measured on.
+/// C-ASR reference columns (C-ASR stays near chance in the paper: the
+/// triggers only work through the poisoned condensed graph).
 pub fn evaluate_backdoor(
     graph: &Graph,
     condensed: &CondensedGraph,
@@ -169,7 +168,52 @@ pub fn evaluate_backdoor(
     victim: &VictimSpec,
     options: &EvaluationOptions,
 ) -> AttackEvaluation {
-    let mut init_rng = rng_from_seed(options.seed ^ 0xe7a1);
+    evaluate_with_defense(
+        graph,
+        condensed,
+        generator,
+        attack_config,
+        victim,
+        options,
+        None,
+    )
+}
+
+/// CTA and ASR of a victim trained on `condensed`, optionally through a
+/// [`Defense`] (Table IV):
+///
+/// 1. with a defense, the condensed graph first passes through
+///    [`Defense::sanitize`] (dataset-level defenses prune/transform it;
+///    model-level defenses leave it alone);
+/// 2. the victim trains on the (sanitized) graph;
+/// 3. every prediction — clean test nodes and triggered nodes alike — goes
+///    through [`Defense::predict`] when the defense overrides inference
+///    (randomized smoothing), and the plain forward pass otherwise.
+///
+/// Victim weight initialization and the ASR node subsample are drawn from
+/// *independent* RNG streams keyed off `options.seed`: a victim that draws
+/// more or fewer initialization samples (different architecture or layer
+/// count) must not silently change which test nodes the ASR is measured on,
+/// so defended and undefended rows are measured on identical node sets.
+/// Defended victims initialize from their own stream.
+pub fn evaluate_with_defense(
+    graph: &Graph,
+    condensed: &CondensedGraph,
+    generator: &dyn TriggerProvider,
+    attack_config: &BgcConfig,
+    victim: &VictimSpec,
+    options: &EvaluationOptions,
+    defense: Option<&dyn Defense>,
+) -> AttackEvaluation {
+    let sanitized;
+    let (condensed, init_salt) = match defense {
+        Some(defense) => {
+            sanitized = defense.sanitize(condensed);
+            (&sanitized, 0x5107)
+        }
+        None => (condensed, 0xe7a1),
+    };
+    let mut init_rng = rng_from_seed(options.seed ^ init_salt);
     let mut model = victim.architecture.build(
         graph.num_features(),
         victim.hidden_dim,
@@ -178,6 +222,11 @@ pub fn evaluate_backdoor(
         &mut init_rng,
     );
     train_on_condensed(model.as_mut(), condensed, &victim.train);
+    let predict = |tape: &mut Tape, adj: &AdjacencyRef, features: &Matrix| {
+        defense
+            .and_then(|d| d.predict(model.as_ref(), adj, features, graph.num_classes))
+            .unwrap_or_else(|| model.predict_on(tape, adj, features))
+    };
 
     // One pooled tape serves the clean-accuracy forward pass, trigger
     // generation, and victim prediction for every sampled ASR node.
@@ -185,20 +234,13 @@ pub fn evaluate_backdoor(
 
     // Clean test accuracy on the full original graph.
     let full_adj = AdjacencyRef::from_graph(graph);
-    let preds = model.predict_on(&mut tape, &full_adj, &graph.features);
+    let preds = predict(&mut tape, &full_adj, &graph.features);
     let test_preds: Vec<usize> = graph.split.test.iter().map(|&i| preds[i]).collect();
-    let test_labels: Vec<usize> = graph.split.test.iter().map(|&i| graph.labels[i]).collect();
+    let test_labels = graph.labels_of(&graph.split.test);
     let cta = accuracy(&test_preds, &test_labels);
 
     // Attack success rate on triggered test nodes.
     let sample = asr_sample_nodes(graph, options, attack_config.target_class);
-    if sample.is_empty() {
-        return AttackEvaluation {
-            cta,
-            asr: 0.0,
-            asr_nodes: 0,
-        };
-    }
     let mut triggered_predictions = Vec::with_capacity(sample.len());
     for &node in &sample {
         let attached = attach_for_evaluation(
@@ -211,37 +253,14 @@ pub fn evaluate_backdoor(
         );
         let trigger = generator.trigger_for_on(&mut tape, &full_adj, &graph.features, node);
         let features = attached.combined_features_plain(&trigger);
-        let preds = model.predict_on(&mut tape, &attached.adjacency_ref(), &features);
+        let preds = predict(&mut tape, &attached.adjacency_ref(), &features);
         triggered_predictions.push(preds[attached.center]);
     }
-    let asr = attack_success_rate(&triggered_predictions, attack_config.target_class);
     AttackEvaluation {
         cta,
-        asr,
+        asr: attack_success_rate(&triggered_predictions, attack_config.target_class),
         asr_nodes: triggered_predictions.len(),
     }
-}
-
-/// Clean-model reference: trains a victim on a clean condensed graph and
-/// reports its CTA (C-CTA) plus the ASR the attacker's triggers achieve
-/// against it (C-ASR).  In the paper C-ASR stays near chance level, showing
-/// the triggers only work through the poisoned condensed graph.
-pub fn evaluate_clean_reference(
-    graph: &Graph,
-    clean_condensed: &CondensedGraph,
-    generator: &dyn TriggerProvider,
-    attack_config: &BgcConfig,
-    victim: &VictimSpec,
-    options: &EvaluationOptions,
-) -> AttackEvaluation {
-    evaluate_backdoor(
-        graph,
-        clean_condensed,
-        generator,
-        attack_config,
-        victim,
-        options,
-    )
 }
 
 /// Utility check used by Figure 1: accuracy of a model trained directly on
@@ -330,7 +349,7 @@ mod tests {
             .build()
             .condense(&graph, &config.condensation)
             .expect("clean condensation");
-        let reference = evaluate_clean_reference(
+        let reference = evaluate_backdoor(
             &graph,
             &clean,
             &outcome.generator,

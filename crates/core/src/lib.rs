@@ -39,7 +39,7 @@ pub use attack::{BgcAttack, BgcOutcome};
 pub use config::{BgcConfig, GeneratorKind, SelectionStrategy};
 pub use error::BgcError;
 pub use evaluation::{
-    asr_candidate_pool, asr_sample_nodes, evaluate_backdoor, evaluate_clean_reference,
+    asr_candidate_pool, asr_sample_nodes, evaluate_backdoor, evaluate_with_defense,
     full_graph_reference_accuracy, AttackEvaluation, EvaluationOptions, VictimSpec,
 };
 pub use kmeans::{kmeans, KMeansResult};

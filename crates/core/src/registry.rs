@@ -1,10 +1,10 @@
 //! The open [`Attack`] trait and the name-keyed attack registry.
 //!
 //! Every attack of the paper (BGC, its random-selection ablation, Naive
-//! Poison, GTA, DOORPING) is registered here as a trait object; the
-//! experiment harness resolves attacks by name and dispatches through the
-//! trait, so a new attack plugs in with [`register_attack`] and never touches
-//! the evaluation crates.
+//! Poison, GTA, DOORPING) is registered here as its [`AttackKind`], which
+//! implements [`Attack`]; the experiment harness resolves attacks by name and
+//! dispatches through the trait, so a new attack plugs in with
+//! [`register_attack`] and never touches the evaluation crates.
 
 use std::fmt;
 use std::str::FromStr;
@@ -117,6 +117,61 @@ impl FromStr for AttackKind {
     }
 }
 
+impl Attack for AttackKind {
+    fn name(&self) -> &str {
+        AttackKind::name(self)
+    }
+
+    fn needs_clean_reference(&self) -> bool {
+        *self == AttackKind::NaivePoison
+    }
+
+    fn run(
+        &self,
+        graph: &Graph,
+        method: &dyn CondensationMethod,
+        config: &BgcConfig,
+        clean: Option<&CondensedGraph>,
+    ) -> Result<AttackArtifacts, BgcError> {
+        let (condensed, provider): (_, Arc<dyn TriggerProvider + Send + Sync>) = match self {
+            AttackKind::Bgc => {
+                let outcome = BgcAttack::new(config.clone()).run_with(graph, method)?;
+                (outcome.condensed, Arc::new(outcome.generator))
+            }
+            AttackKind::BgcRand => {
+                let outcome =
+                    BgcAttack::new(randomized_selection(config)).run_with(graph, method)?;
+                (outcome.condensed, Arc::new(outcome.generator))
+            }
+            AttackKind::NaivePoison => {
+                let clean = clean.ok_or_else(|| BgcError::MissingCleanReference {
+                    attack: self.name().to_string(),
+                })?;
+                let outcome = NaivePoisonAttack::new(NaivePoisonConfig {
+                    target_class: config.target_class,
+                    trigger_size: config.trigger_size,
+                    poison_fraction: 0.3,
+                    seed: config.seed,
+                })
+                .poison_condensed(clean, graph.num_features());
+                (outcome.condensed, Arc::new(outcome.trigger))
+            }
+            AttackKind::Gta => {
+                let outcome = GtaAttack::new(config.clone()).run_with(graph, method)?;
+                (outcome.condensed, Arc::new(outcome.generator))
+            }
+            AttackKind::Doorping => {
+                let outcome = DoorpingAttack::new(config.clone()).run_with(graph, method)?;
+                (outcome.condensed, Arc::new(outcome.trigger))
+            }
+        };
+        Ok(AttackArtifacts {
+            condensed: Arc::new(condensed),
+            provider,
+        })
+    }
+}
+
 /// Name handle of a registered attack — what experiment keys store and the
 /// CLI parses.  Comparison and hashing use the exact spelling.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -178,13 +233,12 @@ impl Named for dyn Attack {
 fn attack_registry() -> &'static Registry<dyn Attack> {
     static REGISTRY: OnceLock<Registry<dyn Attack>> = OnceLock::new();
     REGISTRY.get_or_init(|| {
-        Registry::new(vec![
-            Arc::new(BgcEntry) as Arc<dyn Attack>,
-            Arc::new(BgcRandEntry),
-            Arc::new(NaivePoisonEntry),
-            Arc::new(GtaEntry),
-            Arc::new(DoorpingEntry),
-        ])
+        Registry::new(
+            AttackKind::all()
+                .into_iter()
+                .map(|kind| Arc::new(kind) as Arc<dyn Attack>)
+                .collect(),
+        )
     })
 }
 
@@ -207,139 +261,6 @@ pub fn resolve_attack(name: &str) -> Option<Arc<dyn Attack>> {
 /// Registered attack names in registration order (built-ins first).
 pub fn attack_names() -> Vec<String> {
     attack_registry().names()
-}
-
-// ---------------------------------------------------------------------------
-// Built-in attack entries
-// ---------------------------------------------------------------------------
-
-/// The paper's attack (registry entry).
-struct BgcEntry;
-
-impl Attack for BgcEntry {
-    fn name(&self) -> &str {
-        AttackKind::Bgc.name()
-    }
-
-    fn run(
-        &self,
-        graph: &Graph,
-        method: &dyn CondensationMethod,
-        config: &BgcConfig,
-        _clean: Option<&CondensedGraph>,
-    ) -> Result<AttackArtifacts, BgcError> {
-        let outcome = BgcAttack::new(config.clone()).run_with(graph, method)?;
-        Ok(AttackArtifacts {
-            condensed: Arc::new(outcome.condensed),
-            provider: Arc::new(outcome.generator),
-        })
-    }
-}
-
-/// BGC with random poisoned-node selection (Figure 5).
-struct BgcRandEntry;
-
-impl Attack for BgcRandEntry {
-    fn name(&self) -> &str {
-        AttackKind::BgcRand.name()
-    }
-
-    fn run(
-        &self,
-        graph: &Graph,
-        method: &dyn CondensationMethod,
-        config: &BgcConfig,
-        _clean: Option<&CondensedGraph>,
-    ) -> Result<AttackArtifacts, BgcError> {
-        let rand_config = randomized_selection(config);
-        let outcome = BgcAttack::new(rand_config).run_with(graph, method)?;
-        Ok(AttackArtifacts {
-            condensed: Arc::new(outcome.condensed),
-            provider: Arc::new(outcome.generator),
-        })
-    }
-}
-
-/// Naive direct injection into the clean condensed graph (Figure 1).
-struct NaivePoisonEntry;
-
-impl Attack for NaivePoisonEntry {
-    fn name(&self) -> &str {
-        AttackKind::NaivePoison.name()
-    }
-
-    fn needs_clean_reference(&self) -> bool {
-        true
-    }
-
-    fn run(
-        &self,
-        graph: &Graph,
-        _method: &dyn CondensationMethod,
-        config: &BgcConfig,
-        clean: Option<&CondensedGraph>,
-    ) -> Result<AttackArtifacts, BgcError> {
-        let clean = clean.ok_or_else(|| BgcError::MissingCleanReference {
-            attack: self.name().to_string(),
-        })?;
-        let naive = NaivePoisonAttack::new(NaivePoisonConfig {
-            target_class: config.target_class,
-            trigger_size: config.trigger_size,
-            poison_fraction: 0.3,
-            seed: config.seed,
-        });
-        let outcome = naive.poison_condensed(clean, graph.num_features());
-        Ok(AttackArtifacts {
-            condensed: Arc::new(outcome.condensed),
-            provider: Arc::new(outcome.trigger),
-        })
-    }
-}
-
-/// GTA adapted to condensation (Figure 4).
-struct GtaEntry;
-
-impl Attack for GtaEntry {
-    fn name(&self) -> &str {
-        AttackKind::Gta.name()
-    }
-
-    fn run(
-        &self,
-        graph: &Graph,
-        method: &dyn CondensationMethod,
-        config: &BgcConfig,
-        _clean: Option<&CondensedGraph>,
-    ) -> Result<AttackArtifacts, BgcError> {
-        let outcome = GtaAttack::new(config.clone()).run_with(graph, method)?;
-        Ok(AttackArtifacts {
-            condensed: Arc::new(outcome.condensed),
-            provider: Arc::new(outcome.generator),
-        })
-    }
-}
-
-/// DOORPING adapted to condensation (Figure 4).
-struct DoorpingEntry;
-
-impl Attack for DoorpingEntry {
-    fn name(&self) -> &str {
-        AttackKind::Doorping.name()
-    }
-
-    fn run(
-        &self,
-        graph: &Graph,
-        method: &dyn CondensationMethod,
-        config: &BgcConfig,
-        _clean: Option<&CondensedGraph>,
-    ) -> Result<AttackArtifacts, BgcError> {
-        let outcome = DoorpingAttack::new(config.clone()).run_with(graph, method)?;
-        Ok(AttackArtifacts {
-            condensed: Arc::new(outcome.condensed),
-            provider: Arc::new(outcome.trigger),
-        })
-    }
 }
 
 #[cfg(test)]

@@ -1,10 +1,11 @@
-//! Reference values reported by the paper, used by EXPERIMENTS.md and by the
-//! regenerator binaries to print the paper-vs-measured comparison.
+//! Reference values reported by the paper.  The integration tests check
+//! that they encode the paper's headline claims (ASR near 100%, C-ASR far
+//! below it).
 //!
 //! Only the headline Table II cells for the GCond method are recorded here;
 //! the comparison of interest is the *shape* (ASR close to 1.0, CTA close to
 //! C-CTA), not the absolute numbers, because the datasets are synthetic
-//! stand-ins (see DESIGN.md).
+//! stand-ins (see "Substitutions" in the workspace README).
 //!
 //! **ASR protocol note.** This reproduction estimates ASR/C-ASR on a candidate
 //! pool that *excludes* test nodes whose true label already equals the target

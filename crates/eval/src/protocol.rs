@@ -12,8 +12,8 @@ use serde::Serialize;
 
 use bgc_condense::{resolve_condenser, CondensationMethod, MethodId};
 use bgc_core::{
-    evaluate_backdoor, evaluate_clean_reference, resolve_attack, Attack, AttackId, BgcConfig,
-    BgcError, EvaluationOptions, VictimSpec,
+    evaluate_backdoor, resolve_attack, Attack, AttackId, BgcConfig, BgcError, EvaluationOptions,
+    VictimSpec,
 };
 use bgc_graph::{CondensedGraph, DatasetKind, Graph};
 use bgc_nn::mean_std;
@@ -241,7 +241,7 @@ fn run_once(
         victim,
         options,
     );
-    let reference = evaluate_clean_reference(
+    let reference = evaluate_backdoor(
         graph,
         &clean,
         artifacts.provider.as_ref(),
@@ -266,8 +266,9 @@ pub fn run_spec(spec: &RunSpec) -> Result<RunMetrics, BgcError> {
 }
 
 /// Same as [`run_spec`] but lets the caller tweak the attack configuration
-/// (used by the ablation experiments: trigger size, generator kind, layer
-/// count, poisoning ratio, epoch sweeps...).
+/// and the victim.  This is the serial reference the integration tests
+/// compare the grid runner against; the ablation tables do not use it, they
+/// express their deviations as [`crate::CellOverrides`].
 pub fn run_spec_with(
     spec: &RunSpec,
     customize: impl Fn(&mut BgcConfig, &mut VictimSpec),

@@ -67,16 +67,12 @@ use bgc_store::{KeyBuilder, Store, StoreKey, StoreRole};
 
 use bgc_condense::MethodId;
 use bgc_core::{
-    asr_sample_nodes, attach_for_evaluation, directed_attack, evaluate_backdoor, AttackArtifacts,
-    AttackId, BgcConfig, BgcError, EvaluationOptions, GeneratorKind, TriggerProvider, VictimSpec,
+    directed_attack, evaluate_backdoor, evaluate_with_defense, AttackArtifacts, AttackId,
+    BgcConfig, BgcError, EvaluationOptions, GeneratorKind, VictimSpec,
 };
-use bgc_defense::{resolve_defense, Defense, DefenseId};
+use bgc_defense::{resolve_defense, DefenseId};
 use bgc_graph::{CondensedGraph, DatasetKind, Graph, PoisonBudget};
-use bgc_nn::{
-    accuracy, attack_success_rate, train_on_condensed, AdjacencyRef, GnnArchitecture, TrainingPlan,
-};
-use bgc_tensor::init::rng_from_seed;
-use bgc_tensor::Matrix;
+use bgc_nn::{GnnArchitecture, TrainingPlan};
 
 use crate::artifact_codec;
 use crate::protocol::{
@@ -1510,21 +1506,21 @@ impl Runner {
                 })
             }
             Some(defense) => {
-                let (cta, asr, asr_nodes) = defended_evaluation(
+                let defended = evaluate_with_defense(
                     &graph,
                     &artifacts.condensed,
-                    defense.as_ref(),
                     artifacts.provider.as_ref(),
                     &config,
                     &victim,
                     &options,
+                    Some(defense.as_ref()),
                 );
                 Ok(CellResult {
                     c_cta: 0.0,
-                    cta,
+                    cta: defended.cta,
                     c_asr: 0.0,
-                    asr,
-                    asr_nodes,
+                    asr: defended.asr,
+                    asr_nodes: defended.asr_nodes,
                     oom: false,
                 })
             }
@@ -1619,70 +1615,6 @@ impl Runner {
         }
         builder.build()
     }
-}
-
-/// CTA/ASR of a victim evaluated through a [`Defense`] (Table IV):
-///
-/// 1. the condensed graph is passed through [`Defense::sanitize`]
-///    (dataset-level defenses prune/transform it; model-level defenses leave
-///    it alone);
-/// 2. the victim trains on the sanitized graph;
-/// 3. every prediction — clean test nodes and triggered nodes alike — goes
-///    through [`Defense::predict`] when the defense overrides inference
-///    (randomized smoothing), and the plain forward pass otherwise.
-///
-/// The victim-init RNG and the ASR node sample come from independent
-/// streams, and the sample is the same one `evaluate_backdoor` uses, so
-/// defended and undefended rows are measured on identical node sets.
-fn defended_evaluation(
-    graph: &Graph,
-    condensed: &CondensedGraph,
-    defense: &dyn Defense,
-    provider: &dyn TriggerProvider,
-    config: &BgcConfig,
-    victim: &VictimSpec,
-    options: &EvaluationOptions,
-) -> (f32, f32, usize) {
-    let sanitized = defense.sanitize(condensed);
-    let mut init_rng = rng_from_seed(options.seed ^ 0x5107);
-    let mut model = victim.architecture.build(
-        graph.num_features(),
-        victim.hidden_dim,
-        graph.num_classes,
-        victim.num_layers,
-        &mut init_rng,
-    );
-    train_on_condensed(model.as_mut(), &sanitized, &victim.train);
-    let predict = |adj: &AdjacencyRef, features: &Matrix| -> Vec<usize> {
-        defense
-            .predict(model.as_ref(), adj, features, graph.num_classes)
-            .unwrap_or_else(|| model.predict(adj, features))
-    };
-
-    let full_adj = AdjacencyRef::from_graph(graph);
-    let preds = predict(&full_adj, &graph.features);
-    let test_preds: Vec<usize> = graph.split.test.iter().map(|&i| preds[i]).collect();
-    let test_labels = graph.labels_of(&graph.split.test);
-    let cta = accuracy(&test_preds, &test_labels);
-
-    let sample = asr_sample_nodes(graph, options, config.target_class);
-    let mut triggered = Vec::with_capacity(sample.len());
-    for &node in &sample {
-        let attached = attach_for_evaluation(
-            graph,
-            node,
-            provider.trigger_size(),
-            config,
-            &options.plan,
-            options.seed,
-        );
-        let trigger = provider.trigger_for(&full_adj, &graph.features, node);
-        let features = attached.combined_features_plain(&trigger);
-        let preds = predict(&attached.adjacency_ref(), &features);
-        triggered.push(preds[attached.center]);
-    }
-    let asr = attack_success_rate(&triggered, config.target_class);
-    (cta, asr, sample.len())
 }
 
 #[cfg(test)]

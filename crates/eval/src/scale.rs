@@ -1,6 +1,6 @@
 //! Experiment scales.
 //!
-//! Every regenerator binary accepts `--scale quick|paper|large`:
+//! Every `bgc` report and cell command accepts `--scale quick|paper|large`:
 //!
 //! * **Quick** (default) — reduced dataset sizes (the `small_spec` presets),
 //!   reduced epoch counts and a single repetition, so the entire suite runs on

@@ -1,7 +1,7 @@
 //! Report container shared by every experiment regenerator: a titled list of
 //! rows that can be printed as a text table and dumped as JSON next to it
-//! (under `target/experiments/`), so EXPERIMENTS.md can be kept in sync
-//! mechanically.
+//! (under `target/experiments/`), where byte-identity checks across runs
+//! and thread counts compare them.
 
 use std::fs;
 use std::path::PathBuf;

@@ -5,7 +5,7 @@
 //! not available here, so each dataset is replaced by a *class-conditioned
 //! stochastic block model* whose statistics (node count, edge count, class
 //! count, feature dimensionality, public split sizes) follow Table I of the
-//! paper.  See DESIGN.md, "Substitutions".
+//! paper.  See "Substitutions" in the workspace README.
 //!
 //! Three size presets exist per dataset:
 //!

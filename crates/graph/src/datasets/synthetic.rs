@@ -1,7 +1,8 @@
 //! Class-conditioned stochastic block model (SBM) graph generator.
 //!
 //! This is the stand-in for the real Planetoid / GraphSAINT downloads (see
-//! DESIGN.md).  The generator produces graphs with:
+//! "Substitutions" in the workspace README).  The generator produces graphs
+//! with:
 //!
 //! * a configurable number of nodes, classes and features,
 //! * class-homophilous structure (a target fraction of intra-class edges),

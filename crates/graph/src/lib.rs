@@ -5,8 +5,8 @@
 //! `G = {A, X, Y}` with its public split, GCN normalization, k-hop
 //! computation-graph extraction, the condensed graph type `S = {A', X', Y'}`,
 //! and synthetic stand-ins for the paper's four benchmark datasets
-//! (Cora, Citeseer, Flickr, Reddit — see `DESIGN.md` for the substitution
-//! rationale).
+//! (Cora, Citeseer, Flickr, Reddit — see "Substitutions" in the workspace
+//! README for the rationale).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

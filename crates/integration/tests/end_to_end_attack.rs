@@ -2,10 +2,7 @@
 //! generation through condensation, attack, victim training and evaluation.
 
 use bgc_condense::{CondensationConfig, CondensationKind};
-use bgc_core::{
-    evaluate_backdoor, evaluate_clean_reference, BgcAttack, BgcConfig, EvaluationOptions,
-    VictimSpec,
-};
+use bgc_core::{evaluate_backdoor, BgcAttack, BgcConfig, EvaluationOptions, VictimSpec};
 use bgc_defense::{prune_defense, PruneConfig};
 use bgc_eval::{AttackKind, ExperimentScale, RunSpec};
 use bgc_graph::{DatasetKind, PoisonBudget};
@@ -44,7 +41,7 @@ fn bgc_beats_clean_reference_on_citeseer() {
         .build()
         .condense(&graph, &config.condensation)
         .expect("clean condensation");
-    let reference = evaluate_clean_reference(
+    let reference = evaluate_backdoor(
         &graph,
         &clean,
         &outcome.generator,

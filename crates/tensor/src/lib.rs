@@ -21,7 +21,7 @@
 //!   `crates/tensor/README.md` for the tiling scheme and thresholds).
 //!
 //! The paper's original implementation relied on PyTorch; this crate is the
-//! from-scratch substitute (see `DESIGN.md` at the workspace root).
+//! from-scratch substitute (see "Substitutions" in the workspace README).
 
 // `unsafe` is denied crate-wide with exactly one sanctioned exception: the
 // runtime-dispatched AVX2 micro-kernels in [`kernel`] (`std::arch`
