@@ -4,15 +4,19 @@
 //!
 //! Beyond the micro-benchmarks, [`bench_substrate_speedup`] measures the
 //! blocked kernel substrate (`bgc_tensor::kernel`) against the retained
-//! naive reference implementations at 2048x512-shaped operands plus
-//! Cora/Citeseer/ogbn-arxiv-like shapes, times one GC-SNTK condensation
-//! iteration end-to-end, and writes the results to `BENCH_substrate.json` at
-//! the workspace root so the speedup is recorded, not asserted (both
-//! `matmul_transpose` and `transpose_matmul` warn below 3x).  Hard same-run
-//! gates: the runtime-dispatched SIMD gemm must agree with the scalar
-//! reference on awkward shapes and be deterministic.  A `thread_scaling`
-//! column (threads 1/2/4/physical) is measured by re-executing this binary
-//! per thread count (`bgc_bench::scaling`).
+//! naive reference implementations at 2048x512-shaped operands, at the
+//! narrow 6393x128x7 per-class gradient shape of large-tier Flickr
+//! condensation, and at Cora/Citeseer/ogbn-arxiv-like shapes, times one
+//! GC-SNTK condensation iteration end-to-end, and writes the results to
+//! `BENCH_substrate.json` at the workspace root so the speedup is recorded,
+//! not asserted (both `matmul_transpose` and `transpose_matmul` warn below
+//! 3x at 2048x512).  Hard same-run gates: the runtime-dispatched SIMD gemm
+//! must agree with the scalar reference on awkward shapes and be
+//! deterministic, and `transpose_matmul` (the panel-packed
+//! `kernel::gemm_tn`) must equal a whole-matrix transpose pack followed by
+//! the scalar gemm bit for bit on awkward and narrow shapes.  A
+//! `thread_scaling` column (threads 1/2/4/physical) is measured by
+//! re-executing this binary per thread count (`bgc_bench::scaling`).
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -110,6 +114,43 @@ fn simd_agreement_gate() -> f64 {
         }
     }
     max_abs_diff
+}
+
+/// Same-run gate: `transpose_matmul` must equal the whole-matrix transpose
+/// pack followed by the scalar gemm bit for bit. The shapes straddle the
+/// depth unroll and panel depth (`KU`, `KC`), the vector width and output
+/// block (`LANES`, `MC`), and include narrow outputs (`n < 8 <= m`, the
+/// in-kernel `(Bᵀ · A)ᵀ` path) and shapes narrow on both sides. Returns the
+/// number of shapes checked.
+fn transpose_matmul_gate() -> usize {
+    let shapes = [
+        (1usize, 1usize, 1usize),
+        (3, 2, 5),
+        (5, 9, 7),
+        (127, 7, 9),
+        (129, 65, 3),
+        (260, 33, 8),
+        (130, 64, 65),
+        (6393, 128, 7),
+    ];
+    for &(r, m, n) in &shapes {
+        let mut rng = rng_from_seed((r * 1_000_003 + m * 1009 + n) as u64);
+        let a = randn(r, m, 0.0, 1.0, &mut rng);
+        let b = randn(r, n, 0.0, 1.0, &mut rng);
+        let got = a.transpose_matmul(&b);
+        let mut packed = vec![0.0f32; r * m];
+        kernel::transpose_into(r, m, a.data(), &mut packed);
+        let mut want = vec![0.0f32; m * n];
+        kernel::gemm_scalar(m, r, n, &packed, b.data(), &mut want);
+        assert!(
+            got.data()
+                .iter()
+                .zip(&want)
+                .all(|(x, y)| x.to_bits() == y.to_bits()),
+            "transpose_matmul diverged from pack + scalar gemm at ({r}, {m}, {n})"
+        );
+    }
+    shapes.len()
 }
 
 fn bench_matmul(c: &mut Criterion) {
@@ -281,8 +322,29 @@ fn bench_substrate_speedup(_c: &mut Criterion) {
         black_box(a.transpose_matmul(&b));
     });
 
+    // The narrow per-class gradient shape `Z_cᵀ (softmax(Z_c W) - Y_c)` of
+    // large-tier Flickr condensation: 6393 class rows, 128 features, 7
+    // classes. `pack_then_gemm` is the former whole-matrix formulation.
+    let (nr, nm, nn) = (6393usize, 128usize, 7usize);
+    let za = randn(nr, nm, 0.0, 1.0, &mut rng);
+    let zb = randn(nr, nn, 0.0, 1.0, &mut rng);
+    let flops_narrow = 2.0 * (nr * nm * nn) as f64;
+    let mut naive_out_narrow = vec![0.0f32; nm * nn];
+    let naive_narrow = best_secs(reps, || {
+        naive_out_narrow.iter_mut().for_each(|v| *v = 0.0);
+        kernel::naive_transpose_matmul(nr, nm, nn, za.data(), zb.data(), &mut naive_out_narrow);
+        black_box(&naive_out_narrow);
+    });
+    let pack_then_gemm_narrow = best_secs(reps, || {
+        black_box(za.transpose().matmul(&zb));
+    });
+    let blocked_narrow = best_secs(reps, || {
+        black_box(za.transpose_matmul(&zb));
+    });
+
     let mt_speedup = naive_mt / blocked_mt;
     let tm_speedup = naive_tm / blocked_tm;
+    let narrow_speedup = naive_narrow / blocked_narrow;
     println!(
         "substrate_speedup/matmul_transpose_2048x512   naive {:.3}s ({:.2} GFLOP/s)  blocked {:.3}s ({:.2} GFLOP/s)  speedup {:.2}x",
         naive_mt, flops_mt / naive_mt / 1e9, blocked_mt, flops_mt / blocked_mt / 1e9, mt_speedup
@@ -298,6 +360,19 @@ fn bench_substrate_speedup(_c: &mut Criterion) {
     sections.push(format!(
         "  \"transpose_matmul_2048x512\": {{\n    \"naive_seconds\": {:.6},\n    \"blocked_seconds\": {:.6},\n    \"naive_gflops\": {:.3},\n    \"blocked_gflops\": {:.3},\n    \"speedup\": {:.3}\n  }}",
         naive_tm, blocked_tm, flops_tm / naive_tm / 1e9, flops_tm / blocked_tm / 1e9, tm_speedup
+    ));
+    println!(
+        "substrate_speedup/transpose_matmul_6393x128x7 naive {:.5}s  pack+gemm {:.5}s  blocked {:.5}s ({:.2} GFLOP/s)  speedup {:.2}x",
+        naive_narrow, pack_then_gemm_narrow, blocked_narrow, flops_narrow / blocked_narrow / 1e9, narrow_speedup
+    );
+    sections.push(format!(
+        "  \"transpose_matmul_6393x128x7\": {{\n    \"naive_seconds\": {:.6},\n    \"pack_then_gemm_seconds\": {:.6},\n    \"blocked_seconds\": {:.6},\n    \"naive_gflops\": {:.3},\n    \"blocked_gflops\": {:.3},\n    \"speedup\": {:.3}\n  }}",
+        naive_narrow,
+        pack_then_gemm_narrow,
+        blocked_narrow,
+        flops_narrow / naive_narrow / 1e9,
+        flops_narrow / blocked_narrow / 1e9,
+        narrow_speedup
     ));
 
     // --- Dense GFLOP/s at dataset-like shapes (blocked substrate).
@@ -390,6 +465,15 @@ fn bench_substrate_speedup(_c: &mut Criterion) {
         "  \"simd\": {{\"level\": \"{}\", \"max_abs_diff_vs_scalar\": {:.3e}}}",
         kernel::simd_level().label(),
         max_abs_diff
+    ));
+    let tm_shapes = transpose_matmul_gate();
+    println!(
+        "substrate_speedup/transpose_matmul: bit-identical to pack + scalar gemm on {} shapes",
+        tm_shapes
+    );
+    sections.push(format!(
+        "  \"transpose_matmul_gate\": {{\"shapes\": {}, \"bit_identical_to_pack_then_scalar_gemm\": true}}",
+        tm_shapes
     ));
 
     // --- Multi-thread scaling column (re-executed children; the rayon shim

@@ -7,9 +7,11 @@
 //!   ([`crate::methods`]),
 //! * the *backdoored* condensation of BGC, which interleaves trigger-generator
 //!   updates between condensation steps (Algorithm 1 of the paper) — the
-//!   attack crate calls [`GradientMatchingState::step_with_real_representation`]
-//!   with the poisoned graph `G_P` and its propagated features instead of
-//!   the clean graph,
+//!   attack crate hands the state the poisoned graph `G_P` and its propagated
+//!   features with [`GradientMatchingState::set_real`] once, then after each
+//!   trigger update re-copies only the rewritten rows with
+//!   [`GradientMatchingState::update_real_rows`] and calls
+//!   [`GradientMatchingState::matching_step`],
 //! * the surrogate SGC model `f_c` (Eq. 12/16), whose weight matrix lives in
 //!   the state and is refreshed/trained here.
 
@@ -63,8 +65,6 @@ impl MatchingVariant {
 /// Preallocated buffers for the surrogate SGC training loop (Eq. 16): the
 /// inner steps write into these instead of allocating per step.
 struct SurrogateScratch {
-    /// `Z'^T` (`d x N'`), packed once per [`GradientMatchingState::train_surrogate`] call.
-    zt: Matrix,
     /// `Z' W` (`N' x C`).
     logits: Matrix,
     /// `softmax(Z' W)` (`N' x C`).
@@ -97,6 +97,12 @@ pub struct GradientMatchingState {
     tape: Tape,
     /// Synthetic node indices per class (labels are fixed at construction).
     syn_class_indices: Vec<Vec<usize>>,
+    /// Per class, the real representation's rows at that class's training
+    /// nodes in split order (`Z_c`), gathered by
+    /// [`GradientMatchingState::set_real`]; empty until then.
+    real_blocks: Vec<Matrix>,
+    /// Per real node, `(class, row of its class block)` for a training node.
+    real_slots: Vec<Option<(usize, usize)>>,
     /// Per-class one-hot targets, recorded as shared constant leaves.
     class_onehots: Vec<Option<Arc<Matrix>>>,
     /// `I_{N'}` for the structure variant's self-loops (shared constant).
@@ -177,7 +183,6 @@ impl GradientMatchingState {
             syn_onehot: Matrix::one_hot(&syn_labels, num_classes),
             x_zero_grad: Matrix::zeros(n_syn, d),
             scratch: SurrogateScratch {
-                zt: Matrix::zeros(d, n_syn),
                 logits: Matrix::zeros(n_syn, num_classes),
                 probs: Matrix::zeros(n_syn, num_classes),
                 diff: Matrix::zeros(n_syn, num_classes),
@@ -194,6 +199,8 @@ impl GradientMatchingState {
             epochs_done: 0,
             tape: Tape::new(),
             syn_class_indices,
+            real_blocks: Vec::new(),
+            real_slots: Vec::new(),
             class_onehots,
             identity,
             structure_zero_grads,
@@ -274,18 +281,17 @@ impl GradientMatchingState {
     /// `steps` gradient steps (the `T` inner iterations of Eq. 16).
     ///
     /// The inner loop writes into the preallocated [`SurrogateScratch`]
-    /// buffers and packs `Z'^T` once per call instead of once per step; the
-    /// floating-point sequence matches the former allocating implementation.
+    /// buffers; the floating-point sequence matches the former allocating
+    /// implementation.
     pub fn train_surrogate(&mut self, steps: usize) {
         let z = self.synthetic_representation();
         let n = self.syn_labels.len().max(1) as f32;
         let scratch = &mut self.scratch;
-        z.transpose_into(&mut scratch.zt);
         for _ in 0..steps {
             z.matmul_into(&self.surrogate_weight, &mut scratch.logits);
             scratch.logits.softmax_rows_into(&mut scratch.probs);
             scratch.probs.sub_into(&self.syn_onehot, &mut scratch.diff);
-            scratch.zt.matmul_into(&scratch.diff, &mut scratch.grad);
+            z.transpose_matmul_into(&scratch.diff, &mut scratch.grad);
             scratch.grad.scale_assign(1.0 / n);
             self.surrogate_weight
                 .add_scaled_assign(&scratch.grad, -self.config.surrogate_lr);
@@ -304,45 +310,80 @@ impl GradientMatchingState {
         loss / self.syn_labels.len().max(1) as f32
     }
 
-    /// Per-class surrogate gradient on the real (possibly poisoned) graph:
-    /// `∇_W L_c = Z_c^T (softmax(Z_c W) - Y_c) / n_c`, a constant during the
-    /// synthetic-graph update.
-    fn real_class_gradient(&self, z_real: &Matrix, graph: &Graph, class: usize) -> Option<Matrix> {
-        let nodes: Vec<usize> = graph
-            .split
-            .train
-            .iter()
-            .copied()
-            .filter(|&i| graph.labels[i] == class)
-            .collect();
-        if nodes.is_empty() {
-            return None;
-        }
-        let zc = z_real.select_rows(&nodes);
-        let labels: Vec<usize> = vec![class; nodes.len()];
-        let y = Matrix::one_hot(&labels, self.num_classes);
-        let logits = zc.matmul(&self.surrogate_weight);
-        let probs = logits.softmax_rows();
-        let diff = probs.sub(&y);
-        Some(zc.transpose_matmul(&diff).scale(1.0 / nodes.len() as f32))
-    }
-
-    /// One outer condensation step (Eq. 18): matches per-class surrogate
-    /// gradients of the synthetic graph against those of `graph` (which may be
-    /// the clean graph or BGC's poisoned graph) and updates `X'` and the
-    /// structure generator.  Returns the matching loss.
-    pub fn step(&mut self, graph: &Graph) -> f32 {
-        let z_real = self.real_representation(graph);
-        self.step_with_real_representation(graph, &z_real)
-    }
-
-    /// Same as [`GradientMatchingState::step`] but with a precomputed real
-    /// representation (avoids re-propagating when the caller already has it).
-    pub fn step_with_real_representation(&mut self, graph: &Graph, z_real: &Matrix) -> f32 {
+    /// Makes `graph` (the clean graph or BGC's poisoned graph) the real graph
+    /// of the following [`GradientMatchingState::matching_step`]s: gathers,
+    /// in one pass over its training split, each class's rows of its real
+    /// representation `z_real` (see
+    /// [`GradientMatchingState::real_representation`]) into one block per
+    /// class, in split order.
+    pub fn set_real(&mut self, graph: &Graph, z_real: &Matrix) {
         assert_eq!(
             z_real.cols(),
             self.syn_features.cols(),
             "real representation feature dimension mismatch"
+        );
+        let mut class_nodes = vec![Vec::new(); self.num_classes];
+        self.real_slots = vec![None; z_real.rows()];
+        for &node in &graph.split.train {
+            let class = graph.labels[node];
+            self.real_slots[node] = Some((class, class_nodes[class].len()));
+            class_nodes[class].push(node);
+        }
+        self.real_blocks = class_nodes
+            .iter()
+            .map(|nodes| z_real.select_rows(nodes))
+            .collect();
+    }
+
+    /// Re-copies `rows` of `z_real` into the class blocks. `z_real` is the
+    /// representation given to the last [`GradientMatchingState::set_real`]
+    /// with only `rows` rewritten since, as `G_P`'s is after a trigger
+    /// update. Rows of nodes outside the training split are skipped.
+    pub fn update_real_rows(&mut self, z_real: &Matrix, rows: &[usize]) {
+        for &node in rows {
+            if let Some((class, row)) = self.real_slots[node] {
+                self.real_blocks[class]
+                    .row_mut(row)
+                    .copy_from_slice(z_real.row(node));
+            }
+        }
+    }
+
+    /// Per-class surrogate gradient on the real (possibly poisoned) graph:
+    /// `∇_W L_c = Z_c^T (softmax(Z_c W) - Y_c) / n_c`, a constant during the
+    /// synthetic-graph update.
+    fn real_class_gradient(&self, class: usize) -> Option<Matrix> {
+        let zc = &self.real_blocks[class];
+        if zc.rows() == 0 {
+            return None;
+        }
+        let mut diff = zc.matmul(&self.surrogate_weight).softmax_rows();
+        // `- Y_c` in place: the one-hot target is 1 in column `class` only,
+        // and `p - 0 == p` bit for bit.
+        for r in 0..diff.rows() {
+            diff.row_mut(r)[class] -= 1.0;
+        }
+        let mut grad = zc.transpose_matmul(&diff);
+        grad.scale_assign(1.0 / zc.rows() as f32);
+        Some(grad)
+    }
+
+    /// [`GradientMatchingState::matching_step`] against `graph`, gathering
+    /// its representation first.
+    pub fn step(&mut self, graph: &Graph) -> f32 {
+        self.set_real(graph, &self.real_representation(graph));
+        self.matching_step()
+    }
+
+    /// One outer condensation step (Eq. 18): matches per-class surrogate
+    /// gradients of the synthetic graph against those of the real graph of
+    /// the last [`GradientMatchingState::set_real`] and updates `X'` and the
+    /// structure generator.  Returns the matching loss.
+    pub fn matching_step(&mut self) -> f32 {
+        assert_eq!(
+            self.real_blocks.len(),
+            self.num_classes,
+            "set_real must run before a matching step"
         );
         // Per-class surrogate gradients on the real graph: plain (constant)
         // matrices, computed before the tape section.
@@ -351,7 +392,7 @@ impl GradientMatchingState {
                 if self.syn_class_indices[class].is_empty() {
                     None
                 } else {
-                    self.real_class_gradient(z_real, graph, class).map(Arc::new)
+                    self.real_class_gradient(class).map(Arc::new)
                 }
             })
             .collect();
@@ -381,14 +422,12 @@ impl GradientMatchingState {
 
         // Per-class matching terms.
         let mut total: Option<bgc_tensor::Var> = None;
-        let mut matched_classes = 0usize;
         for (class, real_grad) in real_grads.into_iter().enumerate() {
             let real_grad = match real_grad {
                 Some(g) => g,
                 None => continue,
             };
             let syn_idx = &self.syn_class_indices[class];
-            matched_classes += 1;
             let zc = self.tape.row_select(z_syn, syn_idx);
             let logits = self.tape.matmul(zc, w_const);
             let probs = self.tape.softmax_rows(logits);
@@ -429,7 +468,6 @@ impl GradientMatchingState {
         }
         self.tape.absorb(grads);
         self.epochs_done += 1;
-        let _ = matched_classes;
         loss_value
     }
 
@@ -457,10 +495,11 @@ impl GradientMatchingState {
     /// resample/train the surrogate, then one matching step, for
     /// `config.outer_epochs` iterations.
     ///
-    /// The real-graph representation is fixed across the loop, so it is
-    /// propagated once up front instead of once per epoch.
+    /// The real graph is fixed across the loop, so its representation is
+    /// propagated and gathered into class blocks once up front instead of
+    /// once per epoch.
     pub fn run(&mut self, graph: &Graph) -> Vec<f32> {
-        let z_real = self.real_representation(graph);
+        self.set_real(graph, &self.real_representation(graph));
         let mut losses = Vec::with_capacity(self.config.outer_epochs);
         for epoch in 0..self.config.outer_epochs {
             bgc_runtime::checkpoint();
@@ -469,7 +508,7 @@ impl GradientMatchingState {
                 self.resample_surrogate();
             }
             self.train_surrogate(self.config.surrogate_steps);
-            losses.push(self.step_with_real_representation(graph, &z_real));
+            losses.push(self.matching_step());
         }
         losses
     }
@@ -559,6 +598,47 @@ mod tests {
             before,
             after
         );
+    }
+
+    #[test]
+    fn run_matches_a_loop_of_steps_bit_for_bit() {
+        // `run` gathers the class blocks once; `step` regathers them every
+        // epoch. Stale or misgathered blocks would change the losses and X'.
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let graph = DatasetKind::Cora.load_small(3);
+        let mut config = CondensationConfig::quick(0.1);
+        config.outer_epochs = 6;
+        config.surrogate_resample_every = 4;
+        for variant in [
+            MatchingVariant::DcGraph,
+            MatchingVariant::GCond,
+            MatchingVariant::GCondX,
+        ] {
+            let mut ran = GradientMatchingState::new(&graph, variant, config.clone());
+            let run_losses = ran.run(&graph);
+            let mut stepped = GradientMatchingState::new(&graph, variant, config.clone());
+            let mut step_losses = Vec::new();
+            for epoch in 0..config.outer_epochs {
+                if epoch % config.surrogate_resample_every == 0 {
+                    stepped.resample_surrogate();
+                }
+                stepped.train_surrogate(config.surrogate_steps);
+                step_losses.push(stepped.step(&graph));
+            }
+            let name = variant.name();
+            assert_eq!(bits(&run_losses), bits(&step_losses), "{name} losses");
+            let (ran, stepped) = (ran.to_condensed(), stepped.to_condensed());
+            assert_eq!(
+                bits(ran.features.data()),
+                bits(stepped.features.data()),
+                "{name} X'"
+            );
+            assert_eq!(
+                bits(ran.adjacency.data()),
+                bits(stepped.adjacency.data()),
+                "{name} A'"
+            );
+        }
     }
 
     #[test]

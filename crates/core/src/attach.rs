@@ -258,8 +258,8 @@ pub(crate) struct PoisonedGraph {
 
 impl PoisonedGraph {
     /// Builds `G_P` with [`build_poisoned_graph`] and zero trigger rows,
-    /// propagates it `steps` hops once and derives the row sets.  Call
-    /// [`PoisonedGraph::set_triggers`] before reading it.
+    /// propagates it `steps` hops once and derives the row sets.  It holds
+    /// zero triggers until the first [`PoisonedGraph::set_triggers`].
     pub(crate) fn new(
         graph: &Graph,
         poisoned_nodes: &[usize],
@@ -335,6 +335,13 @@ impl PoisonedGraph {
     /// `Â_P^K X_P` (`X_P` itself for `K = 0`).
     pub(crate) fn representation(&self) -> &Matrix {
         self.layers.last().unwrap_or(&*self.graph.features)
+    }
+
+    /// `D_K`: the rows of [`PoisonedGraph::representation`] that
+    /// [`PoisonedGraph::set_triggers`] rewrites, ascending. Every other row
+    /// keeps its value from one call to the next.
+    pub(crate) fn rewritten_rows(&self) -> &[usize] {
+        self.row_sets.last().map_or(&[], Vec::as_slice)
     }
 }
 

@@ -237,6 +237,9 @@ pub(crate) fn condense_with_trigger(
         config.target_class,
         state.real_propagation_steps(),
     );
+    // G_P's training rows are gathered into class blocks once; each epoch
+    // re-copies only the rows its new triggers reach.
+    state.set_real(poisoned.graph(), poisoned.representation());
     let mut matching_losses = Vec::new();
     let mut trigger_losses = Vec::new();
     for epoch in 0..config.condensation.outer_epochs {
@@ -268,9 +271,9 @@ pub(crate) fn condense_with_trigger(
             &work.features,
             poisoned_nodes,
         ));
+        state.update_real_rows(poisoned.representation(), poisoned.rewritten_rows());
         // (iv) one condensed-graph update against G_P (Eq. 18).
-        matching_losses
-            .push(state.step_with_real_representation(poisoned.graph(), poisoned.representation()));
+        matching_losses.push(state.matching_step());
     }
     let condensed = if method.matching_variant().is_none() {
         let triggers = trigger.poisoned_block(&mut tape, &adj, &work.features, poisoned_nodes);

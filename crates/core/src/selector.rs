@@ -12,7 +12,7 @@ use rand::Rng;
 
 use bgc_graph::Graph;
 use bgc_nn::models::Gcn;
-use bgc_nn::{train_with_plan, AdjacencyRef, GnnModel, TrainConfig, TrainingPlan};
+use bgc_nn::{train_with_plan, AdjacencyRef, TrainConfig, TrainingPlan};
 use bgc_tensor::init::rng_from_seed;
 use bgc_tensor::{Matrix, Tape};
 
@@ -102,14 +102,15 @@ fn selector_representations_uncached(
     // original graph; `FullBatch` is byte-identical to the historical
     // `train_node_classifier` call.
     train_with_plan(&mut gcn, graph, &train_cfg, plan, config.seed ^ 0x3a1f);
-    let preds = gcn.predict(&adj, &graph.features);
+    // One full-graph forward pass yields both the hidden representation and
+    // the logits the training accuracy is read from.
+    let mut tape = Tape::new();
+    let x = tape.const_leaf(graph.features.clone());
+    let (pass, hidden) = gcn.forward_with_hidden(&mut tape, &adj, x);
+    let preds = tape.value_ref(pass.logits).argmax_rows();
     let train_labels: Vec<usize> = graph.labels_of(&graph.split.train);
     let train_preds: Vec<usize> = graph.split.train.iter().map(|&i| preds[i]).collect();
     let acc = bgc_nn::accuracy(&train_preds, &train_labels);
-
-    let mut tape = Tape::new();
-    let x = tape.const_leaf(graph.features.clone());
-    let (_, hidden) = gcn.forward_with_hidden(&mut tape, &adj, x);
     (tape.value_ref(hidden).clone(), acc)
 }
 

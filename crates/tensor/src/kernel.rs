@@ -5,14 +5,18 @@
 //! [`crate::sparse::CsrMatrix`] and the element-wise / row-wise helpers the
 //! autodiff tape leans on are routed through this module. The design:
 //!
-//! * **One inner kernel.** [`gemm`] computes `C = A · B` over an
+//! * **One set of row kernels.** [`gemm`] computes `C = A · B` over an
 //!   `MC x KC x NC` cache tiling with the depth loop unrolled by [`KU`] and
 //!   the column loop written with `chunks_exact` so LLVM autovectorizes it
 //!   (each output lane is an independent accumulation — no floating-point
 //!   reassociation is required, unlike a dot-product formulation).
-//!   `transpose_matmul` and `matmul_transpose` are expressed as a blocked
-//!   transpose *pack* ([`transpose_into`]) followed by the same kernel, so
-//!   every variant shares one tuned code path.
+//!   [`gemm_tn`] computes `C = Aᵀ · B` (`transpose_matmul`) on the same row
+//!   kernels: each output task packs `Aᵀ` one `KC`-deep *panel* at a time
+//!   instead of transposing the whole operand, and a narrow output
+//!   (`n < LANES`) is computed as `(Bᵀ · A)ᵀ` so its accumulators stay
+//!   vector-wide. `matmul_transpose` packs `Bᵀ` with [`transpose_into`] and
+//!   runs [`gemm`]. All three variants give the bits of the transpose-then-
+//!   [`gemm`] formulation.
 //! * **Parallelism over output row-blocks.** Each rayon task owns `MC`
 //!   consecutive output rows (a disjoint `&mut` chunk of `C`), so no
 //!   synchronization is needed and the floating-point evaluation order —
@@ -28,6 +32,7 @@
 //! `substrate` criterion bench measures the speedup against them.
 
 use rayon::prelude::*;
+use std::cell::RefCell;
 use std::sync::OnceLock;
 
 /// Rows of `C` (and `A`) each parallel task owns.
@@ -188,34 +193,106 @@ fn axpy4(
 ///
 /// `a_rows` holds the block's rows of `A` (`mb x k`), `c_block` the matching
 /// rows of `C` (`mb x n`); `b` is the full `k x n` right operand.
-#[allow(unsafe_code)] // sanctioned SIMD dispatch (see crate-level lint note)
-fn gemm_block(a_rows: &[f32], k: usize, n: usize, b: &[f32], c_block: &mut [f32]) {
+fn gemm_block(
+    level: SimdLevel,
+    a_rows: &[f32],
+    k: usize,
+    n: usize,
+    b: &[f32],
+    c_block: &mut [f32],
+) {
     debug_assert_eq!(c_block.len() % n, 0);
-    let mb = c_block.len() / n;
-    debug_assert_eq!(a_rows.len(), mb * k);
+    debug_assert_eq!(a_rows.len(), c_block.len() / n * k);
     if n < LANES {
         narrow_block(a_rows, k, n, b, c_block);
         return;
     }
-    #[cfg(target_arch = "x86_64")]
-    if simd_level() == SimdLevel::Avx2 {
-        for k0 in (0..k).step_by(KC) {
-            let kb = KC.min(k - k0);
-            for j0 in (0..n).step_by(NC) {
-                let nb = NC.min(n - j0);
-                for i in 0..mb {
-                    let a_row = &a_rows[i * k + k0..][..kb];
-                    let c_row = &mut c_block[i * n + j0..][..nb];
-                    // SAFETY: Avx2 is only selected when the CPU has it;
-                    // the row kernel's b-tile window `(k0..k0+kb) x
-                    // (j0..j0+nb)` lies inside the `k x n` operand.
-                    unsafe { avx2::gemm_row(a_row, b, k0 * n + j0, n, c_row) };
-                }
-            }
-        }
-        return;
+    for k0 in (0..k).step_by(KC) {
+        let kb = KC.min(k - k0);
+        let tile = Tile {
+            data: b,
+            off: k0 * n,
+            stride: n,
+        };
+        wide_panel(level, &a_rows[k0..], k, kb, tile, c_block, n);
     }
-    gemm_block_portable(a_rows, k, n, b, c_block, mb);
+}
+
+/// A window of a row-major operand: its row `kk` starts at
+/// `data[off + kk * stride]`.
+#[derive(Clone, Copy)]
+struct Tile<'a> {
+    data: &'a [f32],
+    off: usize,
+    stride: usize,
+}
+
+/// One `kb`-deep panel of the cache tiling on the wide row kernels:
+/// `c_i += a_i · B_tile` for every `width`-wide row `c_i` of `c`, where
+/// `a_i` is `a[i * lda..][..kb]` and `b` holds the `kb x width` tile.
+///
+/// The AVX2 `gemm_row` and the portable `axpy4`/`axpy` rows apply the same
+/// [`KU`]-fused updates in the same order, so both tiers agree bit for bit.
+#[allow(unsafe_code)] // sanctioned SIMD dispatch (see crate-level lint note)
+fn wide_panel(
+    level: SimdLevel,
+    a: &[f32],
+    lda: usize,
+    kb: usize,
+    b: Tile<'_>,
+    c: &mut [f32],
+    width: usize,
+) {
+    let rows = c.len() / width;
+    assert!(
+        kb == 0 || b.off + (kb - 1) * b.stride + width <= b.data.len(),
+        "wide_panel: the {kb} x {width} tile overruns its operand"
+    );
+    for j0 in (0..width).step_by(NC) {
+        let nb = NC.min(width - j0);
+        for i in 0..rows {
+            let a_row = &a[i * lda..][..kb];
+            let c_row = &mut c[i * width + j0..][..nb];
+            #[cfg(target_arch = "x86_64")]
+            if level == SimdLevel::Avx2 {
+                // SAFETY: Avx2 is only selected when the CPU has it; the
+                // row kernel's `kb x nb` window at column `j0` lies inside
+                // the `kb x width` tile, which the assert above keeps inside
+                // `b.data`.
+                unsafe { avx2::gemm_row(a_row, b.data, b.off + j0, b.stride, c_row) };
+                continue;
+            }
+            gemm_row_portable(a_row, b, j0, c_row);
+        }
+    }
+}
+
+/// Portable twin of `avx2::gemm_row`: `c_row += a_row · B_tile[.., j0..]`
+/// as [`KU`]-fused `axpy4` passes in ascending depth, then single-row
+/// updates for the depth tail.
+fn gemm_row_portable(a_row: &[f32], b: Tile<'_>, j0: usize, c_row: &mut [f32]) {
+    let nb = c_row.len();
+    let row = |kk: usize| &b.data[b.off + kk * b.stride + j0..][..nb];
+    let kb = a_row.len();
+    let mut kk = 0;
+    while kk + KU <= kb {
+        axpy4(
+            c_row,
+            a_row[kk],
+            row(kk),
+            a_row[kk + 1],
+            row(kk + 1),
+            a_row[kk + 2],
+            row(kk + 2),
+            a_row[kk + 3],
+            row(kk + 3),
+        );
+        kk += KU;
+    }
+    while kk < kb {
+        axpy_scalar(c_row, a_row[kk], row(kk));
+        kk += 1;
+    }
 }
 
 /// Narrow-output (`n < LANES`) dispatch shared by the portable and SIMD
@@ -236,48 +313,6 @@ fn narrow_block(a_rows: &[f32], k: usize, n: usize, b: &[f32], c_block: &mut [f3
         6 => narrow_rows::<6>(a_rows, k, b, c_block),
         7 => narrow_rows::<7>(a_rows, k, b, c_block),
         _ => unreachable!("narrow path requires n < LANES"),
-    }
-}
-
-/// Portable wide-path (`n >= LANES`) loop nest of [`gemm_block`]: the
-/// autovectorized `axpy4`/`axpy` cache tiling, also the reference the AVX2
-/// path must match bit-for-bit.
-fn gemm_block_portable(
-    a_rows: &[f32],
-    k: usize,
-    n: usize,
-    b: &[f32],
-    c_block: &mut [f32],
-    mb: usize,
-) {
-    for k0 in (0..k).step_by(KC) {
-        let kb = KC.min(k - k0);
-        for j0 in (0..n).step_by(NC) {
-            let nb = NC.min(n - j0);
-            for i in 0..mb {
-                let a_row = &a_rows[i * k + k0..][..kb];
-                let c_row = &mut c_block[i * n + j0..][..nb];
-                let mut kk = 0;
-                while kk + KU <= kb {
-                    axpy4(
-                        c_row,
-                        a_row[kk],
-                        &b[(k0 + kk) * n + j0..][..nb],
-                        a_row[kk + 1],
-                        &b[(k0 + kk + 1) * n + j0..][..nb],
-                        a_row[kk + 2],
-                        &b[(k0 + kk + 2) * n + j0..][..nb],
-                        a_row[kk + 3],
-                        &b[(k0 + kk + 3) * n + j0..][..nb],
-                    );
-                    kk += KU;
-                }
-                while kk < kb {
-                    axpy_scalar(c_row, a_row[kk], &b[(k0 + kk) * n + j0..][..nb]);
-                    kk += 1;
-                }
-            }
-        }
     }
 }
 
@@ -328,45 +363,14 @@ fn narrow_rows<const N: usize>(a_rows: &[f32], k: usize, b: &[f32], c_block: &mu
 /// the output above [`PAR_GEMM_WORK`] multiply-adds; the serial and parallel
 /// paths produce bit-identical results.
 pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let work = m * k * n;
-    if work < PAR_GEMM_WORK || rayon::current_num_threads() == 1 {
-        for (blk, c_block) in out.chunks_mut(MC * n).enumerate() {
-            let i0 = blk * MC;
-            let mb = c_block.len() / n;
-            gemm_block(&a[i0 * k..(i0 + mb) * k], k, n, b, c_block);
-        }
-    } else {
-        out.par_chunks_mut(MC * n)
-            .enumerate()
-            .for_each(|(blk, c_block)| {
-                let i0 = blk * MC;
-                let mb = c_block.len() / n;
-                gemm_block(&a[i0 * k..(i0 + mb) * k], k, n, b, c_block);
-            });
-    }
+    gemm_at(simd_level(), goes_parallel(m * k * n), m, k, n, a, b, out);
 }
 
 /// Serial-only variant of [`gemm`] (used by the determinism property test to
 /// check that the parallel path is bit-identical).
 #[doc(hidden)]
 pub fn gemm_serial(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    for (blk, c_block) in out.chunks_mut(MC * n).enumerate() {
-        let i0 = blk * MC;
-        let mb = c_block.len() / n;
-        gemm_block(&a[i0 * k..(i0 + mb) * k], k, n, b, c_block);
-    }
+    gemm_at(simd_level(), false, m, k, n, a, b, out);
 }
 
 /// Serial variant of [`gemm`] that never dispatches to the SIMD
@@ -375,20 +379,174 @@ pub fn gemm_serial(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut
 /// bit for bit on every shape.
 #[doc(hidden)]
 pub fn gemm_scalar(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    gemm_at(SimdLevel::Scalar, false, m, k, n, a, b, out);
+}
+
+/// [`gemm`] at a fixed micro-kernel tier, on the pool when `parallel`.
+#[allow(clippy::too_many_arguments)]
+fn gemm_at(
+    level: SimdLevel,
+    parallel: bool,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    for (blk, c_block) in out.chunks_mut(MC * n).enumerate() {
-        let i0 = blk * MC;
+    for_each_row_block(out, n, parallel, |i0, c_block| {
         let mb = c_block.len() / n;
-        let a_rows = &a[i0 * k..(i0 + mb) * k];
+        gemm_block(level, &a[i0 * k..(i0 + mb) * k], k, n, b, c_block);
+    });
+}
+
+/// Whether a product of `work` multiply-adds runs on the pool.
+fn goes_parallel(work: usize) -> bool {
+    work >= PAR_GEMM_WORK && rayon::current_num_threads() > 1
+}
+
+/// Runs `block(i0, c_block)` over the `MC`-row blocks of an `n`-wide output
+/// (`i0` is the block's first row), as pool tasks when `parallel`. One task
+/// owns one block and computes it the same way on either path, so the
+/// result is bit-identical for every thread count.
+fn for_each_row_block(
+    out: &mut [f32],
+    n: usize,
+    parallel: bool,
+    block: impl Fn(usize, &mut [f32]) + Sync,
+) {
+    if parallel {
+        out.par_chunks_mut(MC * n)
+            .enumerate()
+            .for_each(|(blk, c_block)| block(blk * MC, c_block));
+    } else {
+        for (blk, c_block) in out.chunks_mut(MC * n).enumerate() {
+            block(blk * MC, c_block);
+        }
+    }
+}
+
+thread_local! {
+    /// Per-thread panel scratch of [`gemm_tn`]: one `KC`-deep transposed
+    /// panel, at most `MC x KC` floats, reused across calls.
+    static PANEL: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Dense `C = Aᵀ · B` without materializing `Aᵀ`.
+///
+/// `a` is `r x m`, `b` is `r x n`, `out` is `m x n` and must be zeroed (or
+/// hold a partial sum to accumulate onto). Each `MC`-row output task packs
+/// its columns of `A` one `KC`-deep panel at a time (at most `MC x KC`
+/// floats, so the panel stays in cache) and runs [`gemm`]'s row kernels on
+/// it. Every element therefore receives exactly the updates of
+/// [`transpose_into`] followed by [`gemm`]: [`KU`]-groups in ascending `r`,
+/// then the single-row tail.
+///
+/// A narrow output (`n < LANES <= m`, e.g. a `d x num_classes` gradient) is
+/// computed as `(Bᵀ · A)ᵀ`: the task packs panels of `Bᵀ` instead and runs
+/// the wide row kernels across its columns of `A`, accumulating into the
+/// block's transpose. IEEE multiplication commutes and the grouping over
+/// `r` is unchanged, so this is bit-identical too, while the accumulators
+/// stay vector-wide.
+///
+/// Parallel over `MC`-row output blocks above [`PAR_GEMM_WORK`]
+/// multiply-adds; the serial and parallel paths produce bit-identical
+/// results.
+pub fn gemm_tn(r: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    gemm_tn_at(goes_parallel(r * m * n), r, m, n, a, b, out);
+}
+
+/// [`gemm_tn`], on the pool when `parallel`.
+fn gemm_tn_at(parallel: bool, r: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    debug_assert_eq!(a.len(), r * m);
+    debug_assert_eq!(b.len(), r * n);
+    debug_assert_eq!(out.len(), m * n);
+    if r == 0 || m == 0 || n == 0 {
+        return;
+    }
+    for_each_row_block(out, n, parallel, |i0, c_block| {
+        PANEL.with(|panel| {
+            let mut panel = panel.borrow_mut();
+            if panel.len() < MC * KC {
+                panel.resize(MC * KC, 0.0);
+            }
+            gemm_tn_block(r, m, n, a, b, i0, c_block, &mut panel);
+        })
+    });
+}
+
+/// Rows `i0..i0 + mb` of `C += Aᵀ · B`, i.e. columns `i0..i0 + mb` of `A`,
+/// one `KC`-deep panel at a time. `panel` holds at least `MC x KC` floats.
+#[allow(clippy::too_many_arguments)]
+fn gemm_tn_block(
+    r: usize,
+    m: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    i0: usize,
+    c_block: &mut [f32],
+    panel: &mut [f32],
+) {
+    let level = simd_level();
+    let mb = c_block.len() / n;
+    // Depth rows `k0..` of this block's columns of `A` and of `B`.
+    let tiles = |k0: usize| {
+        let a_tile = Tile {
+            data: a,
+            off: k0 * m + i0,
+            stride: m,
+        };
+        let b_tile = Tile {
+            data: b,
+            off: k0 * n,
+            stride: n,
+        };
+        (a_tile, b_tile)
+    };
+    if n < LANES && m >= LANES {
+        // Narrow output: accumulate the block's transpose `Cᵀ += Bᵀ · A`,
+        // whose `mb`-wide rows run on the wide row kernels.
+        let mut ct = [0.0f32; LANES * MC];
+        let ct = &mut ct[..n * mb];
+        transpose_into(mb, n, c_block, ct);
+        for k0 in (0..r).step_by(KC) {
+            let kb = KC.min(r - k0);
+            let (a_tile, b_tile) = tiles(k0);
+            let panel = &mut panel[..n * kb];
+            pack_transposed(b_tile, kb, n, panel);
+            wide_panel(level, panel, kb, kb, a_tile, ct, mb);
+        }
+        transpose_into(n, mb, ct, c_block);
+        return;
+    }
+    for k0 in (0..r).step_by(KC) {
+        let kb = KC.min(r - k0);
+        let (a_tile, b_tile) = tiles(k0);
+        let panel = &mut panel[..mb * kb];
+        pack_transposed(a_tile, kb, mb, panel);
         if n < LANES {
-            narrow_block(a_rows, k, n, b, c_block);
+            narrow_block(panel, kb, n, &b[k0 * n..(k0 + kb) * n], c_block);
         } else {
-            gemm_block_portable(a_rows, k, n, b, c_block, mb);
+            wide_panel(level, panel, kb, kb, b_tile, c_block, n);
+        }
+    }
+}
+
+/// Packs the transpose of the first `cols` columns of the tile's `kb` rows
+/// into `panel` (`cols x kb`, row-major).
+fn pack_transposed(src: Tile<'_>, kb: usize, cols: usize, panel: &mut [f32]) {
+    debug_assert_eq!(panel.len(), cols * kb);
+    for kk in 0..kb {
+        let src_row = &src.data[src.off + kk * src.stride..][..cols];
+        for (i, &v) in src_row.iter().enumerate() {
+            panel[i * kb + kk] = v;
         }
     }
 }
@@ -397,7 +555,7 @@ pub fn gemm_scalar(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut
 /// row-major `rows x cols` matrix `src` into `dst`.
 ///
 /// Used both as the public transpose and as the pack step that lets
-/// `transpose_matmul` / `matmul_transpose` share the [`gemm`] kernel.
+/// `matmul_transpose` share the [`gemm`] kernel.
 pub fn transpose_into(rows: usize, cols: usize, src: &[f32], dst: &mut [f32]) {
     debug_assert_eq!(src.len(), rows * cols);
     debug_assert_eq!(dst.len(), rows * cols);
@@ -877,6 +1035,67 @@ mod tests {
                 m, k, n
             );
         }
+    }
+
+    /// The pre-`gemm_tn` formulation of `Aᵀ · B`: a whole-matrix transpose
+    /// pack, then the portable gemm.
+    fn transpose_then_gemm_scalar(
+        r: usize,
+        m: usize,
+        n: usize,
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+    ) {
+        let mut packed = vec![0.0; r * m];
+        transpose_into(r, m, a, &mut packed);
+        gemm_scalar(m, r, n, &packed, b, out);
+    }
+
+    #[test]
+    fn gemm_tn_is_bit_identical_to_transpose_then_gemm_scalar() {
+        // Depths straddle KU and KC; widths straddle LANES, the 32-lane
+        // accumulator block and MC, covering the narrow-output transpose
+        // (n < 8 <= m) and the case where both sides are narrow. The output
+        // starts from a partial sum, which the kernel accumulates onto.
+        const DEPTHS: [usize; 9] = [0, 1, 3, 4, 5, 127, 128, 129, 260];
+        const WIDTHS: [usize; 7] = [1, 7, 8, 9, 33, 64, 65];
+        for &r in &DEPTHS {
+            for &m in &WIDTHS {
+                for &n in &WIDTHS {
+                    let a = fill(r * m, 31);
+                    let b = fill(r * n, 32);
+                    let start = fill(m * n, 33);
+                    let mut want = start.clone();
+                    transpose_then_gemm_scalar(r, m, n, &a, &b, &mut want);
+                    let mut serial = start.clone();
+                    gemm_tn_at(false, r, m, n, &a, &b, &mut serial);
+                    let mut parallel = start.clone();
+                    gemm_tn_at(true, r, m, n, &a, &b, &mut parallel);
+                    let mut dispatched = start;
+                    gemm_tn(r, m, n, &a, &b, &mut dispatched);
+                    assert_eq!(
+                        bits(&serial),
+                        bits(&want),
+                        "gemm_tn diverged at ({r}, {m}, {n})"
+                    );
+                    assert_eq!(
+                        bits(&parallel),
+                        bits(&serial),
+                        "parallel gemm_tn at ({r}, {m}, {n})"
+                    );
+                    assert_eq!(
+                        bits(&dispatched),
+                        bits(&serial),
+                        "gemm_tn at ({r}, {m}, {n})"
+                    );
+                }
+            }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]

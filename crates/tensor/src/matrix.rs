@@ -12,11 +12,10 @@ use std::cell::RefCell;
 use std::fmt;
 
 thread_local! {
-    /// Reusable transpose-pack scratch for [`Matrix::transpose_matmul`] and
-    /// [`Matrix::matmul_transpose`].  Both helpers run in the training hot
-    /// loop (every backward pass packs a gradient operand); without reuse
-    /// each call pays a fresh multi-megabyte zeroed allocation whose page
-    /// faults dominate the pack itself.
+    /// Reusable transpose-pack scratch for [`Matrix::matmul_transpose`],
+    /// which runs in hot loops; without reuse each call pays a fresh
+    /// multi-megabyte zeroed allocation whose page faults dominate the pack
+    /// itself.
     static PACK_BUFFER: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -340,29 +339,44 @@ impl Matrix {
         out
     }
 
-    /// Computes `self^T * other` through the shared blocked kernel: the
-    /// left operand is transpose-packed (cache-blocked copy), then the
-    /// product runs as a plain [`crate::kernel::gemm`]. The pack is `O(r*m)`
-    /// against `O(r*m*n)` compute, and buys the vectorized/parallel kernel.
+    /// Computes `self^T * other` with [`crate::kernel::gemm_tn`]: each output
+    /// task packs `self^T` one cache-sized panel at a time and runs the
+    /// blocked gemm row kernels on it, and a narrow output (fewer than
+    /// [`crate::kernel::LANES`] columns) is computed as `(other^T * self)^T`
+    /// inside the kernel. No transpose of the whole operand is
+    /// materialized; the result is bit-identical to transposing `self` and
+    /// calling [`Matrix::matmul`].
     pub fn transpose_matmul(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(self.cols, other.cols);
+        self.transpose_matmul_into(other, &mut out);
+        out
+    }
+
+    /// [`Matrix::transpose_matmul`] into a caller-provided output (zeroed
+    /// here).
+    pub fn transpose_matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows, other.rows,
             "transpose_matmul: row mismatch {} vs {}",
             self.rows, other.rows
         );
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        with_pack_buffer(self.data.len(), |packed| {
-            kernel::transpose_into(self.rows, self.cols, &self.data, packed);
-            kernel::gemm(
-                self.cols,
-                self.rows,
-                other.cols,
-                packed,
-                &other.data,
-                &mut out.data,
-            );
-        });
-        out
+        assert_eq!(
+            out.shape(),
+            (self.cols, other.cols),
+            "transpose_matmul_into: output shape {:?} does not match {}x{}",
+            out.shape(),
+            self.cols,
+            other.cols
+        );
+        out.data.fill(0.0);
+        kernel::gemm_tn(
+            self.rows,
+            self.cols,
+            other.cols,
+            &self.data,
+            &other.data,
+            &mut out.data,
+        );
     }
 
     /// Computes `self * other^T` through the shared blocked kernel: the
@@ -446,19 +460,6 @@ impl Matrix {
     pub fn softmax_rows_into(&self, out: &mut Matrix) {
         out.copy_from(self);
         kernel::for_each_row(&mut out.data, self.cols, |_, row| softmax_row_in_place(row));
-    }
-
-    /// [`Matrix::transpose`] into a caller-provided output.
-    pub fn transpose_into(&self, out: &mut Matrix) {
-        assert_eq!(
-            out.shape(),
-            (self.cols, self.rows),
-            "transpose_into: output shape {:?} does not match {}x{}",
-            out.shape(),
-            self.cols,
-            self.rows
-        );
-        kernel::transpose_into(self.rows, self.cols, &self.data, &mut out.data);
     }
 
     /// Element-wise addition.

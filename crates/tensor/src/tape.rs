@@ -1195,21 +1195,19 @@ fn matmul_transpose_pooled(pool: &mut BufferPool, a: &Matrix, b: &Matrix) -> Mat
     out
 }
 
-/// Pooled `a^T * b` (the backward rule of [`Op::MatMul`]'s right operand).
+/// Pooled `a^T * b` (the backward rule of [`Op::MatMul`]'s right operand
+/// and of [`Op::ConstMul`]).
 fn transpose_matmul_pooled(pool: &mut BufferPool, a: &Matrix, b: &Matrix) -> Matrix {
     debug_assert_eq!(a.rows(), b.rows());
-    let mut packed = pool.raw(a.cols(), a.rows());
-    kernel::transpose_into(a.rows(), a.cols(), a.data(), packed.data_mut());
     let mut out = pool.zeros(a.cols(), b.cols());
-    kernel::gemm(
-        a.cols(),
+    kernel::gemm_tn(
         a.rows(),
+        a.cols(),
         b.cols(),
-        packed.data(),
+        a.data(),
         b.data(),
         out.data_mut(),
     );
-    pool.recycle(packed);
     out
 }
 
@@ -1610,5 +1608,54 @@ mod tests {
         let grads = tape.backward(loss);
         assert!(grads.get(x).is_some());
         assert_eq!(tape.pool_stats().fresh_allocations, 0);
+    }
+
+    /// The `Aᵀ · B` backward products of [`Op::MatMul`] (`dw = aᵀ dy`) and
+    /// [`Op::ConstMul`] (`dx = cᵀ dy`) carry the bits of a whole-matrix
+    /// transpose pack followed by the portable gemm, on narrow, wide and
+    /// mixed shapes.
+    #[test]
+    fn transpose_products_in_backward_match_transpose_then_gemm_scalar() {
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut rng = rng_from_seed(11);
+        for &(r, m, n) in &[
+            (4, 3, 2),
+            (5, 9, 7),
+            (129, 65, 3),
+            (260, 7, 9),
+            (128, 33, 64),
+        ] {
+            let a = randn(r, m, 0.0, 1.0, &mut rng);
+            let w = randn(m, n, 0.0, 1.0, &mut rng);
+            // Upstream gradient of `y`: `d sum(y ⊙ g) / dy = g` exactly.
+            let g = Arc::new(randn(r, n, 0.0, 1.0, &mut rng));
+            let mut want = Matrix::zeros(m, n);
+            kernel::gemm_scalar(m, r, n, a.transpose().data(), g.data(), want.data_mut());
+
+            let mut tape = Tape::new();
+            let av = tape.leaf(a.clone());
+            let wv = tape.leaf(w.clone());
+            let y = tape.matmul(av, wv);
+            let weighted = tape.hadamard_const(y, g.clone());
+            let loss = tape.sum_all(weighted);
+            let grads = tape.backward(loss);
+            assert_eq!(
+                bits(grads.get(wv).unwrap()),
+                bits(&want),
+                "MatMul at ({r}, {m}, {n})"
+            );
+
+            let mut tape = Tape::new();
+            let xv = tape.leaf(w);
+            let y = tape.const_matmul(Arc::new(a), xv);
+            let weighted = tape.hadamard_const(y, g);
+            let loss = tape.sum_all(weighted);
+            let grads = tape.backward(loss);
+            assert_eq!(
+                bits(grads.get(xv).unwrap()),
+                bits(&want),
+                "ConstMul at ({r}, {m}, {n})"
+            );
+        }
     }
 }
