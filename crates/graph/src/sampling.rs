@@ -98,17 +98,18 @@ impl SampledBatch {
         self.blocks.len()
     }
 
-    /// Positions of the targets inside [`SampledBatch::input_nodes`]
-    /// (models without any propagation step, e.g. an MLP, produce
-    /// input-sized outputs; this maps target rows back out).
-    pub fn target_positions_in_inputs(&self) -> Vec<usize> {
-        let inputs = self.input_nodes();
-        // Every target is included in the input nodes by construction;
+    /// Positions of the targets inside `nodes`, one of the chain's
+    /// ascending node lists: [`SampledBatch::input_nodes`] or a block's
+    /// destination nodes (models without any propagation step, e.g. an MLP,
+    /// produce outputs sized like their input; this maps target rows back
+    /// out).
+    pub fn target_positions_in(&self, nodes: &[usize]) -> Vec<usize> {
+        // Every target is included in each node list by construction;
         // filtering (rather than panicking) keeps a malformed batch
         // degraded instead of fatal.
         self.targets
             .iter()
-            .filter_map(|t| inputs.binary_search(t).ok())
+            .filter_map(|t| nodes.binary_search(t).ok())
             .collect()
     }
 }
@@ -131,6 +132,14 @@ impl NeighborSampler {
     /// The per-layer fanout caps.
     pub fn fanouts(&self) -> &[usize] {
         &self.fanouts
+    }
+
+    /// Whether step `layer` keeps a destination row with `row_nnz` stored
+    /// entries verbatim — the identical slice of the normalized adjacency
+    /// row — instead of capping it.  A verbatim row's block output is the
+    /// node's row of the full-graph product `Â · H`.
+    pub fn keeps_row_verbatim(&self, layer: usize, row_nnz: usize) -> bool {
+        row_is_verbatim(self.fanouts[layer], row_nnz)
     }
 
     /// Samples the block chain for one batch of target nodes.
@@ -299,6 +308,12 @@ fn sample_indices_into(n: usize, take: usize, rng: &mut StdRng, ws: &mut Sampler
     ws.picked.sort_unstable();
 }
 
+/// The verbatim-row rule of [`sample_block`]: an unbounded step, or a row
+/// the cap does not bite on.
+fn row_is_verbatim(fanout: usize, row_nnz: usize) -> bool {
+    fanout == 0 || row_nnz <= fanout
+}
+
 /// Builds one bipartite block: for every dst node, slice its normalized
 /// adjacency row; rows above the fanout cap keep their diagonal entry and a
 /// uniform sample of `fanout` neighbours, rescaled by `others / kept` so the
@@ -322,8 +337,7 @@ fn sample_block(
     ws.row_ends.clear();
 
     for &v in dst {
-        let nnz = normalized.row_nnz(v);
-        if fanout == 0 || nnz <= fanout {
+        if row_is_verbatim(fanout, normalized.row_nnz(v)) {
             // Uncapped: the row is kept verbatim (ascending columns).
             for (c, val) in normalized.row_iter(v) {
                 if val != 0.0 {
@@ -542,8 +556,8 @@ mod tests {
         let sampler = NeighborSampler::new(vec![2, 2], 3);
         let targets = sorted_targets(&g, 15);
         let batch = sampler.sample(&g.normalized, &targets, 1);
-        let positions = batch.target_positions_in_inputs();
         let inputs = batch.input_nodes();
+        let positions = batch.target_positions_in(inputs);
         for (t, &p) in targets.iter().zip(positions.iter()) {
             assert_eq!(inputs[p], *t);
         }

@@ -28,6 +28,10 @@ pub enum AdjacencyRef {
         batch: Arc<SampledBatch>,
         /// Index of the next block to consume.
         cursor: Arc<AtomicUsize>,
+        /// The input already is the first block's output, computed by the
+        /// batch producer: the first `propagate` consumes block 0 and
+        /// returns its input unchanged.
+        first_step_applied: bool,
     },
 }
 
@@ -52,39 +56,70 @@ impl AdjacencyRef {
         AdjacencyRef::Sparse(Arc::new(adj))
     }
 
-    /// Wraps one minibatch's sampled block chain (fresh cursor).
+    /// Wraps one minibatch's sampled block chain (fresh cursor); the input
+    /// holds the raw features of [`SampledBatch::input_nodes`].
     pub fn blocks(batch: Arc<SampledBatch>) -> Self {
         AdjacencyRef::Blocks {
             batch,
             cursor: Arc::new(AtomicUsize::new(0)),
+            first_step_applied: false,
+        }
+    }
+
+    /// Wraps a block chain whose first step the caller already applied: the
+    /// input holds `block[0] · X`, one row per destination node of the
+    /// first block.  Only for models whose forward reads the input solely
+    /// through a first [`AdjacencyRef::propagate`]
+    /// ([`crate::GnnModel::propagates_input_first`]).
+    pub fn blocks_after_first_step(batch: Arc<SampledBatch>) -> Self {
+        AdjacencyRef::Blocks {
+            batch,
+            cursor: Arc::new(AtomicUsize::new(0)),
+            first_step_applied: true,
         }
     }
 
     /// Number of input-side nodes (for `Blocks`: the nodes whose raw
-    /// features feed the first block).
+    /// features feed the first block, or its destination nodes when the
+    /// first step is already applied).
     pub fn num_nodes(&self) -> usize {
         match self {
             AdjacencyRef::Sparse(a) => a.rows(),
             AdjacencyRef::Dense(a) => a.rows(),
-            AdjacencyRef::Blocks { batch, .. } => batch.input_nodes().len(),
+            AdjacencyRef::Blocks {
+                batch,
+                first_step_applied: false,
+                ..
+            } => batch.input_nodes().len(),
+            AdjacencyRef::Blocks { batch, .. } => batch.blocks[0].num_dst(),
         }
     }
 
     /// One step of message passing `Â · h` recorded on the tape.  For
     /// `Blocks` this consumes the next bipartite block: the output has one
-    /// row per *destination* node of that block.
+    /// row per *destination* node of that block.  An already-applied first
+    /// step records nothing and returns `h`.
     pub fn propagate(&self, tape: &mut Tape, h: Var) -> Var {
         match self {
             AdjacencyRef::Sparse(a) => tape.spmm(a.clone(), h),
             AdjacencyRef::Dense(a) => tape.const_matmul(a.clone(), h),
-            AdjacencyRef::Blocks { batch, cursor } => {
-                let block = Self::take_block(batch, cursor);
+            AdjacencyRef::Blocks {
+                batch,
+                cursor,
+                first_step_applied,
+            } => {
+                let (step, block) = Self::take_block(batch, cursor);
+                let rows = tape.shape(h).0;
+                if *first_step_applied && step == 0 {
+                    Self::check_applied_rows(rows, block);
+                    return h;
+                }
                 assert_eq!(
-                    tape.shape(h).0,
+                    rows,
                     block.num_src(),
                     "block propagation: input has {} rows but the block expects {} source nodes \
                      (does the sampled plan's fanout count match the model's propagation depth?)",
-                    tape.shape(h).0,
+                    rows,
                     block.num_src()
                 );
                 tape.spmm(block.adj.clone(), h)
@@ -101,8 +136,18 @@ impl AdjacencyRef {
     pub fn dst_restrict(&self, tape: &mut Tape, h: Var) -> Var {
         match self {
             AdjacencyRef::Sparse(_) | AdjacencyRef::Dense(_) => h,
-            AdjacencyRef::Blocks { batch, cursor } => {
-                let block = Self::peek_block(batch, cursor);
+            AdjacencyRef::Blocks {
+                batch,
+                cursor,
+                first_step_applied,
+            } => {
+                let step = cursor.load(Ordering::SeqCst);
+                assert!(
+                    !(*first_step_applied && step == 0),
+                    "dst_restrict before an already-applied first step: the raw input rows \
+                     are not available"
+                );
+                let block = Self::peek_block(batch, step);
                 tape.row_select(h, &block.dst_in_src)
             }
         }
@@ -114,17 +159,26 @@ impl AdjacencyRef {
         match self {
             AdjacencyRef::Sparse(a) => a.spmm(h),
             AdjacencyRef::Dense(a) => a.matmul(h),
-            AdjacencyRef::Blocks { batch, cursor } => {
-                let block = Self::take_block(batch, cursor);
+            AdjacencyRef::Blocks {
+                batch,
+                cursor,
+                first_step_applied,
+            } => {
+                let (step, block) = Self::take_block(batch, cursor);
+                if *first_step_applied && step == 0 {
+                    Self::check_applied_rows(h.rows(), block);
+                    return h.clone();
+                }
                 block.adj.spmm(h)
             }
         }
     }
 
+    /// Consumes the next block and returns it with its step index.
     fn take_block<'a>(
         batch: &'a Arc<SampledBatch>,
         cursor: &Arc<AtomicUsize>,
-    ) -> &'a bgc_graph::SampledBlock {
+    ) -> (usize, &'a bgc_graph::SampledBlock) {
         let i = cursor.fetch_add(1, Ordering::SeqCst);
         assert!(
             i < batch.blocks.len(),
@@ -133,14 +187,21 @@ impl AdjacencyRef {
             i + 1,
             batch.blocks.len()
         );
-        &batch.blocks[i]
+        (i, &batch.blocks[i])
     }
 
-    fn peek_block<'a>(
-        batch: &'a Arc<SampledBatch>,
-        cursor: &Arc<AtomicUsize>,
-    ) -> &'a bgc_graph::SampledBlock {
-        let i = cursor.load(Ordering::SeqCst);
+    fn check_applied_rows(rows: usize, block: &bgc_graph::SampledBlock) {
+        assert_eq!(
+            rows,
+            block.num_dst(),
+            "block propagation: the first step is already applied, so the input must have one \
+             row per destination node ({}), not {}",
+            block.num_dst(),
+            rows
+        );
+    }
+
+    fn peek_block(batch: &Arc<SampledBatch>, i: usize) -> &bgc_graph::SampledBlock {
         assert!(
             i < batch.blocks.len(),
             "block adjacency exhausted: no block left for propagation step {}",
@@ -208,6 +269,45 @@ mod tests {
                 assert_eq!(sampled.get(r, c).to_bits(), full.get(node, c).to_bits());
             }
         }
+    }
+
+    #[test]
+    fn an_applied_first_step_consumes_block_zero_without_recomputing_it() {
+        let g = DatasetKind::Cora.load_small(8);
+        let sampler = NeighborSampler::new(vec![2, 2], 4);
+        let mut targets: Vec<usize> = g.split.train.iter().copied().take(8).collect();
+        targets.sort_unstable();
+        let batch = Arc::new(sampler.sample(&g.normalized, &targets, 0));
+        let raw = g.features.select_rows(batch.input_nodes());
+        let first = batch.blocks[0].adj.spmm(&raw);
+
+        let full = AdjacencyRef::blocks(batch.clone());
+        let expected = full.propagate_matrix(&full.propagate_matrix(&raw));
+        let applied = AdjacencyRef::blocks_after_first_step(batch.clone());
+        assert_eq!(applied.num_nodes(), batch.blocks[0].num_dst());
+        let mut tape = Tape::new();
+        let x = tape.leaf(first.clone());
+        let h1 = applied.propagate(&mut tape, x);
+        assert_eq!(h1, x, "the applied step records nothing");
+        let h2 = applied.propagate(&mut tape, h1);
+        assert_eq!(tape.value_ref(h2).data(), expected.data());
+
+        let plain = AdjacencyRef::blocks_after_first_step(batch);
+        let again = plain.propagate_matrix(&plain.propagate_matrix(&first));
+        assert_eq!(again.data(), expected.data());
+    }
+
+    #[test]
+    #[should_panic(expected = "already-applied first step")]
+    fn dst_restrict_before_an_applied_first_step_panics() {
+        let g = DatasetKind::Cora.load_small(2);
+        let sampler = NeighborSampler::new(vec![2], 0);
+        let targets = vec![g.split.train.iter().copied().min().unwrap()];
+        let batch = Arc::new(sampler.sample(&g.normalized, &targets, 0));
+        let adj = AdjacencyRef::blocks_after_first_step(batch.clone());
+        let mut tape = Tape::new();
+        let x = tape.leaf(Matrix::zeros(batch.blocks[0].num_dst(), g.num_features()));
+        let _ = adj.dst_restrict(&mut tape, x);
     }
 
     #[test]

@@ -60,6 +60,18 @@ pub trait GnnModel {
     /// Number of output classes.
     fn output_dim(&self) -> usize;
 
+    /// Whether [`GnnModel::forward`] reads its input `x` only through a
+    /// first [`AdjacencyRef::propagate`].  That first product `Â · x`
+    /// involves no parameter, so the sampled trainer may compute it ahead
+    /// of time from one `Â · X` per training run and hand the model the
+    /// first block's output rows under
+    /// [`AdjacencyRef::blocks_after_first_step`].  The default `false`
+    /// keeps the raw-input gather, which models that read `x` directly
+    /// (a self term, a skip connection, a per-node MLP) need.
+    fn propagates_input_first(&self) -> bool {
+        false
+    }
+
     /// Non-differentiable prediction helper: runs a forward pass on a scratch
     /// tape and returns the raw logits matrix.
     fn logits(&self, adj: &AdjacencyRef, x: &Matrix) -> Matrix {

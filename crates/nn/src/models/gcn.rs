@@ -115,6 +115,10 @@ impl GnnModel for Gcn {
     fn output_dim(&self) -> usize {
         self.out_dim
     }
+
+    fn propagates_input_first(&self) -> bool {
+        true
+    }
 }
 
 /// Interleaves weights and biases as `[W0, b0, W1, b1, ...]` so the parameter

@@ -68,6 +68,10 @@ impl GnnModel for Sgc {
     fn output_dim(&self) -> usize {
         self.out_dim
     }
+
+    fn propagates_input_first(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -2,11 +2,27 @@
 //!
 //! The synchronous sampled loop interleaves two very different workloads on
 //! one thread: *sampling* (pointer-chasing over the CSR adjacency plus the
-//! feature gather) and *compute* (dense forward/backward).  This module
+//! model-input rows) and *compute* (dense forward/backward).  This module
 //! moves sampling onto a dedicated producer thread that keeps a bounded
 //! channel of ready-to-train [`PreparedBatch`]es `depth` batches ahead of
 //! the trainer, so the sampler's memory-bound work overlaps the trainer's
 //! compute-bound work.
+//!
+//! What the producer emits as model input depends on the model
+//! ([`BatchInput`]):
+//!
+//! * **First-step rows** for models whose forward reads `x` only through a
+//!   first propagation step (GCN, SGC).  The trainer computes `Â · X` once
+//!   per training run; the producer then emits the first block's output,
+//!   one row per destination node, instead of the raw rows of the larger
+//!   input-node set, and the trainer skips the first block's SpMM.  This
+//!   is exact, not an approximation: a row the sampler kept verbatim is
+//!   the identical slice of `Â`'s row, so its block output *is* that
+//!   node's row of `Â · X` (same entries, same column order, same per-row
+//!   SpMM body), and a fanout-capped row is summed over its sampled
+//!   entries against the global feature rows with that same body.
+//! * **Raw input rows** for models that read `x` directly (GraphSAGE's
+//!   self term, MLP, APPNP, ChebyNet).
 //!
 //! Invariants:
 //!
@@ -16,14 +32,16 @@
 //!   `mix(epoch, batch)` per batch), and batches are consumed strictly in
 //!   order, so training results are bit-identical to the synchronous path
 //!   for every prefetch depth and thread count (property-tested in
-//!   `tests/sampled_training.rs`).
-//! * **Allocation-free steady state.**  Input-feature matrices are gathered
-//!   into pool-backed buffers owned by the producer; after the trainer's
-//!   tape releases a batch's features the storage travels back over a
-//!   recycle channel into the producer's [`BufferPool`], so a warmed-up
-//!   pipeline performs no per-batch feature allocations.  The gather itself
-//!   is batched: consecutive runs of input nodes are copied with one
-//!   `memcpy` per run instead of one per row.
+//!   `tests/sampled_training.rs`).  First-step rows equal the first
+//!   block's SpMM over the raw rows bit for bit, so GCN and SGC train
+//!   bit-identically on either input (tested there too).
+//! * **Allocation-free steady state.**  Input rows are written into
+//!   pool-backed buffers owned by the producer; after the trainer's tape
+//!   releases a batch's rows the storage travels back over a recycle
+//!   channel into the producer's [`BufferPool`], so a warmed-up pipeline
+//!   performs no per-batch input allocations.  The raw gather is batched:
+//!   consecutive runs of input nodes are copied with one `memcpy` per run
+//!   instead of one per row.
 //! * **Fault containment.**  A producer panic (including the injected
 //!   `sampler.produce` fault) is caught on the producer thread, forwarded
 //!   through the channel and re-raised on the trainer thread, where the
@@ -38,7 +56,7 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
-use bgc_graph::{mix_seed, Graph, NeighborSampler, SampledBatch, SamplerWorkspace};
+use bgc_graph::{mix_seed, Graph, NeighborSampler, SampledBatch, SampledBlock, SamplerWorkspace};
 use bgc_tensor::init::{rng_from_seed, shuffle};
 use bgc_tensor::{BufferPool, Matrix};
 
@@ -61,6 +79,19 @@ pub fn set_default_prefetch_depth(depth: usize) {
     DEFAULT_DEPTH.store(depth, Ordering::Relaxed);
 }
 
+/// What a producer emits as the model's input rows.
+#[derive(Clone, Copy, Debug)]
+pub enum BatchInput<'a> {
+    /// The raw feature rows of the chain's input nodes, for models that
+    /// read `x` directly.
+    Raw,
+    /// The first block's output rows, for models whose forward reads `x`
+    /// only through a first propagation step.  Carries the run's full-graph
+    /// product `Â · X`: a row the sampler kept verbatim is copied from it,
+    /// and a capped row is summed over its sampled entries.
+    FirstStep(&'a Matrix),
+}
+
 /// One ready-to-train minibatch: everything the trainer consumes that does
 /// not need the tape.
 #[derive(Debug)]
@@ -75,11 +106,15 @@ pub struct PreparedBatch {
     pub labels: Vec<usize>,
     /// The sampled bipartite block chain.
     pub sampled: SampledBatch,
-    /// Positions of `targets` inside the chain's input nodes.
+    /// Whether `input_features` already holds the first block's output
+    /// ([`BatchInput::FirstStep`]).
+    pub first_step_applied: bool,
+    /// Positions of `targets` among the nodes of `input_features`' rows.
     pub target_positions: Vec<usize>,
-    /// Gathered input features (`|input_nodes| x num_features`), shared so
-    /// the tape can record them without copying and the storage can be
-    /// recovered for recycling afterwards.
+    /// The model's input rows, shared so the tape can record them without
+    /// copying and the storage can be recovered for recycling afterwards:
+    /// the raw features of the chain's input nodes, or the first block's
+    /// output rows when `first_step_applied`.
     pub input_features: Arc<Matrix>,
 }
 
@@ -128,55 +163,116 @@ impl BatchSchedule<'_> {
     }
 }
 
-/// Produces one prepared batch: fault point, sort, sample, gather.  Shared
-/// by both sources so the produced bytes cannot diverge between them.
-fn produce_batch(
-    graph: &Graph,
-    sampler: &NeighborSampler,
-    chunk: &[usize],
-    epoch: usize,
-    index: usize,
-    ws: &mut SamplerWorkspace,
-    pool: &mut BufferPool,
-) -> PreparedBatch {
-    bgc_runtime::fault::fire("sampler.produce");
-    let mut targets = chunk.to_vec();
-    targets.sort_unstable();
-    let labels: Vec<usize> = targets.iter().map(|&i| graph.labels[i]).collect();
-    let sampled = sampler.sample_into(
-        &graph.normalized,
-        &targets,
-        mix_seed(&[epoch as u64, index as u64]),
-        ws,
-    );
-    let target_positions = sampled.target_positions_in_inputs();
-    let inputs = sampled.input_nodes();
-    let cols = graph.num_features();
-    let mut features = pool.raw(inputs.len(), cols);
-    // Batched gather: input nodes are ascending, and large receptive fields
-    // contain long runs of consecutive ids — copy each run with a single
-    // memcpy over the row-major storage instead of one copy per row.
-    let src = graph.features.data();
-    let dst = features.data_mut();
+/// What each source produces batches with: the graph, the sampler and the
+/// input kind, plus the sampler workspace and the pool the input rows are
+/// written into.
+#[derive(Debug)]
+struct BatchProducer<'a> {
+    graph: &'a Graph,
+    sampler: &'a NeighborSampler,
+    input: BatchInput<'a>,
+    ws: SamplerWorkspace,
+    pool: BufferPool,
+}
+
+impl<'a> BatchProducer<'a> {
+    fn new(graph: &'a Graph, sampler: &'a NeighborSampler, input: BatchInput<'a>) -> Self {
+        Self {
+            graph,
+            sampler,
+            input,
+            ws: SamplerWorkspace::new(),
+            pool: BufferPool::new(),
+        }
+    }
+
+    /// Produces one prepared batch: fault point, sort, sample, then the
+    /// model's input rows.  Shared by both sources so the produced bytes
+    /// cannot diverge between them.
+    fn produce(&mut self, chunk: &[usize], epoch: usize, index: usize) -> PreparedBatch {
+        bgc_runtime::fault::fire("sampler.produce");
+        let graph = self.graph;
+        let mut targets = chunk.to_vec();
+        targets.sort_unstable();
+        let labels: Vec<usize> = targets.iter().map(|&i| graph.labels[i]).collect();
+        let sampled = self.sampler.sample_into(
+            &graph.normalized,
+            &targets,
+            mix_seed(&[epoch as u64, index as u64]),
+            &mut self.ws,
+        );
+        let (row_nodes, features) = match self.input {
+            BatchInput::Raw => {
+                let inputs = sampled.input_nodes();
+                (inputs, gather_rows(&graph.features, inputs, &mut self.pool))
+            }
+            BatchInput::FirstStep(propagated) => {
+                let block = &sampled.blocks[0];
+                let rows = first_step_rows(graph, self.sampler, propagated, block, &mut self.pool);
+                (block.dst_nodes.as_slice(), rows)
+            }
+        };
+        let target_positions = sampled.target_positions_in(row_nodes);
+        PreparedBatch {
+            epoch,
+            index,
+            targets,
+            labels,
+            first_step_applied: matches!(self.input, BatchInput::FirstStep(_)),
+            target_positions,
+            sampled,
+            input_features: Arc::new(features),
+        }
+    }
+}
+
+/// Gathers the rows of `nodes` (ascending) into a pool-backed matrix.
+/// Large receptive fields contain long runs of consecutive ids, so each run
+/// is copied with a single memcpy over the row-major storage instead of one
+/// copy per row.
+fn gather_rows(features: &Matrix, nodes: &[usize], pool: &mut BufferPool) -> Matrix {
+    let cols = features.cols();
+    let mut out = pool.raw(nodes.len(), cols);
+    let src = features.data();
+    let dst = out.data_mut();
     let mut r = 0;
-    while r < inputs.len() {
-        let node = inputs[r];
+    while r < nodes.len() {
+        let node = nodes[r];
         let mut run = 1;
-        while r + run < inputs.len() && inputs[r + run] == node + run {
+        while r + run < nodes.len() && nodes[r + run] == node + run {
             run += 1;
         }
         dst[r * cols..(r + run) * cols].copy_from_slice(&src[node * cols..(node + run) * cols]);
         r += run;
     }
-    PreparedBatch {
-        epoch,
-        index,
-        targets,
-        labels,
-        sampled,
-        target_positions,
-        input_features: Arc::new(features),
+    out
+}
+
+/// The first block's output `block · X[src_nodes]`, one row per destination
+/// node, without gathering `X`.  A row the sampler kept verbatim is the
+/// slice of the normalized adjacency row, so its output is that node's row
+/// of `propagated = Â · X`, bit for bit (same entries, same column order,
+/// same per-row SpMM body).  A capped row is computed against the global
+/// feature rows with that same per-row body.
+fn first_step_rows(
+    graph: &Graph,
+    sampler: &NeighborSampler,
+    propagated: &Matrix,
+    block: &SampledBlock,
+    pool: &mut BufferPool,
+) -> Matrix {
+    let mut out = pool.raw(block.num_dst(), propagated.cols());
+    for (r, &node) in block.dst_nodes.iter().enumerate() {
+        let row = out.row_mut(r);
+        if sampler.keeps_row_verbatim(0, graph.normalized.row_nnz(node)) {
+            row.copy_from_slice(propagated.row(node));
+        } else {
+            block
+                .adj
+                .spmm_row_gathered_into(r, &graph.features, &block.src_nodes, row);
+        }
     }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -187,11 +283,8 @@ fn produce_batch(
 /// immediately before it is consumed (the historical synchronous loop).
 #[derive(Debug)]
 pub struct SyncSampler<'a> {
-    graph: &'a Graph,
-    sampler: &'a NeighborSampler,
+    producer: BatchProducer<'a>,
     schedule: BatchSchedule<'a>,
-    ws: SamplerWorkspace,
-    pool: BufferPool,
     order: Vec<usize>,
     order_epoch: Option<usize>,
 }
@@ -201,14 +294,12 @@ impl<'a> SyncSampler<'a> {
     pub fn new(
         graph: &'a Graph,
         sampler: &'a NeighborSampler,
+        input: BatchInput<'a>,
         schedule: BatchSchedule<'a>,
     ) -> Self {
         Self {
-            graph,
-            sampler,
+            producer: BatchProducer::new(graph, sampler, input),
             schedule,
-            ws: SamplerWorkspace::new(),
-            pool: BufferPool::new(),
             order: Vec::new(),
             order_epoch: None,
         }
@@ -223,21 +314,12 @@ impl BatchSource for SyncSampler<'_> {
         }
         let lo = index * self.schedule.batch_size;
         let hi = (lo + self.schedule.batch_size).min(self.order.len());
-        let chunk = self.order[lo..hi].to_vec();
-        produce_batch(
-            self.graph,
-            self.sampler,
-            &chunk,
-            epoch,
-            index,
-            &mut self.ws,
-            &mut self.pool,
-        )
+        self.producer.produce(&self.order[lo..hi], epoch, index)
     }
 
     fn recycle(&mut self, features: Arc<Matrix>) {
         if let Ok(matrix) = Arc::try_unwrap(features) {
-            self.pool.recycle_vec(matrix.into_data());
+            self.producer.pool.recycle_vec(matrix.into_data());
         }
     }
 }
@@ -329,6 +411,7 @@ impl BatchSource for Prefetcher {
 pub fn with_prefetcher<R>(
     graph: &Graph,
     sampler: &NeighborSampler,
+    input: BatchInput<'_>,
     schedule: BatchSchedule<'_>,
     depth: usize,
     f: impl FnOnce(&mut Prefetcher) -> R,
@@ -341,22 +424,20 @@ pub fn with_prefetcher<R>(
         let producer_schedule = schedule.clone();
         scope.spawn(move || {
             let _scope = fault_scope.as_ref().map(|snapshot| snapshot.enter());
-            let mut ws = SamplerWorkspace::new();
-            let mut pool = BufferPool::new();
+            let mut producer = BatchProducer::new(graph, sampler, input);
             let mut order: Vec<usize> = Vec::new();
             let per_epoch = producer_schedule.batches_per_epoch();
             for epoch in 0..producer_schedule.epochs {
                 producer_schedule.epoch_order(epoch, &mut order);
                 for index in 0..per_epoch {
                     while let Ok(buffer) = recycle_rx.try_recv() {
-                        pool.recycle_vec(buffer);
+                        producer.pool.recycle_vec(buffer);
                     }
                     let lo = index * producer_schedule.batch_size;
                     let hi = (lo + producer_schedule.batch_size).min(order.len());
                     let chunk = &order[lo..hi];
-                    let produced = catch_unwind(AssertUnwindSafe(|| {
-                        produce_batch(graph, sampler, chunk, epoch, index, &mut ws, &mut pool)
-                    }));
+                    let produced =
+                        catch_unwind(AssertUnwindSafe(|| producer.produce(chunk, epoch, index)));
                     match produced {
                         Ok(batch) => {
                             BATCHES_PRODUCED.fetch_add(1, Ordering::Relaxed);
@@ -398,36 +479,89 @@ mod tests {
         }
     }
 
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn prefetched_batches_are_bit_identical_to_sync() {
         let graph = DatasetKind::Cora.load_small(3);
         let sampler = NeighborSampler::new(vec![4, 4], 7);
         let sched = schedule(&graph);
         let per_epoch = sched.batches_per_epoch();
-        let mut sync = SyncSampler::new(&graph, &sampler, sched.clone());
-        with_prefetcher(&graph, &sampler, sched.clone(), 2, |prefetcher| {
-            for epoch in 0..sched.epochs {
-                for index in 0..per_epoch {
-                    let a = sync.next_batch(epoch, index);
-                    let b = prefetcher.next_batch(epoch, index);
-                    assert_eq!(a.targets, b.targets);
-                    assert_eq!(a.labels, b.labels);
-                    assert_eq!(a.target_positions, b.target_positions);
-                    assert_eq!(
-                        a.input_features.data(),
-                        b.input_features.data(),
-                        "gathered features must match bit for bit"
-                    );
-                    for (x, y) in a.sampled.blocks.iter().zip(b.sampled.blocks.iter()) {
-                        assert_eq!(x.src_nodes, y.src_nodes);
-                        assert_eq!(x.dst_in_src, y.dst_in_src);
-                        assert_eq!(*x.adj, *y.adj);
+        let propagated = graph.normalized.spmm(&graph.features);
+        for input in [BatchInput::Raw, BatchInput::FirstStep(&propagated)] {
+            let mut sync = SyncSampler::new(&graph, &sampler, input, sched.clone());
+            with_prefetcher(&graph, &sampler, input, sched.clone(), 2, |prefetcher| {
+                for epoch in 0..sched.epochs {
+                    for index in 0..per_epoch {
+                        let a = sync.next_batch(epoch, index);
+                        let b = prefetcher.next_batch(epoch, index);
+                        assert_eq!(a.targets, b.targets);
+                        assert_eq!(a.labels, b.labels);
+                        assert_eq!(a.first_step_applied, b.first_step_applied);
+                        assert_eq!(a.target_positions, b.target_positions);
+                        assert_eq!(
+                            bits(&a.input_features),
+                            bits(&b.input_features),
+                            "{input:?}: input rows must match bit for bit"
+                        );
+                        for (x, y) in a.sampled.blocks.iter().zip(b.sampled.blocks.iter()) {
+                            assert_eq!(x.src_nodes, y.src_nodes);
+                            assert_eq!(x.dst_in_src, y.dst_in_src);
+                            assert_eq!(*x.adj, *y.adj);
+                        }
+                        sync.recycle(a.input_features);
+                        prefetcher.recycle(b.input_features);
                     }
-                    sync.recycle(a.input_features);
-                    prefetcher.recycle(b.input_features);
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn first_step_rows_are_the_first_block_applied_to_the_gathered_features() {
+        // Fanout 3 caps some first-block rows of Cora and keeps others
+        // verbatim; both kinds must equal the block's SpMM over the raw
+        // gather bit for bit.
+        let graph = DatasetKind::Cora.load_small(4);
+        let sampler = NeighborSampler::new(vec![3, 3], 5);
+        let sched = schedule(&graph);
+        let propagated = graph.normalized.spmm(&graph.features);
+        let mut raw = SyncSampler::new(&graph, &sampler, BatchInput::Raw, sched.clone());
+        let mut first = SyncSampler::new(
+            &graph,
+            &sampler,
+            BatchInput::FirstStep(&propagated),
+            sched.clone(),
+        );
+        let (mut verbatim, mut capped) = (0, 0);
+        for index in 0..sched.batches_per_epoch() {
+            let a = raw.next_batch(1, index);
+            let b = first.next_batch(1, index);
+            let block = &b.sampled.blocks[0];
+            for &node in &block.dst_nodes {
+                if sampler.keeps_row_verbatim(0, graph.normalized.row_nnz(node)) {
+                    verbatim += 1;
+                } else {
+                    capped += 1;
                 }
             }
-        });
+            assert!(!a.first_step_applied && b.first_step_applied);
+            assert_eq!(b.input_features.rows(), block.num_dst());
+            assert_eq!(
+                bits(&block.adj.spmm(&a.input_features)),
+                bits(&b.input_features),
+                "batch {index}"
+            );
+            let row_nodes = &block.dst_nodes;
+            let picked: Vec<usize> = b.target_positions.iter().map(|&p| row_nodes[p]).collect();
+            assert_eq!(picked, b.targets);
+        }
+        assert!(
+            verbatim > 0 && capped > 0,
+            "{verbatim} verbatim, {capped} capped rows"
+        );
     }
 
     #[test]
@@ -440,7 +574,7 @@ mod tests {
         };
         // Consume two batches of a 50-epoch schedule, then drop: the scoped
         // producer must unblock and join (the test would hang otherwise).
-        with_prefetcher(&graph, &sampler, sched, 4, |prefetcher| {
+        with_prefetcher(&graph, &sampler, BatchInput::Raw, sched, 4, |prefetcher| {
             let _ = prefetcher.next_batch(0, 0);
             let _ = prefetcher.next_batch(0, 1);
         });
@@ -459,12 +593,12 @@ mod tests {
         // Unbounded single-batch schedule: every epoch gathers the same
         // receptive field, so after the first epoch the producer must serve
         // every gather from recycled storage.
-        let mut sync = SyncSampler::new(&graph, &sampler, sched.clone());
+        let mut sync = SyncSampler::new(&graph, &sampler, BatchInput::Raw, sched.clone());
         for epoch in 0..sched.epochs {
             let batch = sync.next_batch(epoch, 0);
             sync.recycle(batch.input_features);
         }
-        let stats = sync.pool.stats();
+        let stats = sync.producer.pool.stats();
         assert_eq!(stats.fresh_allocations, 1, "one cold gather, then reuse");
         assert_eq!(stats.reuses, sched.epochs - 1);
     }
@@ -479,7 +613,7 @@ mod tests {
             FaultPlan::new().with(FaultSpec::new("sampler.produce", FaultAction::Panic).on_hit(2));
         let _scope = plan.enter("pipeline-test");
         let result = catch_unwind(AssertUnwindSafe(|| {
-            with_prefetcher(&graph, &sampler, sched, 2, |prefetcher| {
+            with_prefetcher(&graph, &sampler, BatchInput::Raw, sched, 2, |prefetcher| {
                 let mut consumed = 0;
                 for index in 0..4 {
                     let _ = prefetcher.next_batch(0, index);

@@ -32,7 +32,7 @@ use crate::adjacency::AdjacencyRef;
 use crate::metrics::accuracy;
 use crate::model::GnnModel;
 use crate::optim::{Adam, Optimizer};
-use crate::pipeline::{self, BatchSchedule, BatchSource, PreparedBatch};
+use crate::pipeline::{self, BatchInput, BatchSchedule, BatchSource, PreparedBatch};
 use crate::plan::{SampledPlan, TrainingPlan};
 
 /// Hyper-parameters of a training run.
@@ -394,13 +394,23 @@ fn train_sampled(
         epochs: config.epochs,
         plan_seed,
     };
+    // A model that reads its input only through a first propagation step
+    // receives that step's output rows, built from one `Â · X` for the run.
+    let propagated = model
+        .propagates_input_first()
+        .then(|| graph.normalized.spmm(&graph.features));
+    let input = match &propagated {
+        Some(propagated) => BatchInput::FirstStep(propagated),
+        None => BatchInput::Raw,
+    };
     if config.prefetch_depth == 0 {
-        let mut source = pipeline::SyncSampler::new(graph, &sampler, schedule);
+        let mut source = pipeline::SyncSampler::new(graph, &sampler, input, schedule);
         train_sampled_epochs(model, graph, config, plan, &mut source)
     } else {
         pipeline::with_prefetcher(
             graph,
             &sampler,
+            input,
             schedule,
             config.prefetch_depth,
             |prefetcher| train_sampled_epochs(model, graph, config, plan, prefetcher),
@@ -504,12 +514,17 @@ fn train_sampled_epochs(
                 targets,
                 labels,
                 sampled,
+                first_step_applied,
                 target_positions,
                 input_features,
                 ..
             } = source.next_batch(epoch, index);
-            let num_inputs = sampled.input_nodes().len();
-            let adj = AdjacencyRef::blocks(Arc::new(sampled));
+            let num_inputs = input_features.rows();
+            let adj = if first_step_applied {
+                AdjacencyRef::blocks_after_first_step(Arc::new(sampled))
+            } else {
+                AdjacencyRef::blocks(Arc::new(sampled))
+            };
             let x = tape.const_leaf(input_features.clone());
             spent_features = Some(input_features);
             let pass = model.forward(&mut tape, &adj, x);
@@ -527,7 +542,7 @@ fn train_sampled_epochs(
             } else {
                 panic!(
                     "sampled-plan depth mismatch: the model produced {} output rows for a \
-                     batch of {} targets ({} input nodes) — a sampled plan needs exactly \
+                     batch of {} targets ({} input rows) — a sampled plan needs exactly \
                      one fanout per propagation step of the model ({} provided)",
                     rows,
                     targets.len(),

@@ -6,6 +6,9 @@
 //! * under real multi-batch sampling with unbounded fanouts, the block
 //!   forward pass reproduces the full-batch logits bit for bit on the batch
 //!   rows;
+//! * models that read their input only through a first propagation step
+//!   (GCN, SGC) train bit-identically whether the producer hands them the
+//!   first block's output rows or raw input rows;
 //! * the sampler (and sampled training on top of it) is deterministic across
 //!   runs and across thread counts — the thread-count axis is checked by
 //!   re-running the digest computation in a child process pinned to one
@@ -15,10 +18,11 @@ use std::sync::Arc;
 
 use bgc_graph::{DatasetKind, Graph, NeighborSampler};
 use bgc_nn::{
-    train_node_classifier, train_with_plan, AdjacencyRef, GnnArchitecture, SampledPlan,
-    TrainConfig, TrainingPlan,
+    train_node_classifier, train_with_plan, AdjacencyRef, ForwardPass, GnnArchitecture, GnnModel,
+    SampledPlan, TrainConfig, TrainingPlan,
 };
 use bgc_tensor::init::rng_from_seed;
+use bgc_tensor::{Matrix, Tape, Var};
 
 /// A small graph whose training split is ascending-sorted: sampled batches
 /// are always sorted, so a sorted split makes the single-batch plan's node
@@ -302,6 +306,117 @@ fn prefetched_training_is_bit_identical_to_synchronous() {
     }
 }
 
+/// Delegates everything to the wrapped model but keeps the trait's default
+/// `propagates_input_first`, so the sampled trainer feeds it raw input rows.
+struct RawInput(Box<dyn GnnModel>);
+
+impl GnnModel for RawInput {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn forward(&self, tape: &mut Tape, adj: &AdjacencyRef, x: Var) -> ForwardPass {
+        self.0.forward(tape, adj, x)
+    }
+
+    fn parameters(&self) -> Vec<&Matrix> {
+        self.0.parameters()
+    }
+
+    fn parameters_mut(&mut self) -> Vec<&mut Matrix> {
+        self.0.parameters_mut()
+    }
+
+    fn output_dim(&self) -> usize {
+        self.0.output_dim()
+    }
+}
+
+#[test]
+fn first_step_input_trains_bit_identically_to_raw_input() {
+    // Every node outside validation and test trains: 122 nodes, so batches
+    // of 40 leave a partial last batch.  Fanout 3 caps the first-block rows
+    // of nodes with more than two neighbours and keeps the others verbatim.
+    let mut g = DatasetKind::Cora.load_small(29);
+    let held_out: std::collections::HashSet<usize> =
+        g.split.val.iter().chain(&g.split.test).copied().collect();
+    g.split.train = (0..g.num_nodes())
+        .filter(|v| !held_out.contains(v))
+        .collect();
+    assert_ne!(
+        g.split.train.len() % 40,
+        0,
+        "the last batch must be partial"
+    );
+    let plan = TrainingPlan::Sampled(SampledPlan {
+        fanouts: vec![3, 3],
+        batch_size: 40,
+    });
+    let sampler = NeighborSampler::new(vec![3, 3], 1);
+    let first_block = &sampler
+        .sample(&g.normalized, &g.split.train[..40], 0)
+        .blocks[0];
+    let verbatim = first_block
+        .dst_nodes
+        .iter()
+        .filter(|&&v| sampler.keeps_row_verbatim(0, g.normalized.row_nnz(v)))
+        .count();
+    assert!(
+        verbatim > 0 && verbatim < first_block.num_dst(),
+        "{verbatim} of {} first-block rows verbatim",
+        first_block.num_dst()
+    );
+
+    let adj = AdjacencyRef::from_graph(&g);
+    for arch in [GnnArchitecture::Gcn, GnnArchitecture::Sgc] {
+        let build = || {
+            let mut rng = rng_from_seed(43);
+            arch.build(g.num_features(), 16, g.num_classes, 2, &mut rng)
+        };
+        for depth in [0usize, 2] {
+            let config = TrainConfig {
+                prefetch_depth: depth,
+                ..test_config()
+            };
+            let mut first_step = build();
+            assert!(first_step.propagates_input_first(), "{}", arch.name());
+            let a = train_with_plan(first_step.as_mut(), &g, &config, &plan, 55);
+            let mut raw = RawInput(build());
+            let b = train_with_plan(&mut raw, &g, &config, &plan, 55);
+
+            let tag = format!("{} depth {}", arch.name(), depth);
+            assert_eq!(a.epochs_run, b.epochs_run, "{}", tag);
+            let bits = |losses: &[f32]| losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&a.train_losses),
+                bits(&b.train_losses),
+                "{} losses",
+                tag
+            );
+            assert_eq!(
+                a.best_val_accuracy.to_bits(),
+                b.best_val_accuracy.to_bits(),
+                "{}",
+                tag
+            );
+            for (i, (p, q)) in first_step
+                .parameters()
+                .iter()
+                .zip(raw.parameters().iter())
+                .enumerate()
+            {
+                assert_eq!(bits(p.data()), bits(q.data()), "{} parameter {}", tag, i);
+            }
+            assert_eq!(
+                first_step.predict(&adj, &g.features),
+                raw.predict(&adj, &g.features),
+                "{}",
+                tag
+            );
+        }
+    }
+}
+
 /// FNV-1a digest of every sampled block plus the trained parameters —
 /// anything the thread count could conceivably perturb.
 fn sampled_digest() -> u64 {
@@ -327,29 +442,32 @@ fn sampled_digest() -> u64 {
             put(v.to_bits() as u64);
         }
     }
-    let mut rng = rng_from_seed(6);
-    let mut model = GnnArchitecture::Sage.build(g.num_features(), 8, g.num_classes, 2, &mut rng);
     let plan = TrainingPlan::Sampled(SampledPlan {
         fanouts: vec![5, 5],
         batch_size: 64,
     });
-    let report = train_with_plan(
-        model.as_mut(),
-        &g,
-        &TrainConfig {
-            epochs: 6,
-            ..TrainConfig::quick()
-        },
-        &plan,
-        77,
-    );
-    for loss in &report.train_losses {
-        put(loss.to_bits() as u64);
-    }
-    for p in model.parameters() {
-        for r in 0..p.rows() {
-            for &v in p.row(r) {
-                put(v.to_bits() as u64);
+    // GraphSAGE trains on raw input rows, GCN on first-step rows.
+    for arch in [GnnArchitecture::Sage, GnnArchitecture::Gcn] {
+        let mut rng = rng_from_seed(6);
+        let mut model = arch.build(g.num_features(), 8, g.num_classes, 2, &mut rng);
+        let report = train_with_plan(
+            model.as_mut(),
+            &g,
+            &TrainConfig {
+                epochs: 6,
+                ..TrainConfig::quick()
+            },
+            &plan,
+            77,
+        );
+        for loss in &report.train_losses {
+            put(loss.to_bits() as u64);
+        }
+        for p in model.parameters() {
+            for r in 0..p.rows() {
+                for &v in p.row(r) {
+                    put(v.to_bits() as u64);
+                }
             }
         }
     }

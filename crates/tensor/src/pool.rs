@@ -1,17 +1,20 @@
-//! Length-keyed buffer pool backing the allocation-free training engine.
+//! Capacity-keyed buffer pool backing the allocation-free training engine.
 //!
 //! Every inner training loop of the paper (Eq. 12/16 victim training,
 //! Eq. 13/17 trigger updates, Eq. 14/18 gradient matching) records the same
 //! computation graph epoch after epoch, so every intermediate buffer has the
 //! same length in every epoch.  [`BufferPool`] exploits that: instead of
 //! returning buffers to the allocator when a [`crate::Tape`] is reset, their
-//! backing `Vec<f32>` storage is parked in a bucket keyed by its length and
+//! backing `Vec<f32>` storage is parked in a bucket keyed by its capacity and
 //! handed back out on the next request of that length.  After the first epoch
 //! the hot loop performs (almost) no heap allocation.
 //!
-//! The pool is deliberately length-keyed rather than shape-keyed: a dense
-//! row-major [`Matrix`] is a flat `Vec<f32>` plus a shape, so two shapes with
-//! the same element count can share storage.
+//! The pool is deliberately keyed by element count rather than shape: a
+//! dense row-major [`Matrix`] is a flat `Vec<f32>` plus a shape, so two
+//! shapes with the same element count can share storage.  A buffer the pool
+//! allocated has capacity equal to its first length, so exact-length reuse
+//! is exact-capacity reuse; keying by capacity keeps a buffer that once
+//! served a shorter request available to requests its capacity covers.
 //!
 //! Buffers handed out by [`BufferPool::raw`] carry **unspecified contents**
 //! (whatever the previous user left behind) and must be fully overwritten;
@@ -33,12 +36,12 @@ pub struct PoolStats {
     pub reuses: usize,
 }
 
-/// A recycling pool of `Vec<f32>` buffers (bucketed by length) and
+/// A recycling pool of `Vec<f32>` buffers (bucketed by capacity) and
 /// `Vec<usize>` index lists (any capacity).
 #[derive(Debug, Default)]
 pub struct BufferPool {
-    /// `(len, parked buffers of exactly that len)`, linear-scanned: a
-    /// training loop only ever touches a handful of distinct lengths.
+    /// `(capacity, parked buffers of exactly that capacity)`, linear-scanned:
+    /// a training loop only ever touches a handful of distinct sizes.
     f32_buckets: Vec<(usize, Vec<Vec<f32>>)>,
     /// Parked index lists, reused for row-selection / label storage.
     usize_buckets: Vec<Vec<usize>>,
@@ -51,49 +54,54 @@ impl BufferPool {
         Self::default()
     }
 
-    /// Minimum length for which a larger parked buffer may be truncated to
+    /// Minimum length for which a larger parked buffer may be shortened to
     /// serve a smaller request (below this, a fresh allocation is cheaper
-    /// than burying a large buffer's capacity in a tiny one).
+    /// than tying up a large buffer's capacity in a tiny one).
     const BEST_FIT_MIN_LEN: usize = 4096;
-    /// A parked buffer may serve a request down to a quarter of its length.
+    /// A parked buffer may serve a request down to a quarter of its capacity.
     const BEST_FIT_MAX_RATIO: usize = 4;
 
     /// Takes a `len`-element buffer with **unspecified contents**.
     ///
-    /// Exact-length hits come first (steady-state epoch loops reuse their own
-    /// buffers).  On a miss, a large request may be served by *truncating*
-    /// the smallest parked buffer within [`Self::BEST_FIT_MAX_RATIO`] —
-    /// without this, workloads whose buffer sizes differ every step (sampled
-    /// minibatches draw a different receptive field per batch) would park
-    /// every size forever and answer every request with a fresh allocation.
+    /// Exact-capacity hits come first (steady-state epoch loops reuse their
+    /// own buffers).  On a miss, a large request may be served by the
+    /// smallest parked buffer whose capacity is within
+    /// [`Self::BEST_FIT_MAX_RATIO`], shortened to `len` — without this,
+    /// workloads whose buffer sizes differ every step (sampled minibatches
+    /// draw a different receptive field per batch) would park every size
+    /// forever and answer every request with a fresh allocation.
     fn take_raw(&mut self, len: usize) -> Vec<f32> {
-        if let Some((_, bucket)) = self.f32_buckets.iter_mut().find(|(l, _)| *l == len) {
-            if let Some(buf) = bucket.pop() {
-                debug_assert_eq!(buf.len(), len);
-                self.stats.reuses += 1;
-                return buf;
-            }
-        }
-        if len >= Self::BEST_FIT_MIN_LEN {
-            let mut best: Option<(usize, usize)> = None;
-            for (i, (l, bucket)) in self.f32_buckets.iter().enumerate() {
-                if *l > len
-                    && *l <= len * Self::BEST_FIT_MAX_RATIO
-                    && !bucket.is_empty()
-                    && best.is_none_or(|(_, best_len)| *l < best_len)
-                {
-                    best = Some((i, *l));
-                }
-            }
-            if let Some(mut buf) = best.and_then(|(i, _)| self.f32_buckets[i].1.pop()) {
-                buf.truncate(len);
-                self.stats.reuses += 1;
-                return buf;
-            }
+        let exact = self
+            .f32_buckets
+            .iter()
+            .position(|(cap, bucket)| *cap == len && !bucket.is_empty());
+        let slot = match exact {
+            None if len >= Self::BEST_FIT_MIN_LEN => self.best_fit(len),
+            found => found,
+        };
+        if let Some(mut buf) = slot.and_then(|i| self.f32_buckets[i].1.pop()) {
+            // Within capacity: no reallocation, and the zeros a lengthening
+            // writes are as unspecified as the rest of the contents.
+            buf.resize(len, 0.0);
+            self.stats.reuses += 1;
+            return buf;
         }
         self.stats.fresh_allocations += 1;
         self.stats.fresh_bytes += len * std::mem::size_of::<f32>();
         vec![0.0; len]
+    }
+
+    /// The bucket holding the smallest parked capacity in
+    /// `(len, len * BEST_FIT_MAX_RATIO]`.
+    fn best_fit(&self, len: usize) -> Option<usize> {
+        self.f32_buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, (cap, bucket))| {
+                *cap > len && *cap <= len * Self::BEST_FIT_MAX_RATIO && !bucket.is_empty()
+            })
+            .min_by_key(|(_, (cap, _))| *cap)
+            .map(|(i, _)| i)
     }
 
     /// A `rows x cols` matrix with **unspecified contents**; the caller must
@@ -142,15 +150,15 @@ impl BufferPool {
         self.recycle_vec(m.into_data());
     }
 
-    /// Returns a raw buffer to the pool.
+    /// Returns a raw buffer to the pool, parked under its capacity.
     pub fn recycle_vec(&mut self, buf: Vec<f32>) {
-        let len = buf.len();
-        if len == 0 {
+        let cap = buf.capacity();
+        if cap == 0 {
             return;
         }
-        match self.f32_buckets.iter_mut().find(|(l, _)| *l == len) {
+        match self.f32_buckets.iter_mut().find(|(c, _)| *c == cap) {
             Some((_, bucket)) => bucket.push(buf),
-            None => self.f32_buckets.push((len, vec![buf])),
+            None => self.f32_buckets.push((cap, vec![buf])),
         }
     }
 
@@ -244,6 +252,41 @@ mod tests {
         let mut pool = BufferPool::new();
         let src = Matrix::ones(2, 2);
         let _ = pool.copy_reshaped(&src, 3, 2);
+    }
+
+    #[test]
+    fn a_shortened_buffer_still_serves_its_full_capacity() {
+        // Best fit shortens a parked 8192-element buffer to serve 8000; once
+        // recycled it must serve 8192 again instead of being buried under
+        // its shortened length.
+        let mut pool = BufferPool::new();
+        let a = pool.raw(1, 8192);
+        pool.recycle(a);
+        let b = pool.raw(1, 8000);
+        assert_eq!(b.len(), 8000);
+        pool.recycle(b);
+        let c = pool.raw(1, 8192);
+        assert_eq!(c.len(), 8192);
+        let s = pool.stats();
+        assert_eq!(s.fresh_allocations, 1);
+        assert_eq!(s.reuses, 2);
+    }
+
+    #[test]
+    fn small_buffers_are_reused_by_exact_length_only() {
+        let mut pool = BufferPool::new();
+        let a = pool.zeros(10, 10);
+        pool.recycle(a);
+        let b = pool.zeros(1, 99);
+        assert_eq!(
+            pool.stats().fresh_allocations,
+            2,
+            "no best fit below the minimum"
+        );
+        pool.recycle(b);
+        let c = pool.zeros(4, 25);
+        assert_eq!(c.len(), 100);
+        assert_eq!(pool.stats().reuses, 1);
     }
 
     #[test]

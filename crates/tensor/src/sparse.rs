@@ -454,16 +454,57 @@ impl CsrMatrix {
         }
     }
 
-    /// Row `r` of `self * dense`: zero `out_row`, then one `axpy` per stored
-    /// entry in column order.  The only per-row body of every SpMM path, so
-    /// the serial, partitioned and row-subset products cannot diverge.  The
-    /// row starts from `+0.0`, as a zeroed output does: seeding it with the
-    /// first product would keep a `-0.0` that `0.0 + (-0.0) = +0.0` erases.
+    /// Row `r` of `self * dense.select_rows(row_of)` without the gather:
+    /// column `c` of `self` reads row `row_of[c]` of `dense`.  It runs the
+    /// per-row body of [`CsrMatrix::spmm`], so the row is bit-identical to
+    /// row `r` of the product over the gathered rows (a sampled block's row
+    /// computed straight from the global feature matrix).
+    ///
+    /// # Panics
+    /// Panics unless `r < rows`, `row_of` maps every column and `out_row`
+    /// has `dense.cols()` entries.
+    pub fn spmm_row_gathered_into(
+        &self,
+        r: usize,
+        dense: &Matrix,
+        row_of: &[usize],
+        out_row: &mut [f32],
+    ) {
+        assert!(
+            r < self.rows,
+            "spmm_row_gathered_into: row {r} out of bounds"
+        );
+        assert_eq!(
+            row_of.len(),
+            self.cols,
+            "spmm_row_gathered_into: column map"
+        );
+        assert_eq!(
+            out_row.len(),
+            dense.cols(),
+            "spmm_row_gathered_into: row length"
+        );
+        self.spmm_row_with(r, out_row, |c| dense.row(row_of[c]));
+    }
+
+    /// Row `r` of `self * dense`.
     #[inline]
     fn spmm_row_into(&self, r: usize, dense: &Matrix, out_row: &mut [f32]) {
+        self.spmm_row_with(r, out_row, |c| dense.row(c));
+    }
+
+    /// Row `r` of the product, reading the dense row of column `c` as
+    /// `row(c)`: zero `out_row`, then one `axpy` per stored entry in column
+    /// order.  The only per-row body of every SpMM path, so the serial,
+    /// partitioned, row-subset and gathered-row products cannot diverge.
+    /// The row starts from `+0.0`, as a zeroed output does: seeding it with
+    /// the first product would keep a `-0.0` that `0.0 + (-0.0) = +0.0`
+    /// erases.
+    #[inline]
+    fn spmm_row_with<'a>(&self, r: usize, out_row: &mut [f32], row: impl Fn(usize) -> &'a [f32]) {
         out_row.fill(0.0);
         for (c, v) in self.row_iter(r) {
-            kernel::axpy(out_row, v, dense.row(c));
+            kernel::axpy(out_row, v, row(c));
         }
     }
 
@@ -724,6 +765,23 @@ mod tests {
                 };
                 assert_eq!(got, want, "row {r} of a {}-row subset", rows.len());
             }
+        }
+        // A gathered row reads the columns' rows straight out of a larger
+        // matrix and matches the product over the gathered copy bit for bit.
+        let row_of: Vec<usize> = (0..611).map(|c| 3 * c + 1).collect();
+        let wide = Matrix::from_fn(3 * 611 + 1, 23, |r, c| {
+            if r % 3 == 1 {
+                x.get(r / 3, c)
+            } else {
+                f32::NAN
+            }
+        });
+        for r in 0..193 {
+            let mut out = vec![f32::NAN; 23];
+            block.spmm_row_gathered_into(r, &wide, &row_of, &mut out);
+            let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u32> = serial.row(r).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "gathered row {r}");
         }
     }
 
