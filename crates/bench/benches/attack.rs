@@ -10,6 +10,8 @@ use bgc_graph::DatasetKind;
 use bgc_nn::AdjacencyRef;
 use bgc_tensor::init::rng_from_seed;
 
+/// A full selection per iteration, selector training included: nothing
+/// memoizes the selector outside the grid runner.
 fn bench_selection(c: &mut Criterion) {
     let graph = DatasetKind::Cora.load_small(0);
     let mut config = BgcConfig::quick();

@@ -25,6 +25,10 @@ pub trait CondensationMethod: Send + Sync {
     fn name(&self) -> &str;
 
     /// Runs condensation on `graph` with the given configuration.
+    ///
+    /// `graph` may already be its own working graph (see [`working_graph`]):
+    /// on an inductive dataset the grid runner derives the training subgraph
+    /// once and hands it to every stage.
     fn condense(
         &self,
         graph: &Graph,
@@ -238,39 +242,17 @@ fn canonical_condenser_name(name: &str) -> Option<String> {
 /// Selects the graph the condensation actually operates on: the full graph for
 /// transductive datasets, the training subgraph for inductive ones (Table I).
 ///
-/// The inductive subgraph (induced adjacency + GCN re-normalization) is
-/// deterministic in the source graph, and every attack/condensation stage of
-/// an experiment cell derives it again — so it is memoized process-wide.
-/// The key is [`Graph::memo_key`] — buffer identities plus a fingerprint of
-/// the editable metadata — and the memo holds clones of the graph's `Arc`s,
-/// so an address can never be recycled for a different graph while the
-/// entry exists.  The memo is cleared when it exceeds a small cap, bounding
-/// retained memory in long-lived processes.
+/// A graph whose training split is already all of its nodes, in order, is
+/// returned as it is, because its training subgraph would rebuild its data
+/// bit for bit.  So the working graph of a working graph derives nothing,
+/// and neither does that of a poisoned graph built on one (its trigger
+/// nodes join the training split in order).
 pub fn working_graph(graph: &Graph) -> Graph {
-    use std::collections::BTreeMap;
-    use std::sync::{Arc, Mutex, OnceLock};
-
-    match graph.setting {
-        TaskSetting::Transductive => graph.clone(),
-        TaskSetting::Inductive => {
-            type Key = (usize, usize, u64);
-            type Guard = (Arc<bgc_tensor::Matrix>, Arc<bgc_tensor::CsrMatrix>);
-            const CAP: usize = 64;
-            static MEMO: OnceLock<Mutex<BTreeMap<Key, (Guard, Graph)>>> = OnceLock::new();
-            let memo = MEMO.get_or_init(|| Mutex::new(BTreeMap::new()));
-            let key = graph.memo_key();
-            if let Some((_, cached)) = bgc_runtime::relock(memo).get(&key) {
-                return cached.clone();
-            }
-            let work = graph.training_subgraph();
-            let guard = (graph.features.clone(), graph.normalized.clone());
-            let mut memo = bgc_runtime::relock(memo);
-            if memo.len() >= CAP {
-                memo.clear();
-            }
-            memo.entry(key).or_insert((guard, work.clone()));
-            work
-        }
+    let whole_split = graph.split.train.iter().copied().eq(0..graph.num_nodes());
+    if graph.setting == TaskSetting::Inductive && !whole_split {
+        graph.training_subgraph()
+    } else {
+        graph.clone()
     }
 }
 
@@ -454,11 +436,39 @@ mod tests {
         );
     }
 
+    /// The bits of everything condensation reads from a graph: features,
+    /// adjacency, normalization, labels and split.
+    fn data_bits(graph: &Graph) -> impl PartialEq + fmt::Debug {
+        let csr = |m: &bgc_tensor::CsrMatrix| -> Vec<(usize, usize, u32)> {
+            m.triplets()
+                .into_iter()
+                .map(|(r, c, v)| (r, c, v.to_bits()))
+                .collect()
+        };
+        let features: Vec<u32> = graph.features.data().iter().map(|v| v.to_bits()).collect();
+        (
+            features,
+            csr(&graph.adjacency),
+            csr(&graph.normalized),
+            graph.labels.clone(),
+            graph.split.clone(),
+        )
+    }
+
     #[test]
     fn inductive_datasets_condense_on_the_training_subgraph() {
-        let graph = DatasetKind::Flickr.load_small(1);
-        let work = working_graph(&graph);
-        assert_eq!(work.num_nodes(), graph.split.train.len());
+        for dataset in [DatasetKind::Flickr, DatasetKind::Reddit] {
+            let graph = dataset.load_small(1);
+            let work = working_graph(&graph);
+            assert_eq!(work.num_nodes(), graph.split.train.len());
+            // The working graph is its own working graph: it comes back as
+            // it is, and re-deriving its training subgraph would change no
+            // bit.  (`bgc-core` checks a poisoned graph built on it.)
+            let again = working_graph(&work);
+            assert!(Arc::ptr_eq(&again.features, &work.features), "{dataset:?}");
+            assert!(Arc::ptr_eq(&again.normalized, &work.normalized));
+            assert_eq!(data_bits(&work.training_subgraph()), data_bits(&work));
+        }
         let transductive = DatasetKind::Cora.load_small(1);
         assert_eq!(
             working_graph(&transductive).num_nodes(),

@@ -348,6 +348,7 @@ impl PoisonedGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgc_condense::working_graph;
     use bgc_graph::DatasetKind;
     use bgc_tensor::init::{randn, rng_from_seed};
 
@@ -413,6 +414,39 @@ mod tests {
         }
         // The training split grew by exactly the trigger nodes.
         assert_eq!(gp.split.train.len(), graph.split.train.len() + 12);
+    }
+
+    /// GTA and the kernel-method tail condense a poisoned graph built on the
+    /// working graph.  On Flickr and Reddit that graph is its own working
+    /// graph, so condensing it derives no copy and changes no bit.
+    #[test]
+    fn a_poisoned_working_graph_is_its_own_working_graph() {
+        let csr = |m: &bgc_tensor::CsrMatrix| -> Vec<(usize, usize, u32)> {
+            m.triplets()
+                .into_iter()
+                .map(|(r, c, v)| (r, c, v.to_bits()))
+                .collect()
+        };
+        let bits = |g: &Graph| {
+            let features: Vec<u32> = g.features.data().iter().map(|v| v.to_bits()).collect();
+            (
+                features,
+                csr(&g.adjacency),
+                csr(&g.normalized),
+                g.labels.clone(),
+                g.split.clone(),
+            )
+        };
+        for dataset in [DatasetKind::Flickr, DatasetKind::Reddit] {
+            let work = working_graph(&dataset.load_small(2));
+            let poisoned: Vec<usize> = work.split.train[..3].to_vec();
+            let trig = randn(3 * 2, work.num_features(), 0.0, 0.1, &mut rng_from_seed(2));
+            let gp = build_poisoned_graph(&work, &poisoned, &trig, 2, 0);
+            let again = working_graph(&gp);
+            assert!(Arc::ptr_eq(&again.features, &gp.features), "{dataset:?}");
+            assert!(Arc::ptr_eq(&again.normalized, &gp.normalized));
+            assert_eq!(bits(&gp.training_subgraph()), bits(&gp), "{dataset:?}");
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::attach::{
 };
 use crate::config::BgcConfig;
 use crate::error::BgcError;
-use crate::selector::{select_poisoned_nodes, SelectionResult};
+use crate::selector::{select_with, LazySelector, SelectionResult};
 use crate::trigger::TriggerGenerator;
 
 /// Result of a BGC attack run.
@@ -72,7 +72,7 @@ impl BgcAttack {
 
     /// Runs the attack against one of the built-in condensation methods.
     pub fn run(&self, graph: &Graph, kind: CondensationKind) -> Result<BgcOutcome, BgcError> {
-        self.run_with(graph, kind.build().as_ref())
+        self.run_with(graph, kind.build().as_ref(), None)
     }
 
     /// Runs the attack against an arbitrary registered condensation method.
@@ -85,13 +85,17 @@ impl BgcAttack {
     /// the final poisoned graph is then condensed with the method itself (the
     /// adaptation is listed under "Substitutions" in the workspace README);
     /// the method's capacity check preserves the OOM behaviour of GC-SNTK.
+    /// Representative selection takes the selector output on the working
+    /// graph from `selector`, after the capacity check; `None` trains the
+    /// selector in place.
     pub fn run_with(
         &self,
         graph: &Graph,
         method: &dyn CondensationMethod,
+        selector: Option<LazySelector<'_>>,
     ) -> Result<BgcOutcome, BgcError> {
         let config = &self.config;
-        let (work, selection) = prepare(graph, method, config)?;
+        let (work, selection) = prepare(graph, method, config, selector)?;
         assert!(
             !selection.poisoned_nodes.is_empty(),
             "poisoned node selection returned no nodes"
@@ -128,18 +132,21 @@ impl BgcAttack {
 /// The prologue of every attack that poisons the graph before or during
 /// condensation (BGC, DOORPING, GTA): the working graph, which must have
 /// training nodes, the method's capacity check and the poisoned-node
-/// selection.
+/// selection.  Representative selection takes the selector output on the
+/// working graph from `selector`, after the capacity check; `None` trains
+/// the selector in place.
 pub(crate) fn prepare(
     graph: &Graph,
     method: &dyn CondensationMethod,
     config: &BgcConfig,
+    selector: Option<LazySelector<'_>>,
 ) -> Result<(Graph, SelectionResult), BgcError> {
     let work = working_graph(graph);
     if work.split.train.is_empty() {
         return Err(CondenseError::NoTrainingNodes.into());
     }
     method.check_capacity(&work, &config.condensation)?;
-    let selection = select_poisoned_nodes(&work, config);
+    let selection = select_with(&work, config, selector);
     Ok((work, selection))
 }
 
@@ -381,6 +388,7 @@ pub(crate) fn trigger_step(
 pub(crate) mod tests {
     use super::*;
     use crate::baselines::DoorpingAttack;
+    use crate::selector::select_poisoned_nodes;
     use bgc_graph::{DatasetKind, PoisonBudget};
 
     fn tiny_config() -> BgcConfig {

@@ -19,7 +19,7 @@ use bgc_tensor::{Matrix, Tape, Var};
 use crate::attack::{condense_with_trigger, prepare, TrainableTrigger};
 use crate::config::BgcConfig;
 use crate::error::BgcError;
-use crate::selector::SelectionResult;
+use crate::selector::{LazySelector, SelectionResult};
 use crate::trigger::UniversalTrigger;
 
 /// Result of the adapted DOORPING attack.
@@ -54,19 +54,21 @@ impl DoorpingAttack {
 
     /// Runs the attack against one of the built-in condensation methods.
     pub fn run(&self, graph: &Graph, kind: CondensationKind) -> Result<DoorpingOutcome, BgcError> {
-        self.run_with(graph, kind.build().as_ref())
+        self.run_with(graph, kind.build().as_ref(), None)
     }
 
     /// Runs the attack against an arbitrary registered condensation method
     /// (interleaved for gradient-matching methods, poison-then-condense for
-    /// kernel methods).
+    /// kernel methods).  `selector` supplies the selector output, as in
+    /// [`crate::BgcAttack::run_with`].
     pub fn run_with(
         &self,
         graph: &Graph,
         method: &dyn CondensationMethod,
+        selector: Option<LazySelector<'_>>,
     ) -> Result<DoorpingOutcome, BgcError> {
         let config = &self.config;
-        let (work, selection) = prepare(graph, method, config)?;
+        let (work, selection) = prepare(graph, method, config, selector)?;
         let mut rng = rng_from_seed(config.seed ^ 0xd00);
         let mut trigger = UniversalTrigger::new(randn(
             config.trigger_size,

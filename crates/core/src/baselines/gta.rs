@@ -18,7 +18,7 @@ use crate::attach::build_poisoned_graph;
 use crate::attack::{prepare, trigger_step, zero_grads};
 use crate::config::BgcConfig;
 use crate::error::BgcError;
-use crate::selector::SelectionResult;
+use crate::selector::{LazySelector, SelectionResult};
 use crate::trigger::TriggerGenerator;
 
 /// Result of the adapted GTA attack.
@@ -74,17 +74,20 @@ impl GtaAttack {
 
     /// Runs the attack against one of the built-in condensation methods.
     pub fn run(&self, graph: &Graph, kind: CondensationKind) -> Result<GtaOutcome, BgcError> {
-        self.run_with(graph, kind.build().as_ref())
+        self.run_with(graph, kind.build().as_ref(), None)
     }
 
     /// Runs the attack: pre-train the generator against the static surrogate,
     /// poison the graph once, then condense the poisoned graph with `method`.
+    /// `selector` supplies the selector output, as in
+    /// [`crate::BgcAttack::run_with`].
     pub fn run_with(
         &self,
         graph: &Graph,
         method: &dyn CondensationMethod,
+        selector: Option<LazySelector<'_>>,
     ) -> Result<GtaOutcome, BgcError> {
-        let (work, selection) = prepare(graph, method, &self.config)?;
+        let (work, selection) = prepare(graph, method, &self.config, selector)?;
         let mut rng = rng_from_seed(self.config.seed ^ 0x67b);
         let mut generator = TriggerGenerator::with_feature_scale(
             self.config.generator,

@@ -46,7 +46,9 @@ pub use kmeans::{kmeans, KMeansResult};
 pub use registry::{
     attack_names, register_attack, resolve_attack, Attack, AttackArtifacts, AttackId, AttackKind,
 };
-pub use selector::{select_poisoned_nodes, SelectionResult};
+pub use selector::{
+    select_poisoned_nodes, selector_representations, LazySelector, SelectionResult, SelectorOutput,
+};
 pub use trigger::{
     GeneratorSnapshot, TriggerGenerator, TriggerProvider, TriggerSnapshot, UniversalTrigger,
 };

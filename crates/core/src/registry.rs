@@ -19,6 +19,7 @@ use crate::baselines::naive_poison::NaivePoisonConfig;
 use crate::baselines::{DoorpingAttack, GtaAttack, NaivePoisonAttack};
 use crate::config::BgcConfig;
 use crate::error::BgcError;
+use crate::selector::LazySelector;
 use crate::trigger::TriggerProvider;
 use crate::variants::randomized_selection;
 
@@ -39,7 +40,8 @@ pub struct AttackArtifacts {
 /// Object-safe and `Send + Sync`: attacks are registered once and shared by
 /// the parallel experiment grid.  The clean condensed reference is passed in
 /// when [`Attack::needs_clean_reference`] says so (the Naive Poison baseline
-/// injects into it); every other attack ignores it.
+/// injects into it); every other attack ignores it.  The selector output is
+/// a lazy input that only attacks selecting representative nodes call.
 pub trait Attack: Send + Sync {
     /// Display name used in result tables, canonical keys and the CLI.
     fn name(&self) -> &str;
@@ -51,12 +53,20 @@ pub trait Attack: Send + Sync {
 
     /// Runs the attack against `method` on `graph` and returns the poisoned
     /// condensed graph plus the test-time trigger provider.
+    ///
+    /// `graph` may already be its own working graph (see
+    /// [`bgc_condense::working_graph`]): on an inductive dataset the grid
+    /// runner hands the attack the training subgraph.  `selector`, when
+    /// given, returns [`crate::selector_representations`] of that working
+    /// graph under `config`; `None` means the attack trains the selector
+    /// itself if it needs one.
     fn run(
         &self,
         graph: &Graph,
         method: &dyn CondensationMethod,
         config: &BgcConfig,
         clean: Option<&CondensedGraph>,
+        selector: Option<LazySelector<'_>>,
     ) -> Result<AttackArtifacts, BgcError>;
 }
 
@@ -132,15 +142,17 @@ impl Attack for AttackKind {
         method: &dyn CondensationMethod,
         config: &BgcConfig,
         clean: Option<&CondensedGraph>,
+        selector: Option<LazySelector<'_>>,
     ) -> Result<AttackArtifacts, BgcError> {
         let (condensed, provider): (_, Arc<dyn TriggerProvider + Send + Sync>) = match self {
             AttackKind::Bgc => {
-                let outcome = BgcAttack::new(config.clone()).run_with(graph, method)?;
+                let outcome = BgcAttack::new(config.clone()).run_with(graph, method, selector)?;
                 (outcome.condensed, Arc::new(outcome.generator))
             }
+            // Random selection never calls the selector.
             AttackKind::BgcRand => {
-                let outcome =
-                    BgcAttack::new(randomized_selection(config)).run_with(graph, method)?;
+                let outcome = BgcAttack::new(randomized_selection(config))
+                    .run_with(graph, method, selector)?;
                 (outcome.condensed, Arc::new(outcome.generator))
             }
             AttackKind::NaivePoison => {
@@ -157,11 +169,12 @@ impl Attack for AttackKind {
                 (outcome.condensed, Arc::new(outcome.trigger))
             }
             AttackKind::Gta => {
-                let outcome = GtaAttack::new(config.clone()).run_with(graph, method)?;
+                let outcome = GtaAttack::new(config.clone()).run_with(graph, method, selector)?;
                 (outcome.condensed, Arc::new(outcome.generator))
             }
             AttackKind::Doorping => {
-                let outcome = DoorpingAttack::new(config.clone()).run_with(graph, method)?;
+                let outcome =
+                    DoorpingAttack::new(config.clone()).run_with(graph, method, selector)?;
                 (outcome.condensed, Arc::new(outcome.trigger))
             }
         };
@@ -266,6 +279,7 @@ pub fn attack_names() -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::selector::SelectorOutput;
 
     #[test]
     fn every_builtin_attack_resolves_by_name() {
@@ -314,11 +328,25 @@ mod tests {
     }
 
     #[test]
+    fn random_selection_and_naive_poison_never_call_the_selector() {
+        let graph = bgc_graph::DatasetKind::Cora.load_small(3);
+        let mut config = BgcConfig::quick();
+        config.condensation.outer_epochs = 2;
+        let method = bgc_condense::CondensationKind::GCondX.build();
+        let clean = method.condense(&graph, &config.condensation).unwrap();
+        let never = || -> Arc<SelectorOutput> { panic!("the selector was called") };
+        for kind in [AttackKind::BgcRand, AttackKind::NaivePoison] {
+            let result = kind.run(&graph, method.as_ref(), &config, Some(&clean), Some(&never));
+            assert!(result.is_ok(), "{kind:?}");
+        }
+    }
+
+    #[test]
     fn naive_poison_without_clean_reference_is_a_typed_error() {
         let graph = bgc_graph::DatasetKind::Cora.load_small(3);
         let attack = resolve_attack("NaivePoison").unwrap();
         let method = bgc_condense::CondensationKind::GCondX.build();
-        let result = attack.run(&graph, method.as_ref(), &BgcConfig::quick(), None);
+        let result = attack.run(&graph, method.as_ref(), &BgcConfig::quick(), None, None);
         assert!(matches!(
             result,
             Err(BgcError::MissingCleanReference { .. })

@@ -7,6 +7,8 @@
 //! nodes.  The top-n nodes per cluster are selected, with
 //! `n = Delta_P / ((C - 1) * K)`.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -31,59 +33,33 @@ pub struct SelectionResult {
     pub selector_train_accuracy: f32,
 }
 
-/// Trains the selector GCN and returns hidden representations of every node.
-///
-/// The representations are a deterministic function of the graph and of
-/// `(seed, hidden_dim, selector_epochs)`; every attack on the same cell
-/// coordinates re-derives them, so they are memoized process-wide.  The key
-/// is [`Graph::memo_key`] — buffer identities plus a fingerprint of the
-/// editable metadata — and the memo holds clones of the graph's `Arc`s so
-/// an address can never be recycled for a different graph while the entry
-/// exists.  The memo is cleared when it exceeds a small cap, bounding
-/// retained memory in long-lived processes.
-fn selector_representations(graph: &Graph, config: &BgcConfig) -> (Matrix, f32) {
-    use std::collections::BTreeMap;
-    use std::sync::{Arc, Mutex, OnceLock};
+/// What the selector GCN learns on a graph.
+#[derive(Debug)]
+pub struct SelectorOutput {
+    /// Hidden representation of every node.
+    pub hidden: Matrix,
+    /// Accuracy of the selector GCN on the training split (diagnostic only).
+    pub train_accuracy: f32,
+}
 
-    type Key = ((usize, usize, u64), u64, usize, usize, TrainingPlan);
-    type Guard = (Arc<Matrix>, Arc<bgc_tensor::CsrMatrix>);
-    type Memo = Mutex<BTreeMap<Key, (Guard, Arc<(Matrix, f32)>)>>;
-    const CAP: usize = 64;
-    static MEMO: OnceLock<Memo> = OnceLock::new();
-    let memo = MEMO.get_or_init(|| Mutex::new(BTreeMap::new()));
+/// The selector output as an attack receives it: a lazy input that an
+/// attack calls only when it selects representative nodes, and that returns
+/// [`selector_representations`] of the graph it selects on.
+pub type LazySelector<'a> = &'a dyn Fn() -> Arc<SelectorOutput>;
+
+/// Trains the selector GCN on `graph` and returns its output.
+///
+/// The output is a deterministic function of the graph and of `(seed,
+/// hidden_dim, selector_epochs, training_plan)`.  Every call trains afresh;
+/// the grid runner keeps one output per set of these inputs as its select
+/// stage and hands it to the attacks as a [`LazySelector`].
+pub fn selector_representations(graph: &Graph, config: &BgcConfig) -> SelectorOutput {
     // The selector GCN's depth is fixed at 2: adapt a shared sampled plan
     // to it instead of requiring every caller to match the fanout count.
     let plan = match &config.training_plan {
         TrainingPlan::FullBatch => TrainingPlan::FullBatch,
         TrainingPlan::Sampled(sampled) => TrainingPlan::Sampled(sampled.with_depth(2)),
     };
-    let key = (
-        graph.memo_key(),
-        config.seed,
-        config.hidden_dim,
-        config.selector_epochs,
-        plan.clone(),
-    );
-    if let Some((_, cached)) = bgc_runtime::relock(memo).get(&key) {
-        let (hidden, acc) = &**cached;
-        return (hidden.clone(), *acc);
-    }
-    let computed = selector_representations_uncached(graph, config, &plan);
-    let guard = (graph.features.clone(), graph.normalized.clone());
-    let mut memo = bgc_runtime::relock(memo);
-    if memo.len() >= CAP {
-        memo.clear();
-    }
-    memo.entry(key)
-        .or_insert_with(|| (guard, Arc::new(computed.clone())));
-    computed
-}
-
-fn selector_representations_uncached(
-    graph: &Graph,
-    config: &BgcConfig,
-    plan: &TrainingPlan,
-) -> (Matrix, f32) {
     let adj = AdjacencyRef::from_graph(graph);
     let mut rng = rng_from_seed(config.seed ^ 0x5e1e);
     let mut gcn = Gcn::new(
@@ -101,7 +77,7 @@ fn selector_representations_uncached(
     // The plan decides how the selector trains on the (possibly paper-scale)
     // original graph; `FullBatch` is byte-identical to the historical
     // `train_node_classifier` call.
-    train_with_plan(&mut gcn, graph, &train_cfg, plan, config.seed ^ 0x3a1f);
+    train_with_plan(&mut gcn, graph, &train_cfg, &plan, config.seed ^ 0x3a1f);
     // One full-graph forward pass yields both the hidden representation and
     // the logits the training accuracy is read from.
     let mut tape = Tape::new();
@@ -110,8 +86,10 @@ fn selector_representations_uncached(
     let preds = tape.value_ref(pass.logits).argmax_rows();
     let train_labels: Vec<usize> = graph.labels_of(&graph.split.train);
     let train_preds: Vec<usize> = graph.split.train.iter().map(|&i| preds[i]).collect();
-    let acc = bgc_nn::accuracy(&train_preds, &train_labels);
-    (tape.value_ref(hidden).clone(), acc)
+    SelectorOutput {
+        hidden: tape.value_ref(hidden).clone(),
+        train_accuracy: bgc_nn::accuracy(&train_preds, &train_labels),
+    }
 }
 
 /// Selects the poisoned node set `V_P` according to the configured strategy.
@@ -119,17 +97,31 @@ fn selector_representations_uncached(
 /// Nodes of the target class are never selected (they already carry the target
 /// label), matching the `C - 1` term of the budget formula.
 pub fn select_poisoned_nodes(graph: &Graph, config: &BgcConfig) -> SelectionResult {
+    select_with(graph, config, None)
+}
+
+/// [`select_poisoned_nodes`] with the selector output supplied by
+/// `selector`, which only representative and directed selection call;
+/// `None` trains the selector in place.
+pub(crate) fn select_with(
+    graph: &Graph,
+    config: &BgcConfig,
+    selector: Option<LazySelector<'_>>,
+) -> SelectionResult {
     let budget = config
         .poison_budget
         .resolve(graph.split.train.len())
         .min(graph.split.train.len());
-    match config.selection {
-        SelectionStrategy::Random => random_selection(graph, config, budget),
-        SelectionStrategy::Representative => representative_selection(graph, config, budget, None),
-        SelectionStrategy::DirectedFrom(source) => {
-            representative_selection(graph, config, budget, Some(source))
-        }
-    }
+    let source_class = match config.selection {
+        SelectionStrategy::Random => return random_selection(graph, config, budget),
+        SelectionStrategy::Representative => None,
+        SelectionStrategy::DirectedFrom(source) => Some(source),
+    };
+    let output = match selector {
+        Some(selector) => selector(),
+        None => Arc::new(selector_representations(graph, config)),
+    };
+    representative_selection(graph, config, budget, source_class, &output)
 }
 
 fn random_selection(graph: &Graph, config: &BgcConfig, budget: usize) -> SelectionResult {
@@ -163,8 +155,9 @@ fn representative_selection(
     config: &BgcConfig,
     budget: usize,
     source_class: Option<usize>,
+    selector: &SelectorOutput,
 ) -> SelectionResult {
-    let (hidden, selector_acc) = selector_representations(graph, config);
+    let hidden = &selector.hidden;
     let degrees = graph.degrees();
     let mut rng: StdRng = rng_from_seed(config.seed ^ 0x6b6d);
 
@@ -223,13 +216,14 @@ fn representative_selection(
     SelectionResult {
         poisoned_nodes,
         scores,
-        selector_train_accuracy: selector_acc,
+        selector_train_accuracy: selector.train_accuracy,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::variants::randomized_selection;
     use bgc_graph::{DatasetKind, PoisonBudget};
 
     fn quick_config() -> BgcConfig {
@@ -293,6 +287,8 @@ mod tests {
         }
     }
 
+    /// Two selections on one graph train the selector twice, since nothing
+    /// memoizes it, and pick the same nodes.
     #[test]
     fn selection_is_deterministic_given_seed() {
         let graph = DatasetKind::Cora.load_small(5);
@@ -301,5 +297,44 @@ mod tests {
         let a = select_poisoned_nodes(&graph, &config);
         let b = select_poisoned_nodes(&graph, &config);
         assert_eq!(a.poisoned_nodes, b.poisoned_nodes);
+    }
+
+    #[test]
+    fn a_supplied_selector_output_selects_what_in_place_training_selects() {
+        let graph = DatasetKind::Citeseer.load_small(9);
+        let mut config = quick_config();
+        config.poison_budget = PoisonBudget::Count(6);
+        config.target_class = 0;
+        let supplied = Arc::new(selector_representations(&graph, &config));
+        let supply = || Arc::clone(&supplied);
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+        for selection in [
+            SelectionStrategy::Representative,
+            SelectionStrategy::DirectedFrom(2),
+        ] {
+            let config = BgcConfig {
+                selection,
+                ..config.clone()
+            };
+            let trained = select_poisoned_nodes(&graph, &config);
+            let given = select_with(&graph, &config, Some(&supply));
+            assert!(!given.poisoned_nodes.is_empty());
+            assert_eq!(
+                given.poisoned_nodes, trained.poisoned_nodes,
+                "{selection:?}"
+            );
+            assert_eq!(bits(&given.scores), bits(&trained.scores));
+            assert_eq!(
+                given.selector_train_accuracy.to_bits(),
+                trained.selector_train_accuracy.to_bits()
+            );
+        }
+        // Random selection never asks for the selector.
+        let random = randomized_selection(&config);
+        let never = || -> Arc<SelectorOutput> { panic!("random selection called the selector") };
+        assert_eq!(
+            select_with(&graph, &random, Some(&never)).poisoned_nodes,
+            select_poisoned_nodes(&graph, &random).poisoned_nodes
+        );
     }
 }

@@ -199,7 +199,8 @@ pub fn clean_stage(
 /// poisoned condensed graph plus the test-time trigger provider.  Attacks
 /// that report [`Attack::needs_clean_reference`] (the Naive Poison baseline)
 /// receive the clean condensed graph through `clean`; every other attack
-/// ignores it.
+/// ignores it.  An attack that selects representative nodes trains its
+/// selector in place.
 pub fn attack_stage(
     attack: &dyn Attack,
     method: &dyn CondensationMethod,
@@ -207,7 +208,7 @@ pub fn attack_stage(
     config: &BgcConfig,
     clean: Option<&CondensedGraph>,
 ) -> Result<AttackArtifacts, BgcError> {
-    attack.run(graph, method, config, clean)
+    attack.run(graph, method, config, clean, None)
 }
 
 /// Resolves a spec's attack from the registry.

@@ -12,7 +12,13 @@
 //!   condensed reference are memoized in a concurrent in-memory cache keyed
 //!   by their [`StoreKey`]s, so overlapping tables/figures (e.g. the
 //!   GCond/Cora/BGC cell appearing in Table II, Fig. 1, Fig. 4 and
-//!   Table VI) pay for each attack once;
+//!   Table VI) pay for each attack once.  The runner is also the only owner
+//!   of graph-derived state: each `(dataset, seed)` slot holds the generated
+//!   graph, on which victims are evaluated, and its working graph (the
+//!   training subgraph of an inductive dataset), which the clean and attack
+//!   stages condense; and the select stage trains the poisoned-node
+//!   selector once per working graph and selector inputs, on the first
+//!   attack that selects representative nodes;
 //! * **resumably** — the content-addressed artifact store
 //!   ([`bgc_store`]) is the only persistence layer: clean condensations,
 //!   attack outputs and cell results are `clean`, `attack` and `eval`
@@ -65,19 +71,18 @@ use serde::Serialize;
 use bgc_runtime::{fault, relock, CancelToken, CancelUnwind, FaultPlan};
 use bgc_store::{KeyBuilder, Store, StoreKey, StoreRole};
 
-use bgc_condense::MethodId;
+use bgc_condense::{working_graph, MethodId};
 use bgc_core::{
-    directed_attack, evaluate_backdoor, evaluate_with_defense, AttackArtifacts, AttackId,
-    BgcConfig, BgcError, EvaluationOptions, GeneratorKind, VictimSpec,
+    directed_attack, evaluate_backdoor, evaluate_with_defense, selector_representations,
+    AttackArtifacts, AttackId, BgcConfig, BgcError, EvaluationOptions, GeneratorKind,
+    SelectorOutput, VictimSpec,
 };
 use bgc_defense::{resolve_defense, DefenseId};
 use bgc_graph::{CondensedGraph, DatasetKind, Graph, PoisonBudget};
 use bgc_nn::{GnnArchitecture, TrainingPlan};
 
 use crate::artifact_codec;
-use crate::protocol::{
-    attack_stage, clean_stage, lookup_attack, lookup_method, AttackKind, RunMetrics, RunSpec,
-};
+use crate::protocol::{clean_stage, lookup_attack, lookup_method, AttackKind, RunMetrics, RunSpec};
 use crate::scale::ExperimentScale;
 
 /// Base seed of the experiment grid; repetition `i` of a cell runs with
@@ -501,6 +506,10 @@ pub struct RunnerStats {
     pub clean_stages_computed: usize,
     /// Clean condensations shared between cells (e.g. across attacks).
     pub clean_stage_hits: usize,
+    /// Selector trainings computed from scratch.
+    pub select_stages_computed: usize,
+    /// Selector outputs shared between attack stages (e.g. across methods).
+    pub select_stage_hits: usize,
     /// Store requests (cell results and stages) served from the artifact
     /// store (computed by an earlier process or another concurrent process).
     pub store_hits: usize,
@@ -525,14 +534,18 @@ pub struct RunnerStats {
 impl RunnerStats {
     /// Total hits across every cache layer.
     pub fn total_hits(&self) -> usize {
-        self.cell_memory_hits + self.cell_disk_hits + self.attack_stage_hits + self.clean_stage_hits
+        self.cell_memory_hits
+            + self.cell_disk_hits
+            + self.attack_stage_hits
+            + self.clean_stage_hits
+            + self.select_stage_hits
     }
 
     /// One-line human-readable summary.  Store and prefetch counts only
     /// appear when nonzero.
     pub fn summary(&self) -> String {
         let mut summary = format!(
-            "cells: {} computed, {} memory hits, {} disk hits | attack stages: {} computed, {} shared | clean stages: {} computed, {} shared",
+            "cells: {} computed, {} memory hits, {} disk hits | attack stages: {} computed, {} shared | clean stages: {} computed, {} shared | select stages: {} computed, {} shared",
             self.cells_computed,
             self.cell_memory_hits,
             self.cell_disk_hits,
@@ -540,6 +553,8 @@ impl RunnerStats {
             self.attack_stage_hits,
             self.clean_stages_computed,
             self.clean_stage_hits,
+            self.select_stages_computed,
+            self.select_stage_hits,
         );
         if self.store_hits + self.store_computed + self.store_degraded > 0 {
             summary.push_str(&format!(
@@ -815,6 +830,15 @@ impl GridReport {
 
 type StageResult<T> = Result<T, BgcError>;
 
+/// Key of the select stage, every input of the selector's training: the
+/// dataset and the cell seed (which generate the graph and seed the
+/// selector), the hidden width, the selector epochs and the training plan.
+type SelectKey = (DatasetKind, u64, usize, usize, TrainingPlan);
+
+/// A `(dataset, seed)` slot: the generated graph, its working graph and the
+/// generated graph's content fingerprint.
+type LoadedGraph = (Arc<Graph>, Arc<Graph>, u64);
+
 /// The experiment-grid engine.  See the module docs for the execution model.
 pub struct Runner {
     scale: ExperimentScale,
@@ -838,10 +862,14 @@ pub struct Runner {
     failures: Mutex<BTreeMap<CellKey, CellStatus>>,
     clean_cache: StageCache<StoreKey, StageResult<Arc<CondensedGraph>>>,
     attack_cache: StageCache<StoreKey, StageResult<AttackArtifacts>>,
-    /// Generated datasets and their content fingerprints, shared across
-    /// cells: `(dataset, seed)` fully determines the graph, so overlapping
-    /// cells reuse one instance instead of re-generating it.
-    graphs: StageCache<(DatasetKind, u64), (Arc<Graph>, u64)>,
+    /// The select stage: selector outputs on working graphs, kept in
+    /// memory only.
+    select_cache: StageCache<SelectKey, Arc<SelectorOutput>>,
+    /// Generated datasets with their working graphs and content
+    /// fingerprints, shared across cells: `(dataset, seed)` fully
+    /// determines the graph, so overlapping cells reuse one instance
+    /// instead of re-generating or re-deriving it.
+    graphs: StageCache<(DatasetKind, u64), LoadedGraph>,
     cells_computed: AtomicUsize,
     cell_memory_hits: AtomicUsize,
     cell_disk_hits: AtomicUsize,
@@ -881,6 +909,7 @@ impl Runner {
             failures: Mutex::new(BTreeMap::new()),
             clean_cache: StageCache::new(),
             attack_cache: StageCache::new(),
+            select_cache: StageCache::new(),
             graphs: StageCache::new(),
             cells_computed: AtomicUsize::new(0),
             cell_memory_hits: AtomicUsize::new(0),
@@ -1372,6 +1401,8 @@ impl Runner {
             attack_stage_hits: self.attack_cache.hits.load(Ordering::Relaxed),
             clean_stages_computed: self.clean_cache.computed.load(Ordering::Relaxed),
             clean_stage_hits: self.clean_cache.hits.load(Ordering::Relaxed),
+            select_stages_computed: self.select_cache.computed.load(Ordering::Relaxed),
+            select_stage_hits: self.select_cache.hits.load(Ordering::Relaxed),
             store_hits: self.store_hits.load(Ordering::Relaxed),
             store_computed: self.store_computed.load(Ordering::Relaxed),
             store_degraded: self.store_degraded.load(Ordering::Relaxed),
@@ -1398,12 +1429,15 @@ impl Runner {
         };
 
         // The content fingerprint is the dataset's process-independent
-        // identity in the stage keys; computed once per generated graph.
-        let (graph, graph_fp) = self.graphs.get_or_compute(&(key.dataset, key.seed()), || {
-            let graph = self.scale.load(key.dataset, key.seed());
-            let fingerprint = graph.content_fingerprint();
-            (Arc::new(graph), fingerprint)
-        });
+        // identity in the stage keys; it and the working graph the stages
+        // condense are derived once per generated graph.
+        let (graph, work, graph_fp) =
+            self.graphs.get_or_compute(&(key.dataset, key.seed()), || {
+                let graph = self.scale.load(key.dataset, key.seed());
+                let fingerprint = graph.content_fingerprint();
+                let work = working_graph(&graph);
+                (Arc::new(graph), Arc::new(work), fingerprint)
+            });
         let (config, victim, options) = self.cell_inputs(key);
 
         // Clean reference condensation — needed by the Standard evaluation
@@ -1427,7 +1461,7 @@ impl Runner {
                             .ok()
                             .map(|g| artifact_codec::encode_condensed(g))
                     },
-                    || clean_stage(&graph, method.as_ref(), &config).map(Arc::new),
+                    || clean_stage(&work, method.as_ref(), &config).map(Arc::new),
                 )
                 .0
             });
@@ -1440,6 +1474,20 @@ impl Runner {
             None
         };
 
+        // Called by attacks that select representative nodes, after their
+        // capacity check.
+        let selector = || {
+            let select_key = (
+                key.dataset,
+                key.seed(),
+                config.hidden_dim,
+                config.selector_epochs,
+                config.training_plan.clone(),
+            );
+            self.select_cache.get_or_compute(&select_key, || {
+                Arc::new(selector_representations(&work, &config))
+            })
+        };
         let artifacts = {
             let attack_key =
                 self.attack_store_key(key, graph_fp, &config, attack.needs_clean_reference());
@@ -1452,12 +1500,12 @@ impl Runner {
                     |bytes| artifact_codec::decode_attack(bytes).map(Ok),
                     |result| result.as_ref().ok().and_then(artifact_codec::encode_attack),
                     || {
-                        attack_stage(
-                            attack.as_ref(),
+                        attack.run(
+                            &work,
                             method.as_ref(),
-                            &graph,
                             &config,
                             clean.as_deref(),
+                            Some(&selector),
                         )
                     },
                 )
@@ -1766,6 +1814,67 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_cells_train_one_selector_per_working_graph() {
+        let runner = Runner::in_memory(ExperimentScale::Quick);
+        let short = CellOverrides {
+            outer_epochs: Some(4),
+            ..CellOverrides::default()
+        };
+        let cell = |method: CondensationKind, attack: AttackKind, overrides: &CellOverrides| {
+            runner
+                .group(
+                    DatasetKind::Cora,
+                    method,
+                    attack,
+                    0.026,
+                    EvalKind::Standard,
+                    overrides.clone(),
+                )
+                .keys
+        };
+        let directed = CellOverrides {
+            source_class: Some(1),
+            ..short.clone()
+        };
+        let keys = [
+            cell(CondensationKind::GCondX, AttackKind::Bgc, &short),
+            cell(CondensationKind::DcGraph, AttackKind::Bgc, &short),
+            cell(CondensationKind::GCondX, AttackKind::Bgc, &directed),
+            cell(CondensationKind::GCondX, AttackKind::BgcRand, &short),
+            cell(CondensationKind::GCondX, AttackKind::NaivePoison, &short),
+        ]
+        .concat();
+        assert!(runner.run_cells(&keys).is_ok());
+        // Three attack stages select representative nodes and share one
+        // training; BGC_Rand and NaivePoison request none.
+        let stats = runner.stats();
+        assert_eq!(stats.attack_stages_computed, 5);
+        assert_eq!(
+            (stats.select_stages_computed, stats.select_stage_hits),
+            (1, 2)
+        );
+        assert!(stats
+            .summary()
+            .contains("select stages: 1 computed, 2 shared"));
+
+        // Another training plan trains another selector.
+        let sampled = CellOverrides {
+            plan: Some(TrainingPlan::Sampled(bgc_nn::SampledPlan {
+                fanouts: vec![5, 5],
+                batch_size: 64,
+            })),
+            ..short
+        };
+        let keys = cell(CondensationKind::GCondX, AttackKind::Bgc, &sampled);
+        assert!(runner.run_cells(&keys).is_ok());
+        let stats = runner.stats();
+        assert_eq!(
+            (stats.select_stages_computed, stats.select_stage_hits),
+            (2, 2)
+        );
+    }
+
+    #[test]
     fn disk_cache_resumes_with_identical_results() {
         let dir = std::env::temp_dir().join(format!("bgc-runner-test-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -1789,6 +1898,7 @@ mod tests {
         assert_eq!(second.graphs.computed.load(Ordering::Relaxed), 0);
         assert_eq!(stats.clean_stages_computed + stats.clean_stage_hits, 0);
         assert_eq!(stats.attack_stages_computed + stats.attack_stage_hits, 0);
+        assert_eq!(stats.select_stages_computed + stats.select_stage_hits, 0);
         for key in &keys {
             let a = first.result(key).unwrap();
             let b = second.result(key).unwrap();

@@ -213,45 +213,11 @@ impl Graph {
         )
     }
 
-    /// A cheap identity key for process-wide memoization of graph-derived
-    /// state: the addresses of the shared feature/adjacency buffers plus an
-    /// FNV-1a fingerprint of the cloneable metadata (labels, split, class
-    /// count, setting) that a caller *can* edit on a cloned `Graph` without
-    /// changing those addresses.  Two graphs with equal keys have identical
-    /// features, normalization, labels and splits; memo users must
-    /// additionally hold clones of the two `Arc`s so the addresses cannot
-    /// be recycled while an entry exists.
-    pub fn memo_key(&self) -> (usize, usize, u64) {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut put = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        put(self.num_classes as u64);
-        put(matches!(self.setting, TaskSetting::Inductive) as u64);
-        put(self.labels.len() as u64);
-        for &l in &self.labels {
-            put(l as u64);
-        }
-        for part in [&self.split.train, &self.split.val, &self.split.test] {
-            put(part.len() as u64);
-            for &i in part.iter() {
-                put(i as u64);
-            }
-        }
-        (
-            Arc::as_ptr(&self.features) as usize,
-            Arc::as_ptr(&self.normalized) as usize,
-            h,
-        )
-    }
-
     /// A process-independent FNV-1a fingerprint of the full graph content:
     /// name, setting, labels, splits, every feature bit and every adjacency
-    /// entry.  Unlike [`Graph::memo_key`] (which leans on `Arc` addresses
-    /// and is only meaningful within one process), two graphs with equal
-    /// fingerprints hold bit-identical data in any process — this is the
-    /// dataset input the content-addressed artifact store keys on.
+    /// entry.  Two graphs with equal fingerprints hold bit-identical data in
+    /// any process — this is the dataset input the content-addressed
+    /// artifact store keys on.
     pub fn content_fingerprint(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut put = |v: u64| {

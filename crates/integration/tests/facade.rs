@@ -11,7 +11,7 @@ use std::sync::Arc;
 use bgc_condense::{resolve_condenser, CondensationKind, CondensationMethod, MethodId};
 use bgc_core::{
     register_attack, resolve_attack, Attack, AttackArtifacts, AttackId, AttackKind, BgcConfig,
-    BgcError,
+    BgcError, LazySelector,
 };
 use bgc_defense::{register_defense, resolve_defense, Defense};
 use bgc_eval::{CellOverrides, EvalKind, Experiment, ExperimentScale, Runner, DEFAULT_BASE_SEED};
@@ -40,6 +40,7 @@ impl Attack for LabelFlipAttack {
         _method: &dyn CondensationMethod,
         config: &BgcConfig,
         clean: Option<&CondensedGraph>,
+        _selector: Option<LazySelector<'_>>,
     ) -> Result<AttackArtifacts, BgcError> {
         let clean = clean.ok_or_else(|| BgcError::MissingCleanReference {
             attack: self.name().to_string(),
