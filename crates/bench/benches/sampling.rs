@@ -156,9 +156,6 @@ fn bench_sampling(_c: &mut Criterion) {
         batch_size: 1024,
     });
 
-    if let Ok(depth) = std::env::var("BENCH_PREFETCH_DEPTH") {
-        bgc_nn::set_default_prefetch_depth(depth.parse().unwrap());
-    }
     if bgc_bench::scaling::is_scaling_child(CHILD_FLAG) {
         // Scaling child: measure both engines at this process's pinned
         // thread count, print the parseable result line, and exit before
@@ -264,7 +261,7 @@ fn bench_sampling(_c: &mut Criterion) {
         json,
         "  \"sampled\": {{\n    \"nodes_per_second\": {:.1},\n    \"fanouts\": [10, 10],\n    \"batch_size\": 1024,\n    \"prefetch_depth\": {}\n  }},",
         sampled.nodes_per_second,
-        bgc_nn::default_prefetch_depth()
+        bgc_nn::PREFETCH_DEPTH
     );
     let _ = writeln!(
         json,

@@ -84,9 +84,6 @@ EXPERIMENT OPTIONS (run; repeatable in grid):
     --batch-size <n>      Sampled-plan minibatch size (implies --plan sampled)
     --fanouts <f1xf2...>  Sampled-plan per-layer fanout caps, 0 = unbounded
                           (implies --plan sampled)
-    --prefetch-depth <n>  Sampled-training prefetch pipeline depth (batches
-                          kept ready ahead of the trainer; 0 = synchronous,
-                          default: 2; results are bit-identical at any depth)
     --seed <n>            Base seed (default: 17)
 
 LINT OPTIONS (lint):
@@ -279,7 +276,6 @@ struct Options {
     plan: Option<TrainingPlan>,
     batch_size: Option<usize>,
     fanouts: Option<Vec<usize>>,
-    prefetch_depth: Option<usize>,
     seed: Option<u64>,
     store_dir: Option<String>,
     operands: Vec<String>,
@@ -315,7 +311,6 @@ fn parse_options(args: &[&str]) -> Result<Options, CliError> {
         plan: None,
         batch_size: None,
         fanouts: None,
-        prefetch_depth: None,
         seed: None,
         store_dir: None,
         operands: Vec::new(),
@@ -418,10 +413,6 @@ fn parse_options(args: &[&str]) -> Result<Options, CliError> {
                 }
                 options.fanouts = Some(fanouts);
             }
-            "--prefetch-depth" => {
-                options.prefetch_depth =
-                    Some(parse_num(value("--prefetch-depth")?, "--prefetch-depth")?)
-            }
             "--seed" => options.seed = Some(parse_num(value("--seed")?, "--seed")?),
             "--store-dir" => options.store_dir = Some(value("--store-dir")?.to_string()),
             flag if flag.starts_with("--") => {
@@ -451,11 +442,6 @@ fn build_runner(options: &Options) -> Result<Runner, CliError> {
     }
     let fault_plan =
         FaultPlan::from_env().map_err(|err| usage(format!("malformed BGC_FAULTS: {}", err)))?;
-    if let Some(depth) = options.prefetch_depth {
-        // Process-wide training-side tuning knob: results are bit-identical
-        // at every depth, so this never affects cell identity or caching.
-        bgc_nn::pipeline::set_default_prefetch_depth(depth);
-    }
     let mut runner = if options.no_cache {
         Runner::in_memory(options.scale)
     } else {
@@ -1086,6 +1072,17 @@ mod tests {
                 "run".to_string(),
                 "--dataset".to_string(),
                 "mnist".to_string()
+            ]),
+            Err(CliError::Usage(_))
+        ));
+        // The prefetch depth is a constant, not an option.
+        assert!(matches!(
+            run(&[
+                "run".to_string(),
+                "--dataset".to_string(),
+                "cora".to_string(),
+                "--prefetch-depth".to_string(),
+                "0".to_string()
             ]),
             Err(CliError::Usage(_))
         ));

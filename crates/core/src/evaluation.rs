@@ -6,8 +6,8 @@
 use bgc_defense::Defense;
 use bgc_graph::{CondensedGraph, Graph};
 use bgc_nn::{
-    accuracy, attack_success_rate, train_on_condensed, AdjacencyRef, GnnArchitecture, TrainConfig,
-    TrainingPlan,
+    accuracy, attack_success_rate, train_node_classifier, train_on_condensed, AdjacencyRef,
+    GnnArchitecture, TrainConfig, TrainingPlan,
 };
 use bgc_tensor::init::{rng_from_seed, sample_without_replacement};
 use bgc_tensor::{Matrix, Tape};
@@ -27,11 +27,6 @@ pub struct VictimSpec {
     pub num_layers: usize,
     /// Training hyper-parameters on the condensed graph.
     pub train: TrainConfig,
-    /// How full-graph victim stages (the Figure 1 reference model trained on
-    /// the original graph) run: full batch or neighbour-sampled minibatches.
-    /// Training on the condensed graph is always full batch — condensed
-    /// graphs are tiny by construction.
-    pub plan: TrainingPlan,
 }
 
 impl Default for VictimSpec {
@@ -45,7 +40,6 @@ impl Default for VictimSpec {
                 patience: None,
                 ..TrainConfig::default()
             },
-            plan: TrainingPlan::FullBatch,
         }
     }
 }
@@ -263,8 +257,8 @@ pub fn evaluate_with_defense(
     }
 }
 
-/// Utility check used by Figure 1: accuracy of a model trained directly on
-/// the original graph (the "Clean Model" upper bound).
+/// Accuracy of a victim-shaped model trained full batch on the original
+/// graph: the upper bound a condensed graph's accuracy is compared against.
 pub fn full_graph_reference_accuracy(graph: &Graph, victim: &VictimSpec, seed: u64) -> f32 {
     let mut rng = rng_from_seed(seed);
     let mut model = victim.architecture.build(
@@ -275,20 +269,15 @@ pub fn full_graph_reference_accuracy(graph: &Graph, victim: &VictimSpec, seed: u
         &mut rng,
     );
     let adj = AdjacencyRef::from_graph(graph);
-    // Full-graph training is the stage the victim plan governs: at the
-    // `large` scale this is a sampled minibatch run, everywhere else the
-    // byte-identical full-batch path.  A sampled plan is adapted to the
-    // victim's propagation depth (one fanout per step).
-    let plan = match (
-        &victim.plan,
-        victim.architecture.propagation_depth(victim.num_layers),
-    ) {
-        (TrainingPlan::Sampled(sampled), Some(depth)) => {
-            TrainingPlan::Sampled(sampled.with_depth(depth))
-        }
-        (plan, _) => plan.clone(),
-    };
-    bgc_nn::train_with_plan(model.as_mut(), graph, &victim.train, &plan, seed ^ 0x91e5);
+    train_node_classifier(
+        model.as_mut(),
+        &adj,
+        &graph.features,
+        &graph.labels,
+        &graph.split.train,
+        &graph.split.val,
+        &victim.train,
+    );
     let preds = model.predict(&adj, &graph.features);
     let test_preds: Vec<usize> = graph.split.test.iter().map(|&i| preds[i]).collect();
     let test_labels = graph.labels_of(&graph.split.test);

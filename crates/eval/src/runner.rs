@@ -267,10 +267,10 @@ pub struct CellOverrides {
     pub architecture: Option<GnnArchitecture>,
     /// Victim layer count (Table VIII).
     pub num_layers: Option<usize>,
-    /// Training plan of full-graph stages (selector, reference models, ASR
-    /// computation-graph extraction).  `None` means the scale's per-dataset
-    /// default (sampled on the large tier's big graphs, full batch
-    /// elsewhere).
+    /// Training plan of full-graph stages (the selector's training and the
+    /// ASR computation-graph extraction).  `None` means the scale's
+    /// per-dataset default (sampled on the large tier's big graphs, full
+    /// batch elsewhere).
     pub plan: Option<TrainingPlan>,
 }
 
@@ -306,7 +306,6 @@ impl CellOverrides {
         }
         if let Some(plan) = &self.plan {
             config.training_plan = plan.clone();
-            victim.plan = plan.clone();
             options.plan = plan.clone();
         }
     }
@@ -520,8 +519,10 @@ pub struct RunnerStats {
     /// artifact store was unavailable, timed out or failed to write
     /// (graceful degradation).
     pub store_degraded: usize,
-    /// Sampled-training prefetch: batches produced by sampler threads
-    /// (0 when no cell used the pipeline).
+    /// Sampled-training prefetch: batches produced by sampler threads (0
+    /// when nothing trained sampled).  The four prefetch counts are
+    /// process-wide since process start ([`bgc_nn::prefetch_stats`]), not
+    /// per runner.
     pub prefetch_produced: u64,
     /// Sampled-training prefetch: batches consumed by trainers.
     pub prefetch_consumed: u64,

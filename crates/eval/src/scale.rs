@@ -175,8 +175,7 @@ impl ExperimentScale {
 
     /// Victim model specification.  The victim trains on the condensed graph
     /// (tiny at every scale), so the large tier borrows the quick training
-    /// budget; use [`Self::victim_spec_for`] to also carry the dataset's
-    /// full-graph training plan.
+    /// budget.
     pub fn victim_spec(&self) -> VictimSpec {
         match self {
             ExperimentScale::Quick | ExperimentScale::Large => VictimSpec::quick(),
@@ -191,13 +190,10 @@ impl ExperimentScale {
         }
     }
 
-    /// [`Self::victim_spec`] with the dataset's training plan attached (used
-    /// by full-graph victim stages such as the Figure 1 reference model).
-    pub fn victim_spec_for(&self, dataset: DatasetKind) -> VictimSpec {
-        VictimSpec {
-            plan: self.training_plan(dataset),
-            ..self.victim_spec()
-        }
+    /// The victim of a cell on `dataset`: [`Self::victim_spec`], whatever
+    /// the dataset, since the victim trains only on the condensed graph.
+    pub fn victim_spec_for(&self, _dataset: DatasetKind) -> VictimSpec {
+        self.victim_spec()
     }
 
     /// ASR evaluation options.
@@ -302,8 +298,6 @@ mod tests {
         // ...but the epoch budget is trimmed for tractability.
         assert!(cfg.condensation.outer_epochs <= 40);
         assert!(cfg.condensation.outer_epochs >= 12);
-        let victim = ExperimentScale::Large.victim_spec_for(DatasetKind::Reddit);
-        assert!(victim.plan.is_sampled());
         let options = ExperimentScale::Large.evaluation_options_for(DatasetKind::Reddit, 1);
         assert!(options.plan.is_sampled());
         // Quick configs are untouched by the plan plumbing.

@@ -9,7 +9,7 @@
 //! | `poison-unsafe-lock` | lock poisoning recovers via `bgc_runtime::relock`, never cascades panics |
 //! | `unchecked-panic` | library code returns typed `BgcError`s (ratcheted by `lint-baseline.json`) |
 //! | `nondet-iteration` | canonicalization/persist/report paths never iterate hash maps |
-//! | `wall-clock-in-compute` | compute crates are clock-free; timing lives in bench/runtime |
+//! | `wall-clock-in-compute` | compute crates are clock-free; timing lives in bench/runtime/store and the prefetch pipeline's stall/idle timers |
 //! | `unregistered-fault-point` | every `fault::fire` literal is in `bgc_runtime::FAULT_POINTS` |
 //!
 //! Findings can be waived inline (`// bgc-lint: allow(rule) — reason`) or,

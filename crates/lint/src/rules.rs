@@ -224,8 +224,9 @@ pub fn run_rules(
             });
         }
 
-        // wall-clock-in-compute: Instant::now / SystemTime outside the
-        // bench/runtime allowlist.
+        // wall-clock-in-compute: Instant::now / SystemTime outside
+        // WALL_CLOCK_ALLOWLIST (bench, runtime, store, and the prefetch
+        // pipeline's trainer-stall / sampler-idle timers).
         if !clock_allowed && tok_kind == TokenKind::Ident && !in_use[code[k]] {
             if tok_text == "Instant"
                 && k + 2 < code.len()

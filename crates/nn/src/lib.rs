@@ -15,7 +15,7 @@ pub mod metrics;
 pub mod model;
 pub mod models;
 pub mod optim;
-pub mod pipeline;
+mod pipeline;
 pub mod plan;
 pub mod trainer;
 
@@ -23,9 +23,7 @@ pub use adjacency::AdjacencyRef;
 pub use metrics::{accuracy, attack_success_rate, format_percent, mean_std};
 pub use model::{ForwardPass, GnnArchitecture, GnnModel};
 pub use optim::{Adam, Optimizer, Sgd};
-pub use pipeline::{
-    default_prefetch_depth, prefetch_stats, set_default_prefetch_depth, PrefetchStats,
-};
+pub use pipeline::{prefetch_stats, PrefetchStats, PREFETCH_DEPTH};
 pub use plan::{SampledPlan, TrainingPlan};
 pub use trainer::{
     evaluate, train_node_classifier, train_on_condensed, train_with_plan, TrainConfig, TrainReport,

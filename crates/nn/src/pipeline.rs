@@ -1,12 +1,13 @@
 //! Overlapped producer/consumer pipeline for neighbour-sampled training.
 //!
-//! The synchronous sampled loop interleaves two very different workloads on
-//! one thread: *sampling* (pointer-chasing over the CSR adjacency plus the
-//! model-input rows) and *compute* (dense forward/backward).  This module
-//! moves sampling onto a dedicated producer thread that keeps a bounded
-//! channel of ready-to-train [`PreparedBatch`]es `depth` batches ahead of
+//! A sampled training run interleaves two very different workloads:
+//! *sampling* (pointer-chasing over the CSR adjacency plus the model-input
+//! rows) and *compute* (dense forward/backward).  This module runs
+//! sampling on a dedicated producer thread that keeps a bounded channel of
+//! ready-to-train [`PreparedBatch`]es [`PREFETCH_DEPTH`] batches ahead of
 //! the trainer, so the sampler's memory-bound work overlaps the trainer's
-//! compute-bound work.
+//! compute-bound work.  It is the only source of sampled batches, and its
+//! depth is fixed.
 //!
 //! What the producer emits as model input depends on the model
 //! ([`BatchInput`]):
@@ -27,14 +28,14 @@
 //! Invariants:
 //!
 //! * **Bit-identity.**  The producer derives the epoch shuffle and every
-//!   per-batch sampling decision from exactly the seeds the synchronous
-//!   loop uses (`plan_seed ^ mix(0x5a7c, epoch)` for the shuffle,
-//!   `mix(epoch, batch)` per batch), and batches are consumed strictly in
-//!   order, so training results are bit-identical to the synchronous path
-//!   for every prefetch depth and thread count (property-tested in
-//!   `tests/sampled_training.rs`).  First-step rows equal the first
-//!   block's SpMM over the raw rows bit for bit, so GCN and SGC train
-//!   bit-identically on either input (tested there too).
+//!   per-batch sampling decision from the plan seed alone
+//!   (`plan_seed ^ mix(0x5a7c, epoch)` for the shuffle, `mix(epoch, batch)`
+//!   per batch), and batches are consumed strictly in order, so production
+//!   timing cannot change what is trained: results are bit-identical
+//!   across thread counts (property-tested in `tests/sampled_training.rs`).
+//!   First-step rows equal the first block's SpMM over the raw rows bit for
+//!   bit, so GCN and SGC train bit-identically on either input (tested
+//!   there too).
 //! * **Allocation-free steady state.**  Input rows are written into
 //!   pool-backed buffers owned by the producer; after the trainer's tape
 //!   releases a batch's rows the storage travels back over a recycle
@@ -51,7 +52,7 @@
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
@@ -60,24 +61,10 @@ use bgc_graph::{mix_seed, Graph, NeighborSampler, SampledBatch, SampledBlock, Sa
 use bgc_tensor::init::{rng_from_seed, shuffle};
 use bgc_tensor::{BufferPool, Matrix};
 
-// Process-wide default for `TrainConfig::prefetch_depth`, overridable from
-// the CLI (`--prefetch-depth`).  2 is deep enough to hide sampling behind
-// one batch of compute plus jitter, shallow enough to bound the memory
-// pinned in flight.
-static DEFAULT_DEPTH: AtomicUsize = AtomicUsize::new(2);
-
-/// The current default [`crate::TrainConfig::prefetch_depth`] (what
-/// `TrainConfig::default()` and `TrainConfig::quick()` use).
-pub fn default_prefetch_depth() -> usize {
-    DEFAULT_DEPTH.load(Ordering::Relaxed)
-}
-
-/// Overrides the process-wide default prefetch depth (`0` = synchronous).
-/// Purely a performance knob: training results are bit-identical at every
-/// depth, so this never affects experiment identity or caching.
-pub fn set_default_prefetch_depth(depth: usize) {
-    DEFAULT_DEPTH.store(depth, Ordering::Relaxed);
-}
+/// How many batches the producer keeps ready ahead of the trainer: deep
+/// enough to hide sampling behind one batch of compute plus jitter,
+/// shallow enough to bound the memory pinned in flight.
+pub const PREFETCH_DEPTH: usize = 2;
 
 /// What a producer emits as the model's input rows.
 #[derive(Clone, Copy, Debug)]
@@ -118,22 +105,7 @@ pub struct PreparedBatch {
     pub input_features: Arc<Matrix>,
 }
 
-/// Where the sampled training loop gets its next minibatch from: the
-/// in-thread [`SyncSampler`] (prefetch depth 0) or a [`Prefetcher`] backed
-/// by the producer thread.  Both produce bit-identical batches.
-pub trait BatchSource {
-    /// The prepared batch for `(epoch, index)`.  Must be called in exactly
-    /// the epoch-major order the schedule defines.
-    fn next_batch(&mut self, epoch: usize, index: usize) -> PreparedBatch;
-
-    /// Hands a consumed batch's feature storage back for reuse.  Callers
-    /// pass the [`PreparedBatch::input_features`] handle once the tape has
-    /// released its reference (after the next [`bgc_tensor::Tape::reset`]);
-    /// a still-shared handle is silently dropped instead.
-    fn recycle(&mut self, features: Arc<Matrix>);
-}
-
-/// The batch schedule both sources derive from: how the training split is
+/// The batch schedule the producer walks: how the training split is
 /// shuffled and chunked each epoch.
 #[derive(Clone, Debug)]
 pub struct BatchSchedule<'a> {
@@ -153,19 +125,24 @@ impl BatchSchedule<'_> {
         self.train_idx.len().div_ceil(self.batch_size)
     }
 
-    /// The shuffled order of `epoch` — the exact RNG stream the historical
-    /// synchronous loop used.
+    /// The shuffled order of `epoch`, keyed by the plan seed and the epoch.
     fn epoch_order(&self, epoch: usize, order: &mut Vec<usize>) {
         order.clear();
         order.extend_from_slice(self.train_idx);
         let mut rng = rng_from_seed(self.plan_seed ^ mix_seed(&[0x5a7c, epoch as u64]));
         shuffle(order, &mut rng);
     }
+
+    /// Batch `index` of an epoch's shuffled `order`.
+    fn chunk<'o>(&self, order: &'o [usize], index: usize) -> &'o [usize] {
+        let lo = index * self.batch_size;
+        &order[lo..(lo + self.batch_size).min(order.len())]
+    }
 }
 
-/// What each source produces batches with: the graph, the sampler and the
-/// input kind, plus the sampler workspace and the pool the input rows are
-/// written into.
+/// What the producer thread produces batches with: the graph, the sampler
+/// and the input kind, plus the sampler workspace and the pool the input
+/// rows are written into.
 #[derive(Debug)]
 struct BatchProducer<'a> {
     graph: &'a Graph,
@@ -187,8 +164,7 @@ impl<'a> BatchProducer<'a> {
     }
 
     /// Produces one prepared batch: fault point, sort, sample, then the
-    /// model's input rows.  Shared by both sources so the produced bytes
-    /// cannot diverge between them.
+    /// model's input rows.
     fn produce(&mut self, chunk: &[usize], epoch: usize, index: usize) -> PreparedBatch {
         bgc_runtime::fault::fire("sampler.produce");
         let graph = self.graph;
@@ -275,59 +251,6 @@ fn first_step_rows(
     out
 }
 
-// ---------------------------------------------------------------------------
-// Depth 0: in-thread source
-// ---------------------------------------------------------------------------
-
-/// The prefetch-depth-0 source: samples each batch on the trainer thread,
-/// immediately before it is consumed (the historical synchronous loop).
-#[derive(Debug)]
-pub struct SyncSampler<'a> {
-    producer: BatchProducer<'a>,
-    schedule: BatchSchedule<'a>,
-    order: Vec<usize>,
-    order_epoch: Option<usize>,
-}
-
-impl<'a> SyncSampler<'a> {
-    /// A synchronous source over the given schedule.
-    pub fn new(
-        graph: &'a Graph,
-        sampler: &'a NeighborSampler,
-        input: BatchInput<'a>,
-        schedule: BatchSchedule<'a>,
-    ) -> Self {
-        Self {
-            producer: BatchProducer::new(graph, sampler, input),
-            schedule,
-            order: Vec::new(),
-            order_epoch: None,
-        }
-    }
-}
-
-impl BatchSource for SyncSampler<'_> {
-    fn next_batch(&mut self, epoch: usize, index: usize) -> PreparedBatch {
-        if self.order_epoch != Some(epoch) {
-            self.schedule.epoch_order(epoch, &mut self.order);
-            self.order_epoch = Some(epoch);
-        }
-        let lo = index * self.schedule.batch_size;
-        let hi = (lo + self.schedule.batch_size).min(self.order.len());
-        self.producer.produce(&self.order[lo..hi], epoch, index)
-    }
-
-    fn recycle(&mut self, features: Arc<Matrix>) {
-        if let Ok(matrix) = Arc::try_unwrap(features) {
-            self.producer.pool.recycle_vec(matrix.into_data());
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Depth > 0: producer thread + bounded channel
-// ---------------------------------------------------------------------------
-
 /// What travels over the pipeline channel: a batch, or a forwarded producer
 /// panic (re-raised on the trainer thread).
 enum Produced {
@@ -372,8 +295,10 @@ pub struct Prefetcher {
     recycle_tx: Sender<Vec<f32>>,
 }
 
-impl BatchSource for Prefetcher {
-    fn next_batch(&mut self, epoch: usize, index: usize) -> PreparedBatch {
+impl Prefetcher {
+    /// The prepared batch for `(epoch, index)`.  Must be called in exactly
+    /// the epoch-major order the schedule defines.
+    pub fn next_batch(&mut self, epoch: usize, index: usize) -> PreparedBatch {
         let start = Instant::now();
         let produced = self
             .rx
@@ -391,7 +316,12 @@ impl BatchSource for Prefetcher {
         }
     }
 
-    fn recycle(&mut self, features: Arc<Matrix>) {
+    /// Hands a consumed batch's feature storage back to the producer's
+    /// pool.  Callers pass the [`PreparedBatch::input_features`] handle once
+    /// the tape has released its reference (after the next
+    /// [`bgc_tensor::Tape::reset`]); a still-shared handle is silently
+    /// dropped instead.
+    pub fn recycle(&mut self, features: Arc<Matrix>) {
         if let Ok(matrix) = Arc::try_unwrap(features) {
             // The producer may already be gone (last epoch drained); storage
             // is simply dropped then.
@@ -401,7 +331,7 @@ impl BatchSource for Prefetcher {
 }
 
 /// Runs `f` with a [`Prefetcher`] fed by a producer thread that stays up to
-/// `depth` batches ahead.
+/// [`PREFETCH_DEPTH`] batches ahead.
 ///
 /// The producer walks the schedule epoch-major, exactly like the trainer
 /// consumes it.  Early stopping simply drops the `Prefetcher`: the
@@ -413,12 +343,10 @@ pub fn with_prefetcher<R>(
     sampler: &NeighborSampler,
     input: BatchInput<'_>,
     schedule: BatchSchedule<'_>,
-    depth: usize,
     f: impl FnOnce(&mut Prefetcher) -> R,
 ) -> R {
-    assert!(depth > 0, "use SyncSampler for prefetch depth 0");
     let fault_scope = bgc_runtime::fault::ScopeSnapshot::capture();
-    let (tx, rx) = std::sync::mpsc::sync_channel::<Produced>(depth);
+    let (tx, rx) = std::sync::mpsc::sync_channel::<Produced>(PREFETCH_DEPTH);
     let (recycle_tx, recycle_rx) = std::sync::mpsc::channel::<Vec<f32>>();
     std::thread::scope(|scope| {
         let producer_schedule = schedule.clone();
@@ -433,9 +361,7 @@ pub fn with_prefetcher<R>(
                     while let Ok(buffer) = recycle_rx.try_recv() {
                         producer.pool.recycle_vec(buffer);
                     }
-                    let lo = index * producer_schedule.batch_size;
-                    let hi = (lo + producer_schedule.batch_size).min(order.len());
-                    let chunk = &order[lo..hi];
+                    let chunk = producer_schedule.chunk(&order, index);
                     let produced =
                         catch_unwind(AssertUnwindSafe(|| producer.produce(chunk, epoch, index)));
                     match produced {
@@ -483,6 +409,26 @@ mod tests {
         m.data().iter().map(|v| v.to_bits()).collect()
     }
 
+    /// Batch `(epoch, index)` of `sched`, produced on this thread by
+    /// `BatchProducer::produce`, the function the producer thread calls.
+    fn produce_in_thread(
+        producer: &mut BatchProducer<'_>,
+        sched: &BatchSchedule<'_>,
+        epoch: usize,
+        index: usize,
+    ) -> PreparedBatch {
+        let mut order = Vec::new();
+        sched.epoch_order(epoch, &mut order);
+        producer.produce(sched.chunk(&order, index), epoch, index)
+    }
+
+    /// Returns a consumed batch's rows to `producer`'s pool, as the recycle
+    /// channel does for the producer thread.
+    fn recycle_in_thread(producer: &mut BatchProducer<'_>, features: Arc<Matrix>) {
+        let matrix = Arc::try_unwrap(features).expect("the batch's only handle");
+        producer.pool.recycle_vec(matrix.into_data());
+    }
+
     #[test]
     fn prefetched_batches_are_bit_identical_to_sync() {
         let graph = DatasetKind::Cora.load_small(3);
@@ -491,11 +437,11 @@ mod tests {
         let per_epoch = sched.batches_per_epoch();
         let propagated = graph.normalized.spmm(&graph.features);
         for input in [BatchInput::Raw, BatchInput::FirstStep(&propagated)] {
-            let mut sync = SyncSampler::new(&graph, &sampler, input, sched.clone());
-            with_prefetcher(&graph, &sampler, input, sched.clone(), 2, |prefetcher| {
+            let mut reference = BatchProducer::new(&graph, &sampler, input);
+            with_prefetcher(&graph, &sampler, input, sched.clone(), |prefetcher| {
                 for epoch in 0..sched.epochs {
                     for index in 0..per_epoch {
-                        let a = sync.next_batch(epoch, index);
+                        let a = produce_in_thread(&mut reference, &sched, epoch, index);
                         let b = prefetcher.next_batch(epoch, index);
                         assert_eq!(a.targets, b.targets);
                         assert_eq!(a.labels, b.labels);
@@ -511,7 +457,7 @@ mod tests {
                             assert_eq!(x.dst_in_src, y.dst_in_src);
                             assert_eq!(*x.adj, *y.adj);
                         }
-                        sync.recycle(a.input_features);
+                        recycle_in_thread(&mut reference, a.input_features);
                         prefetcher.recycle(b.input_features);
                     }
                 }
@@ -528,17 +474,12 @@ mod tests {
         let sampler = NeighborSampler::new(vec![3, 3], 5);
         let sched = schedule(&graph);
         let propagated = graph.normalized.spmm(&graph.features);
-        let mut raw = SyncSampler::new(&graph, &sampler, BatchInput::Raw, sched.clone());
-        let mut first = SyncSampler::new(
-            &graph,
-            &sampler,
-            BatchInput::FirstStep(&propagated),
-            sched.clone(),
-        );
+        let mut raw = BatchProducer::new(&graph, &sampler, BatchInput::Raw);
+        let mut first = BatchProducer::new(&graph, &sampler, BatchInput::FirstStep(&propagated));
         let (mut verbatim, mut capped) = (0, 0);
         for index in 0..sched.batches_per_epoch() {
-            let a = raw.next_batch(1, index);
-            let b = first.next_batch(1, index);
+            let a = produce_in_thread(&mut raw, &sched, 1, index);
+            let b = produce_in_thread(&mut first, &sched, 1, index);
             let block = &b.sampled.blocks[0];
             for &node in &block.dst_nodes {
                 if sampler.keeps_row_verbatim(0, graph.normalized.row_nnz(node)) {
@@ -574,7 +515,7 @@ mod tests {
         };
         // Consume two batches of a 50-epoch schedule, then drop: the scoped
         // producer must unblock and join (the test would hang otherwise).
-        with_prefetcher(&graph, &sampler, BatchInput::Raw, sched, 4, |prefetcher| {
+        with_prefetcher(&graph, &sampler, BatchInput::Raw, sched, |prefetcher| {
             let _ = prefetcher.next_batch(0, 0);
             let _ = prefetcher.next_batch(0, 1);
         });
@@ -593,12 +534,12 @@ mod tests {
         // Unbounded single-batch schedule: every epoch gathers the same
         // receptive field, so after the first epoch the producer must serve
         // every gather from recycled storage.
-        let mut sync = SyncSampler::new(&graph, &sampler, BatchInput::Raw, sched.clone());
+        let mut producer = BatchProducer::new(&graph, &sampler, BatchInput::Raw);
         for epoch in 0..sched.epochs {
-            let batch = sync.next_batch(epoch, 0);
-            sync.recycle(batch.input_features);
+            let batch = produce_in_thread(&mut producer, &sched, epoch, 0);
+            recycle_in_thread(&mut producer, batch.input_features);
         }
-        let stats = sync.producer.pool.stats();
+        let stats = producer.pool.stats();
         assert_eq!(stats.fresh_allocations, 1, "one cold gather, then reuse");
         assert_eq!(stats.reuses, sched.epochs - 1);
     }
@@ -613,7 +554,7 @@ mod tests {
             FaultPlan::new().with(FaultSpec::new("sampler.produce", FaultAction::Panic).on_hit(2));
         let _scope = plan.enter("pipeline-test");
         let result = catch_unwind(AssertUnwindSafe(|| {
-            with_prefetcher(&graph, &sampler, BatchInput::Raw, sched, 2, |prefetcher| {
+            with_prefetcher(&graph, &sampler, BatchInput::Raw, sched, |prefetcher| {
                 let mut consumed = 0;
                 for index in 0..4 {
                     let _ = prefetcher.next_batch(0, index);

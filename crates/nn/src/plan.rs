@@ -1,7 +1,7 @@
 //! Training plans: the strategy axis of the data plane.
 //!
-//! Every full-graph training stage (the clean reference GNN, the BGC
-//! selector, Figure 1's upper bound) runs through a [`TrainingPlan`]:
+//! The one full-graph training stage of an attack, the selector GCN that
+//! ranks candidate poisoned nodes, runs through a [`TrainingPlan`]:
 //!
 //! * [`TrainingPlan::FullBatch`] — the historical path: one forward/backward
 //!   over the whole graph per epoch.  Byte-identical to the pre-plan code.
@@ -44,9 +44,9 @@ impl SampledPlan {
     }
 
     /// The same plan with exactly `depth` fanouts: truncated, or extended by
-    /// repeating the last fanout.  Stages with a fixed propagation depth
-    /// (the 2-layer selector GCN, a reference model of known depth) adapt a
-    /// shared plan through this instead of panicking on a length mismatch.
+    /// repeating the last fanout.  A stage with a fixed propagation depth
+    /// (the 2-layer selector GCN) adapts a shared plan through this instead
+    /// of panicking on a length mismatch.
     pub fn with_depth(&self, depth: usize) -> SampledPlan {
         assert!(depth >= 1, "a sampled plan needs at least one step");
         let mut fanouts = self.fanouts.clone();

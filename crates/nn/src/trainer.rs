@@ -15,13 +15,15 @@
 //! * **Sampled** ([`TrainingPlan::Sampled`]) — per epoch the training nodes
 //!   are shuffled into ascending-sorted minibatches, each batch's receptive
 //!   field is materialized as a bipartite block chain by the deterministic
-//!   [`NeighborSampler`] and only those rows flow through the model.  All
-//!   randomness derives from the plan seed plus `(epoch, batch)` keys, so
-//!   results are bit-identical across thread counts and runs.  A plan that
-//!   samples nothing (one batch covering the training set, every fanout
-//!   unbounded) collapses onto the full propagation operator and is
-//!   bit-identical to [`train_node_classifier`] (property-tested in
-//!   `tests/sampled_training.rs`).
+//!   [`NeighborSampler`] and only those rows flow through the model.  The
+//!   batches come from the prefetch pipeline's producer thread
+//!   (`pipeline.rs`), which samples up to [`crate::PREFETCH_DEPTH`] batches
+//!   ahead of the trainer.  All randomness derives from the plan seed plus
+//!   `(epoch, batch)` keys, so results are bit-identical across thread
+//!   counts and runs.  A plan that samples nothing (one batch covering the
+//!   training set, every fanout unbounded) collapses onto the full
+//!   propagation operator and is bit-identical to [`train_node_classifier`]
+//!   (property-tested in `tests/sampled_training.rs`).
 
 use std::sync::Arc;
 
@@ -32,7 +34,7 @@ use crate::adjacency::AdjacencyRef;
 use crate::metrics::accuracy;
 use crate::model::GnnModel;
 use crate::optim::{Adam, Optimizer};
-use crate::pipeline::{self, BatchInput, BatchSchedule, BatchSource, PreparedBatch};
+use crate::pipeline::{with_prefetcher, BatchInput, BatchSchedule, Prefetcher, PreparedBatch};
 use crate::plan::{SampledPlan, TrainingPlan};
 
 /// Hyper-parameters of a training run.
@@ -50,11 +52,6 @@ pub struct TrainConfig {
     /// Stop when the validation accuracy has not improved for this many
     /// evaluations; `None` disables early stopping.
     pub patience: Option<usize>,
-    /// How many sampled minibatches the prefetch pipeline keeps ready ahead
-    /// of the trainer (`0` samples synchronously on the trainer thread).
-    /// Only the sampled training path reads this; results are bit-identical
-    /// for every depth.
-    pub prefetch_depth: usize,
 }
 
 impl Default for TrainConfig {
@@ -65,7 +62,6 @@ impl Default for TrainConfig {
             weight_decay: 5e-4,
             eval_every: 10,
             patience: Some(10),
-            prefetch_depth: pipeline::default_prefetch_depth(),
         }
     }
 }
@@ -79,7 +75,6 @@ impl TrainConfig {
             weight_decay: 5e-4,
             eval_every: 10,
             patience: None,
-            prefetch_depth: pipeline::default_prefetch_depth(),
         }
     }
 }
@@ -363,12 +358,9 @@ impl ValTracker {
 /// stopping, restored parameters) as the full-batch loop's deferred
 /// evaluation.
 ///
-/// Batch production is delegated to a [`BatchSource`]:
-/// `config.prefetch_depth == 0` samples synchronously on this thread
-/// ([`pipeline::SyncSampler`]); any other depth runs the overlapped
-/// producer/consumer pipeline ([`pipeline::with_prefetcher`]), which keeps
-/// that many batches ready ahead of the trainer.  Both sources are
-/// bit-identical (property-tested in `tests/sampled_training.rs`).
+/// Batches are produced by the overlapped producer/consumer pipeline
+/// ([`with_prefetcher`]), which samples on its own thread ahead of the
+/// trainer.
 fn train_sampled(
     model: &mut dyn GnnModel,
     graph: &Graph,
@@ -403,19 +395,9 @@ fn train_sampled(
         Some(propagated) => BatchInput::FirstStep(propagated),
         None => BatchInput::Raw,
     };
-    if config.prefetch_depth == 0 {
-        let mut source = pipeline::SyncSampler::new(graph, &sampler, input, schedule);
-        train_sampled_epochs(model, graph, config, plan, &mut source)
-    } else {
-        pipeline::with_prefetcher(
-            graph,
-            &sampler,
-            input,
-            schedule,
-            config.prefetch_depth,
-            |prefetcher| train_sampled_epochs(model, graph, config, plan, prefetcher),
-        )
-    }
+    with_prefetcher(graph, &sampler, input, schedule, |prefetcher| {
+        train_sampled_epochs(model, graph, config, plan, prefetcher)
+    })
 }
 
 /// The degenerate single-batch/unbounded sampled plan: full propagation
@@ -476,14 +458,13 @@ fn train_sampled_collapsed(
     }
 }
 
-/// The epoch/consumption loop over a [`BatchSource`], shared by the
-/// synchronous and prefetched sampled paths.
+/// The epoch/consumption loop over the batches a [`Prefetcher`] delivers.
 fn train_sampled_epochs(
     model: &mut dyn GnnModel,
     graph: &Graph,
     config: &TrainConfig,
     plan: &SampledPlan,
-    source: &mut dyn BatchSource,
+    prefetcher: &mut Prefetcher,
 ) -> TrainReport {
     let train_idx = &graph.split.train;
     let batch_size = plan.batch_size.max(1).min(train_idx.len());
@@ -498,7 +479,7 @@ fn train_sampled_epochs(
     let mut tape = Tape::new();
     // The features of the previously consumed batch: its tape reference is
     // released by the next `tape.reset()`, at which point the storage flows
-    // back to the source's pool.
+    // back to the producer's pool.
     let mut spent_features: Option<Arc<Matrix>> = None;
 
     'epochs: for epoch in 0..config.epochs {
@@ -508,7 +489,7 @@ fn train_sampled_epochs(
         for index in 0..batches_per_epoch {
             tape.reset();
             if let Some(features) = spent_features.take() {
-                source.recycle(features);
+                prefetcher.recycle(features);
             }
             let PreparedBatch {
                 targets,
@@ -518,7 +499,7 @@ fn train_sampled_epochs(
                 target_positions,
                 input_features,
                 ..
-            } = source.next_batch(epoch, index);
+            } = prefetcher.next_batch(epoch, index);
             let num_inputs = input_features.rows();
             let adj = if first_step_applied {
                 AdjacencyRef::blocks_after_first_step(Arc::new(sampled))

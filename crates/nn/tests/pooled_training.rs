@@ -231,7 +231,6 @@ proptest! {
             weight_decay: 5e-4,
             eval_every: 3,
             patience,
-            ..TrainConfig::default()
         };
         assert_bit_identical_training(arch, nodes, feat_dim, hidden, layers, classes, seed, &config);
     }
@@ -248,7 +247,6 @@ fn final_epoch_eval_is_bit_identical() {
         weight_decay: 5e-4,
         eval_every: 3,
         patience: None,
-        ..TrainConfig::default()
     };
     assert_bit_identical_training(GnnArchitecture::Gcn, 24, 6, 8, 2, 3, 77, &config);
 }
@@ -262,7 +260,6 @@ fn early_stopping_epoch_is_bit_identical() {
         weight_decay: 5e-4,
         eval_every: 2,
         patience: Some(1),
-        ..TrainConfig::default()
     };
     assert_bit_identical_training(GnnArchitecture::Mlp, 28, 9, 6, 2, 4, 13, &config);
 }

@@ -40,7 +40,6 @@ fn test_config() -> TrainConfig {
         weight_decay: 5e-4,
         eval_every: 3,
         patience: Some(3),
-        ..TrainConfig::default()
     }
 }
 
@@ -238,74 +237,6 @@ fn too_few_fanouts_fail_with_a_clear_error() {
     let _ = train_with_plan(model.as_mut(), &g, &TrainConfig::quick(), &plan, 1);
 }
 
-#[test]
-fn prefetched_training_is_bit_identical_to_synchronous() {
-    // The prefetch pipeline moves sampling onto a producer thread; nothing
-    // observable may change: losses, validation trace, early stopping,
-    // trained parameters and predictions must match the synchronous
-    // (depth 0) path bit for bit, at every depth.
-    for arch in [GnnArchitecture::Gcn, GnnArchitecture::Sage] {
-        let g = sorted_split_graph(DatasetKind::Cora, 23);
-        let plan = TrainingPlan::Sampled(SampledPlan {
-            fanouts: vec![6, 6],
-            batch_size: 40,
-        });
-        let build = || {
-            let mut rng = rng_from_seed(41);
-            arch.build(g.num_features(), 16, g.num_classes, 2, &mut rng)
-        };
-        let adj = AdjacencyRef::from_graph(&g);
-
-        let mut sync_model = build();
-        let sync_config = TrainConfig {
-            prefetch_depth: 0,
-            ..test_config()
-        };
-        let sync = train_with_plan(sync_model.as_mut(), &g, &sync_config, &plan, 321);
-        let sync_preds = sync_model.predict(&adj, &g.features);
-
-        for depth in [1usize, 2, 4] {
-            let mut model = build();
-            let config = TrainConfig {
-                prefetch_depth: depth,
-                ..test_config()
-            };
-            let report = train_with_plan(model.as_mut(), &g, &config, &plan, 321);
-            let tag = format!("{} depth {}", arch.name(), depth);
-            assert_eq!(sync.epochs_run, report.epochs_run, "{}", tag);
-            assert_eq!(
-                sync.best_val_accuracy.to_bits(),
-                report.best_val_accuracy.to_bits(),
-                "{}",
-                tag
-            );
-            assert_eq!(
-                sync.train_losses.len(),
-                report.train_losses.len(),
-                "{}",
-                tag
-            );
-            for (e, (a, b)) in sync
-                .train_losses
-                .iter()
-                .zip(report.train_losses.iter())
-                .enumerate()
-            {
-                assert_eq!(a.to_bits(), b.to_bits(), "{} loss at epoch {}", tag, e);
-            }
-            for (i, (p, q)) in sync_model
-                .parameters()
-                .iter()
-                .zip(model.parameters().iter())
-                .enumerate()
-            {
-                assert!(p.approx_eq(q, 0.0), "{} parameter {} differs", tag, i);
-            }
-            assert_eq!(sync_preds, model.predict(&adj, &g.features), "{}", tag);
-        }
-    }
-}
-
 /// Delegates everything to the wrapped model but keeps the trait's default
 /// `propagates_input_first`, so the sampled trainer feeds it raw input rows.
 struct RawInput(Box<dyn GnnModel>);
@@ -373,47 +304,42 @@ fn first_step_input_trains_bit_identically_to_raw_input() {
             let mut rng = rng_from_seed(43);
             arch.build(g.num_features(), 16, g.num_classes, 2, &mut rng)
         };
-        for depth in [0usize, 2] {
-            let config = TrainConfig {
-                prefetch_depth: depth,
-                ..test_config()
-            };
-            let mut first_step = build();
-            assert!(first_step.propagates_input_first(), "{}", arch.name());
-            let a = train_with_plan(first_step.as_mut(), &g, &config, &plan, 55);
-            let mut raw = RawInput(build());
-            let b = train_with_plan(&mut raw, &g, &config, &plan, 55);
+        let config = test_config();
+        let mut first_step = build();
+        assert!(first_step.propagates_input_first(), "{}", arch.name());
+        let a = train_with_plan(first_step.as_mut(), &g, &config, &plan, 55);
+        let mut raw = RawInput(build());
+        let b = train_with_plan(&mut raw, &g, &config, &plan, 55);
 
-            let tag = format!("{} depth {}", arch.name(), depth);
-            assert_eq!(a.epochs_run, b.epochs_run, "{}", tag);
-            let bits = |losses: &[f32]| losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                bits(&a.train_losses),
-                bits(&b.train_losses),
-                "{} losses",
-                tag
-            );
-            assert_eq!(
-                a.best_val_accuracy.to_bits(),
-                b.best_val_accuracy.to_bits(),
-                "{}",
-                tag
-            );
-            for (i, (p, q)) in first_step
-                .parameters()
-                .iter()
-                .zip(raw.parameters().iter())
-                .enumerate()
-            {
-                assert_eq!(bits(p.data()), bits(q.data()), "{} parameter {}", tag, i);
-            }
-            assert_eq!(
-                first_step.predict(&adj, &g.features),
-                raw.predict(&adj, &g.features),
-                "{}",
-                tag
-            );
+        let tag = arch.name();
+        assert_eq!(a.epochs_run, b.epochs_run, "{}", tag);
+        let bits = |losses: &[f32]| losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&a.train_losses),
+            bits(&b.train_losses),
+            "{} losses",
+            tag
+        );
+        assert_eq!(
+            a.best_val_accuracy.to_bits(),
+            b.best_val_accuracy.to_bits(),
+            "{}",
+            tag
+        );
+        for (i, (p, q)) in first_step
+            .parameters()
+            .iter()
+            .zip(raw.parameters().iter())
+            .enumerate()
+        {
+            assert_eq!(bits(p.data()), bits(q.data()), "{} parameter {}", tag, i);
         }
+        assert_eq!(
+            first_step.predict(&adj, &g.features),
+            raw.predict(&adj, &g.features),
+            "{}",
+            tag
+        );
     }
 }
 
