@@ -14,11 +14,15 @@
 //! must agree with the scalar reference on awkward shapes and be
 //! deterministic, and `transpose_matmul` (the panel-packed
 //! `kernel::gemm_tn`) must equal a whole-matrix transpose pack followed by
-//! the scalar gemm bit for bit on awkward and narrow shapes.  A
+//! the scalar gemm bit for bit on awkward and narrow shapes, and
+//! `Tape::propagate_row` must equal the concat → `const_matmul` → row-select
+//! chain it replaces bit for bit, readout and gradient, at trigger-step
+//! shapes (its timings at the quick and large-tier shapes are recorded).  A
 //! `thread_scaling` column (threads 1/2/4/physical) is measured by
 //! re-executing this binary per thread count (`bgc_bench::scaling`).
 
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Child-mode env var / stdout marker of the thread-scaling re-execution.
@@ -31,7 +35,7 @@ use bgc_condense::{condense_sntk, CondensationConfig};
 use bgc_graph::DatasetKind;
 use bgc_nn::{AdjacencyRef, GnnArchitecture};
 use bgc_tensor::init::{randn, rng_from_seed};
-use bgc_tensor::{kernel, CsrMatrix, Matrix, Tape};
+use bgc_tensor::{kernel, CsrMatrix, Matrix, Tape, Var};
 
 /// Runs first in the group: in a thread-scaling child process, measure the
 /// representative kernels at this process's pinned thread count, print the
@@ -151,6 +155,160 @@ fn transpose_matmul_gate() -> usize {
         );
     }
     shapes.len()
+}
+
+/// A GCN-normalized attached computation graph, shaped like the attack's
+/// trigger-step graphs: centre 0, `hop1` first-hop neighbours, the other
+/// `sub - 1 - hop1` nodes spread over them as the second hop, and a fully
+/// connected block of `t` trigger nodes linked to the centre.  The centre's
+/// row reads `1 + hop1 + t` rows.
+fn attached_tree(sub: usize, hop1: usize, t: usize) -> Matrix {
+    let n = sub + t;
+    let mut a = Matrix::identity(n);
+    let mut link = |i: usize, j: usize| {
+        a.set(i, j, 1.0);
+        a.set(j, i, 1.0);
+    };
+    for i in 1..sub {
+        let parent = if i <= hop1 {
+            0
+        } else {
+            1 + (i - hop1 - 1) % hop1
+        };
+        link(i, parent);
+    }
+    for i in sub..n {
+        link(i, 0);
+        for j in sub..i {
+            link(i, j);
+        }
+    }
+    let inv_sqrt: Vec<f32> = a.row_sums().iter().map(|&d| 1.0 / d.sqrt()).collect();
+    Matrix::from_fn(n, n, |r, c| a.get(r, c) * inv_sqrt[r] * inv_sqrt[c])
+}
+
+/// Records the centre readout (row 0) of `adj^steps · [base; tail]` on
+/// `tape` — by `Tape::propagate_row` when `fused`, else by the chain it
+/// replaces (concat → `steps` x `const_matmul` → row select) — and a loss
+/// whose gradient at the readout is `g`.  Returns `(tail, readout, loss)`.
+fn record_readout(
+    tape: &mut Tape,
+    adj: &Arc<Matrix>,
+    base: &Arc<Matrix>,
+    tail: &Matrix,
+    g: &Arc<Matrix>,
+    steps: usize,
+    fused: bool,
+) -> (Var, Var, Var) {
+    let tail = tape.leaf_copied(tail);
+    let out = if fused {
+        tape.propagate_row(adj.clone(), base.clone(), tail, steps, 0)
+    } else {
+        let base = tape.const_leaf(base.clone());
+        let mut z = tape.concat_rows(base, tail);
+        for _ in 0..steps {
+            z = tape.const_matmul(adj.clone(), z);
+        }
+        tape.row_select(z, &[0])
+    };
+    let weighted = tape.hadamard_const(out, g.clone());
+    (tail, out, tape.sum_all(weighted))
+}
+
+/// `(sub, hop1, t, d)` of the trigger-step readouts the propagate-row gate
+/// checks: the quick grid's shape (24 rows, 64 features), a narrow output
+/// (`d < LANES`), a single trigger row, and the large tier's shape (81 rows,
+/// 128 features, where the chain's products take the parallel gemm path).
+const PROPAGATE_ROW_SHAPES: [(usize, usize, usize, usize); 4] = [
+    (20, 4, 4, 64),
+    (20, 4, 4, 5),
+    (23, 4, 1, 64),
+    (77, 8, 4, 128),
+];
+
+/// Same-run gate: `Tape::propagate_row` must give the bits of the chain it
+/// replaces, for the readout and for the `tail` gradient, at 1, 2 and 3
+/// propagation steps on every shape of [`PROPAGATE_ROW_SHAPES`]. Returns the
+/// number of cases checked.
+fn propagate_row_gate() -> usize {
+    let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let mut cases = 0;
+    for &(sub, hop1, t, d) in &PROPAGATE_ROW_SHAPES {
+        let mut rng = rng_from_seed((sub * 1009 + t * 31 + d) as u64);
+        let adj = Arc::new(attached_tree(sub, hop1, t));
+        let base = Arc::new(randn(sub, d, 0.0, 1.0, &mut rng));
+        let tail = randn(t, d, 0.0, 1.0, &mut rng);
+        let g = Arc::new(randn(1, d, 0.0, 1.0, &mut rng));
+        for steps in 1..=3 {
+            let run = |fused| {
+                let mut tape = Tape::new();
+                let (tail, out, loss) =
+                    record_readout(&mut tape, &adj, &base, &tail, &g, steps, fused);
+                let value = bits(tape.value_ref(out));
+                let grads = tape.backward(loss);
+                let grad = grads.get(tail).expect("the readout reaches the tail");
+                (value, bits(grad))
+            };
+            assert!(
+                run(true) == run(false),
+                "propagate_row diverged from the propagation chain at {} rows, d {d}, \
+                 t {t}, {steps} steps",
+                sub + t
+            );
+            cases += 1;
+        }
+    }
+    cases
+}
+
+/// Best-of-`reps` microseconds per centre readout (forward and backward on a
+/// pooled tape, two propagation steps) by `Tape::propagate_row` and by the
+/// chain it replaces, at the trigger-step shapes of the quick grid (24 rows,
+/// 64 features) and of large-tier Flickr (81 rows, 128 features).
+fn propagate_row_timings(reps: usize) -> Vec<String> {
+    let mut entries = Vec::new();
+    for (name, (sub, hop1, t, d), iters) in [
+        ("quick_24x64", PROPAGATE_ROW_SHAPES[0], 4000),
+        ("large_flickr_81x128", PROPAGATE_ROW_SHAPES[3], 400),
+    ] {
+        let mut rng = rng_from_seed(31);
+        let adj = Arc::new(attached_tree(sub, hop1, t));
+        let base = Arc::new(randn(sub, d, 0.0, 1.0, &mut rng));
+        let tail = randn(t, d, 0.0, 1.0, &mut rng);
+        let g = Arc::new(randn(1, d, 0.0, 1.0, &mut rng));
+        let mut tape = Tape::new();
+        let mut per_readout_us = |fused: bool| {
+            let secs = best_secs(reps, || {
+                for _ in 0..iters {
+                    tape.reset();
+                    let (_, _, loss) = record_readout(&mut tape, &adj, &base, &tail, &g, 2, fused);
+                    let grads = tape.backward(loss);
+                    tape.absorb(grads);
+                }
+            });
+            secs / iters as f64 * 1e6
+        };
+        let chain_us = per_readout_us(false);
+        let op_us = per_readout_us(true);
+        println!(
+            "substrate_speedup/propagate_row/{:<20} chain {:.2} us  op {:.2} us  speedup {:.2}x",
+            name,
+            chain_us,
+            op_us,
+            chain_us / op_us
+        );
+        entries.push(format!(
+            "    \"{}\": {{\"rows\": {}, \"cols\": {}, \"steps\": 2, \"centre_reads\": {}, \"chain_us\": {:.3}, \"op_us\": {:.3}, \"speedup\": {:.3}}}",
+            name,
+            sub + t,
+            d,
+            1 + hop1 + t,
+            chain_us,
+            op_us,
+            chain_us / op_us
+        ));
+    }
+    entries
 }
 
 fn bench_matmul(c: &mut Criterion) {
@@ -474,6 +632,20 @@ fn bench_substrate_speedup(_c: &mut Criterion) {
     sections.push(format!(
         "  \"transpose_matmul_gate\": {{\"shapes\": {}, \"bit_identical_to_pack_then_scalar_gemm\": true}}",
         tm_shapes
+    ));
+
+    let pr_cases = propagate_row_gate();
+    println!(
+        "substrate_speedup/propagate_row: bit-identical to concat + const_matmul + row select in {} cases",
+        pr_cases
+    );
+    sections.push(format!(
+        "  \"propagate_row_gate\": {{\"cases\": {}, \"bit_identical_to_chain\": true}}",
+        pr_cases
+    ));
+    sections.push(format!(
+        "  \"propagate_row\": {{\n{}\n  }}",
+        propagate_row_timings(reps).join(",\n")
     ));
 
     // --- Multi-thread scaling column (re-executed children; the rayon shim

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use bgc_graph::{k_hop_subgraph, Graph, NeighborSampler};
 use bgc_nn::{AdjacencyRef, TrainingPlan};
-use bgc_tensor::{Matrix, Tape, Var};
+use bgc_tensor::Matrix;
 
 use crate::config::BgcConfig;
 
@@ -51,18 +51,6 @@ impl AttachedGraph {
     /// Wraps the dense normalized adjacency for GNN forward passes.
     pub fn adjacency_ref(&self) -> AdjacencyRef {
         AdjacencyRef::Dense(self.norm_adj.clone())
-    }
-
-    /// Differentiable combined feature matrix: the constant computation-graph
-    /// features stacked over the (possibly differentiable) trigger features.
-    pub fn combined_features(&self, tape: &mut Tape, trigger_features: Var) -> Var {
-        assert_eq!(
-            tape.shape(trigger_features),
-            (self.trigger_size, self.sub_features.cols()),
-            "trigger feature block has the wrong shape"
-        );
-        let base = tape.const_leaf(self.sub_features.clone());
-        tape.concat_rows(base, trigger_features)
     }
 
     /// Plain combined feature matrix for non-differentiable evaluation.

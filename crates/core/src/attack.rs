@@ -15,8 +15,11 @@
 //! `Â_P^K X_P` (Eq. 18).  `G_P` is built once, before the loop, as a
 //! `PoisonedGraph`: step (iii) overwrites only its trigger rows and
 //! re-propagates only the rows those reach, so step (iv) sees exactly the
-//! features a from-scratch rebuild would give.  The output is the poisoned
-//! condensed graph plus the trained trigger used at inference time.
+//! features a from-scratch rebuild would give.  Step (ii) scores only the
+//! centre node of each triggered computation graph, so it propagates only
+//! the centre's receptive field (`Tape::propagate_row`), with the bits of a
+//! whole-graph propagation.  The output is the poisoned condensed graph plus
+//! the trained trigger used at inference time.
 
 use std::collections::BTreeMap;
 
@@ -314,6 +317,12 @@ pub(crate) fn zero_grads(trigger: &mut impl TrainableTrigger) -> Vec<Matrix> {
 /// cross-entropy towards the target class.  Shared by the interleaved loop
 /// and the GTA baseline (which optimizes against a static surrogate).
 ///
+/// The surrogate scores only the centre node of each attached graph, so
+/// [`Tape::propagate_row`] propagates only the centre's receptive field
+/// (the rows its `K` hops read) and sends the gradient back only to the
+/// trigger rows.  Losses and trigger updates are bit-identical to
+/// propagating the whole attached graph.
+///
 /// `tape` is a pooled tape reused across steps (reset here); `zero_grads`
 /// come from [`zero_grads`].
 #[allow(clippy::too_many_arguments)]
@@ -352,11 +361,13 @@ pub(crate) fn trigger_step(
         let Some(attached) = cache.get(&node) else {
             continue;
         };
-        let mut z = attached.combined_features(tape, block);
-        for _ in 0..config.condensation.propagation_steps {
-            z = tape.const_matmul(attached.norm_adj.clone(), z);
-        }
-        let center = tape.row_select(z, &[attached.center]);
+        let center = tape.propagate_row(
+            attached.norm_adj.clone(),
+            attached.sub_features.clone(),
+            block,
+            config.condensation.propagation_steps,
+            attached.center,
+        );
         let logits = tape.matmul(center, w_const);
         let term = tape.softmax_cross_entropy(logits, &[config.target_class]);
         total = Some(match total {
@@ -388,7 +399,9 @@ pub(crate) fn trigger_step(
 pub(crate) mod tests {
     use super::*;
     use crate::baselines::DoorpingAttack;
+    use crate::config::GeneratorKind;
     use crate::selector::select_poisoned_nodes;
+    use crate::trigger::UniversalTrigger;
     use bgc_graph::{DatasetKind, PoisonBudget};
 
     fn tiny_config() -> BgcConfig {
@@ -429,6 +442,154 @@ pub(crate) mod tests {
 
     pub(crate) fn bits(values: &[f32]) -> Vec<u32> {
         values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The former [`trigger_step`]: each attached graph is propagated whole
+    /// (concat → K x `const_matmul` → centre row select).  The oracle the
+    /// receptive-field readout must match bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    fn chain_trigger_step(
+        config: &BgcConfig,
+        tape: &mut Tape,
+        trigger: &mut impl TrainableTrigger,
+        optimizer: &mut Adam,
+        zero_grads: &[Matrix],
+        graph: &Graph,
+        adj: &AdjacencyRef,
+        surrogate_weight: &Matrix,
+        rng: &mut StdRng,
+        cache: &mut BTreeMap<usize, AttachedGraph>,
+    ) -> f32 {
+        let sample_size = config.update_sample_size.min(graph.num_nodes()).max(1);
+        let sample = sample_without_replacement(graph.num_nodes(), sample_size, rng);
+        for &node in &sample {
+            cache.entry(node).or_insert_with(|| {
+                attach_to_computation_graph(
+                    graph,
+                    node,
+                    config.trigger_size,
+                    config.khop,
+                    config.max_neighbors_per_hop,
+                )
+            });
+        }
+        tape.reset();
+        let (blocks, param_vars) = trigger.record(tape, adj, &graph.features, &sample);
+        let w_const = tape.leaf_detached(surrogate_weight);
+        let mut total: Option<Var> = None;
+        for (node, &block) in sample.iter().zip(&blocks) {
+            let attached = &cache[node];
+            let base = tape.const_leaf(attached.sub_features.clone());
+            let mut z = tape.concat_rows(base, block);
+            for _ in 0..config.condensation.propagation_steps {
+                z = tape.const_matmul(attached.norm_adj.clone(), z);
+            }
+            let center = tape.row_select(z, &[attached.center]);
+            let logits = tape.matmul(center, w_const);
+            let term = tape.softmax_cross_entropy(logits, &[config.target_class]);
+            total = Some(match total {
+                Some(acc) => tape.add(acc, term),
+                None => term,
+            });
+        }
+        let loss = tape.scale(total.expect("a sampled node"), 1.0 / sample.len() as f32);
+        let loss_value = tape.scalar(loss);
+        let grads = tape.backward(loss);
+        {
+            let grad_refs: Vec<&Matrix> = param_vars
+                .iter()
+                .zip(zero_grads)
+                .map(|(&v, zero)| grads.get_or(v, zero))
+                .collect();
+            optimizer.step(&mut trigger.parameters_mut(), &grad_refs);
+        }
+        tape.absorb(grads);
+        loss_value
+    }
+
+    /// Bits of the loss and of every trigger parameter after each of
+    /// `steps` trigger steps, by [`trigger_step`] (`chain == false`) or by
+    /// the chain oracle.
+    fn trigger_step_trace<T: TrainableTrigger>(
+        config: &BgcConfig,
+        graph: &Graph,
+        mut trigger: T,
+        steps: usize,
+        chain: bool,
+    ) -> Vec<Vec<u32>> {
+        let adj = AdjacencyRef::from_graph(graph);
+        let mut rng = rng_from_seed(config.seed ^ 0x75);
+        let surrogate =
+            bgc_tensor::init::xavier_uniform(graph.num_features(), graph.num_classes, &mut rng);
+        let mut optimizer = Adam::new(config.generator_lr, 0.0);
+        let zero_grads = zero_grads(&mut trigger);
+        let (mut tape, mut cache) = (Tape::new(), BTreeMap::new());
+        let step = if chain {
+            chain_trigger_step
+        } else {
+            trigger_step
+        };
+        (0..steps)
+            .map(|_| {
+                let loss = step(
+                    config,
+                    &mut tape,
+                    &mut trigger,
+                    &mut optimizer,
+                    &zero_grads,
+                    graph,
+                    &adj,
+                    &surrogate,
+                    &mut rng,
+                    &mut cache,
+                );
+                let mut trace = vec![loss.to_bits()];
+                for p in trigger.parameters_mut() {
+                    trace.extend(bits(p.data()));
+                }
+                trace
+            })
+            .collect()
+    }
+
+    /// BGC's generator (MLP encoder, one block per sampled node) and
+    /// DOORPING's universal trigger (one block read by every sampled node)
+    /// train to the same bits through [`trigger_step`]'s receptive-field
+    /// readout and through the whole-graph propagation chain, at every
+    /// propagation depth the op supports.
+    #[test]
+    fn trigger_steps_match_the_whole_graph_propagation_chain() {
+        let graph = DatasetKind::Cora.load_small(25);
+        let mut config = tiny_config();
+        for steps in 0..=3 {
+            config.condensation.propagation_steps = steps;
+            let mut rng = rng_from_seed(config.seed);
+            let generator = TriggerGenerator::with_feature_scale(
+                GeneratorKind::Mlp,
+                graph.num_features(),
+                config.hidden_dim,
+                config.trigger_size,
+                config.trigger_feature_scale,
+                &mut rng,
+            );
+            let universal = UniversalTrigger::new(bgc_tensor::init::randn(
+                config.trigger_size,
+                graph.num_features(),
+                0.0,
+                0.5,
+                &mut rng,
+            ));
+            assert_eq!(
+                trigger_step_trace(&config, &graph, generator.clone(), 6, false),
+                trigger_step_trace(&config, &graph, generator, 6, true),
+                "BGC, K = {steps}"
+            );
+            assert_eq!(
+                trigger_step_trace(&config, &graph, universal.clone(), 6, false),
+                trigger_step_trace(&config, &graph, universal, 6, true),
+                "DOORPING, K = {steps}"
+            );
+        }
     }
 
     /// The interleaved loop with `G_P` rebuilt by `build_poisoned_graph`

@@ -295,11 +295,13 @@ impl ExperimentBuilder {
                     "sampled plans need at least one fanout (one per propagation step)",
                 ));
             }
-            // An explicitly requested plan must match the victim's
-            // propagation depth (scale-default plans are adapted
-            // automatically; fixed-depth stages like the selector GCN adapt
-            // any plan).  Validating here turns a mid-run panic on a
-            // multi-minute large-tier cell into an immediate typed error.
+            // Victims train full batch, but the ASR evaluation extracts each
+            // triggered computation graph with the plan's fanouts, one hop
+            // per fanout (`attach_for_evaluation`).  An explicitly requested
+            // plan must therefore provide one fanout per propagation step of
+            // the victim, so the extraction is as deep as the victim's
+            // receptive field (the selector GCN adapts any plan to its fixed
+            // depth).
             let architecture = self.overrides.architecture.unwrap_or(GnnArchitecture::Gcn);
             let layers = self.overrides.num_layers.unwrap_or(2);
             if let Some(depth) = architecture.propagation_depth(layers) {

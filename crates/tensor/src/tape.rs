@@ -10,9 +10,10 @@
 //! The design favours clarity over generality: the operation set is exactly
 //! what graph condensation and graph backdoor attacks need (sparse-dense
 //! products, ReLU/softmax non-linearities, cross-entropy, row normalization,
-//! straight-through binarization for discrete trigger structure, per-column
-//! cosine matching for gradient matching, and a differentiable SPD solve for
-//! kernel ridge regression).
+//! straight-through binarization for discrete trigger structure, a one-row
+//! propagation readout for trigger updates, per-column cosine matching for
+//! gradient matching, and a differentiable SPD solve for kernel ridge
+//! regression).
 //!
 //! # The allocation-free training engine
 //!
@@ -67,6 +68,13 @@ enum Op {
     ConstMul(Arc<Matrix>, usize),
     /// Variable times transposed dense constant (`x * c^T`).
     MatMulTransposeConst(usize, Arc<Matrix>),
+    /// Row `row` of `adj^steps · [base; tail]`; only `tail` is a variable.
+    PropagateRow {
+        adj: Arc<Matrix>,
+        tail: usize,
+        steps: usize,
+        row: usize,
+    },
     Add(usize, usize),
     Sub(usize, usize),
     /// `x + bias` where `bias` is a `1 x d` row broadcast over the rows of `x`.
@@ -268,6 +276,7 @@ impl Tape {
             Op::SpMM(_, x)
             | Op::ConstMul(_, x)
             | Op::MatMulTransposeConst(x, _)
+            | Op::PropagateRow { tail: x, .. }
             | Op::Scale(x, _)
             | Op::AddScalar(x)
             | Op::HadamardConst(x, _)
@@ -432,6 +441,82 @@ impl Tape {
         );
         self.pool.recycle(packed);
         self.push_owned(out, Op::MatMulTransposeConst(x.0, constant))
+    }
+
+    /// Row `row` of `adj^steps · [base; tail]` as a `1 x d` node: `steps`
+    /// dense propagation hops over `base` stacked on `tail`, read at one
+    /// row.  `base` is constant; only `tail` carries a gradient.  This is
+    /// the centre-node readout of an attached trigger block.
+    ///
+    /// The value and the `tail` gradient equal those of `concat_rows` →
+    /// `steps` x [`Tape::const_matmul`] → [`Tape::row_select`] bit for bit,
+    /// but only `row`'s receptive field is computed:
+    ///
+    /// * forward, each hop computes only the rows the next hop reads (the
+    ///   columns with a non-zero entry of `adj` in the next hop's rows);
+    /// * backward, the last hop is the depth-1 product `adj[row, :]ᵀ · d`,
+    ///   and each earlier hop computes only the rows of `adjᵀ · d` that
+    ///   lead to `tail`, ending at the `tail` rows.
+    ///
+    /// Every computed row runs through the row kernels of [`kernel::gemm`]
+    /// or [`kernel::gemm_tn`] at the full depth `n`, so it keeps the
+    /// chain's `KU` groups.  Every skipped term is a product with an exact
+    /// zero (a zero entry of `adj`, or a gradient row that is zero in the
+    /// chain), and adding `±0` never changes an accumulator that starts at
+    /// `+0.0`.
+    pub fn propagate_row(
+        &mut self,
+        adj: Arc<Matrix>,
+        base: Arc<Matrix>,
+        tail: Var,
+        steps: usize,
+        row: usize,
+    ) -> Var {
+        let n = adj.rows();
+        let (t, d) = self.shape(tail);
+        assert_eq!(adj.cols(), n, "propagate_row: adjacency is not square");
+        assert_eq!(
+            (base.rows() + t, base.cols()),
+            (n, d),
+            "propagate_row: [base; tail] does not match the {n}x{n} adjacency and {d} columns"
+        );
+        assert!(
+            row < n,
+            "propagate_row: row {row} out of bounds for {n} rows"
+        );
+        let Self { nodes, pool, .. } = self;
+        // `fields[k]`: the rows of hop `steps - k`'s output that `row` reads.
+        let mut fields: Vec<Vec<usize>> = Vec::with_capacity(steps);
+        for k in 0..steps {
+            let rows = match k {
+                0 => pool.copy_indices(&[row]),
+                _ => stored_columns(pool, &adj, &fields[k - 1]),
+            };
+            fields.push(rows);
+        }
+        let mut z = pool.raw(n, d);
+        z.data_mut()[..base.len()].copy_from_slice(base.data());
+        z.data_mut()[base.len()..].copy_from_slice(nodes[tail.0].value.matrix().data());
+        for rows in fields.into_iter().rev() {
+            // Unread rows stay zero: finite, and multiplied by zeros only.
+            let mut next = pool.zeros(n, d);
+            for &i in &rows {
+                kernel::gemm(1, n, d, adj.row(i), z.data(), next.row_mut(i));
+            }
+            pool.recycle(z);
+            pool.recycle_indices(rows);
+            z = next;
+        }
+        let mut out = pool.raw(1, d);
+        out.data_mut().copy_from_slice(z.row(row));
+        pool.recycle(z);
+        let op = Op::PropagateRow {
+            adj,
+            tail: tail.0,
+            steps,
+            row,
+        };
+        self.push_owned(out, op)
     }
 
     fn binary_elementwise(
@@ -876,6 +961,53 @@ impl Tape {
                     );
                     accumulate(&mut grads, pool, *x, dx);
                 }
+                Op::PropagateRow {
+                    adj,
+                    tail,
+                    steps,
+                    row,
+                } => {
+                    let (n, d) = (adj.rows(), grad.cols());
+                    let sub = n - val(*tail).rows();
+                    let dtail = if *steps == 0 {
+                        // The chain's row-select scatter, then its tail copy.
+                        let mut dtail = pool.zeros(n - sub, d);
+                        if *row >= sub {
+                            for c in 0..d {
+                                dtail.add_at(*row - sub, c, grad.get(0, c));
+                            }
+                        }
+                        dtail
+                    } else {
+                        // `rows`: the rows of the last hop's input gradient
+                        // that lead to `tail`; `earlier` holds those of the
+                        // hops before it, first hop (the `tail` rows) first.
+                        let mut rows = pool.copy_indices(&[]);
+                        rows.extend(sub..n);
+                        let mut earlier = Vec::with_capacity(*steps);
+                        for _ in 1..*steps {
+                            let next = stored_rows(pool, adj, &rows);
+                            earlier.push(std::mem::replace(&mut rows, next));
+                        }
+                        // The last hop's output gradient is `grad` at `row`
+                        // and zero elsewhere: its input gradient is the
+                        // depth-1 product `adj[row, :]ᵀ · grad`.
+                        let mut dz = transpose_matmul_rows(pool, adj.row(*row), &rows, &grad);
+                        while let Some(next) = earlier.pop() {
+                            let mut full = pool.zeros(n, d);
+                            for (i, &r) in rows.iter().enumerate() {
+                                full.row_mut(r).copy_from_slice(dz.row(i));
+                            }
+                            pool.recycle(dz);
+                            dz = transpose_matmul_rows(pool, adj.data(), &next, &full);
+                            pool.recycle(full);
+                            pool.recycle_indices(std::mem::replace(&mut rows, next));
+                        }
+                        pool.recycle_indices(rows);
+                        dz
+                    };
+                    accumulate(&mut grads, pool, *tail, dtail);
+                }
                 Op::Add(a, b) => {
                     if needs(*a) {
                         accumulate_copy(&mut grads, pool, *a, &grad);
@@ -1208,6 +1340,38 @@ fn transpose_matmul_pooled(pool: &mut BufferPool, a: &Matrix, b: &Matrix) -> Mat
         b.data(),
         out.data_mut(),
     );
+    out
+}
+
+/// Rows `cols` of `aᵀ · b`, where `a` is `r x m` and `b` is `r x d`, both
+/// row-major.  The listed columns of `a` are packed into an `r x cols.len()`
+/// operand of [`transpose_matmul_pooled`], so each row receives the
+/// depth-`r` updates of the whole product (the backward rule of
+/// [`Op::PropagateRow`]).
+fn transpose_matmul_rows(pool: &mut BufferPool, a: &[f32], cols: &[usize], b: &Matrix) -> Matrix {
+    let r = b.rows();
+    let mut packed = pool.raw(r, cols.len());
+    for (k, src) in a.chunks_exact(a.len() / r).enumerate() {
+        for (dst, &c) in packed.row_mut(k).iter_mut().zip(cols) {
+            *dst = src[c];
+        }
+    }
+    let out = transpose_matmul_pooled(pool, &packed, b);
+    pool.recycle(packed);
+    out
+}
+
+/// The columns of `adj` with a non-zero entry in one of `rows`, ascending.
+fn stored_columns(pool: &mut BufferPool, adj: &Matrix, rows: &[usize]) -> Vec<usize> {
+    let mut out = pool.copy_indices(&[]);
+    out.extend((0..adj.cols()).filter(|&c| rows.iter().any(|&r| adj.get(r, c) != 0.0)));
+    out
+}
+
+/// The rows of `adj` with a non-zero entry in one of `cols`, ascending.
+fn stored_rows(pool: &mut BufferPool, adj: &Matrix, cols: &[usize]) -> Vec<usize> {
+    let mut out = pool.copy_indices(&[]);
+    out.extend((0..adj.rows()).filter(|&r| cols.iter().any(|&c| adj.get(r, c) != 0.0)));
     out
 }
 
@@ -1608,6 +1772,108 @@ mod tests {
         let grads = tape.backward(loss);
         assert!(grads.get(x).is_some());
         assert_eq!(tape.pool_stats().fresh_allocations, 0);
+    }
+
+    /// A normalized attached-graph adjacency: a sparse random graph on `sub`
+    /// nodes (a tree plus a few one-way chords, so the pattern is not
+    /// symmetric) and a fully connected block of `t` trigger nodes linked to
+    /// node 0, with self-loops.
+    fn attached_adjacency(sub: usize, t: usize, seed: u64) -> Matrix {
+        let n = sub + t;
+        let coins = crate::init::uniform(n, n, 0.0, 1.0, &mut rng_from_seed(seed));
+        let mut a = Matrix::identity(n);
+        for i in 1..n {
+            for j in 0..i {
+                let tree = i < sub && j == (i - 1) / 2;
+                let chord = i < sub && coins.get(i, j) < 0.05;
+                let trigger = i >= sub && (j == 0 || j >= sub);
+                if tree || trigger {
+                    a.set(i, j, 1.0);
+                    a.set(j, i, 1.0);
+                } else if chord {
+                    a.set(i, j, 1.0);
+                }
+            }
+        }
+        let inv_sqrt: Vec<f32> = a.row_sums().iter().map(|&d| 1.0 / d.sqrt()).collect();
+        Matrix::from_fn(n, n, |r, c| a.get(r, c) * inv_sqrt[r] * inv_sqrt[c])
+    }
+
+    /// The chain [`Tape::propagate_row`] replaces.
+    fn propagate_row_chain(
+        tape: &mut Tape,
+        adj: &Arc<Matrix>,
+        base: &Arc<Matrix>,
+        tail: Var,
+        steps: usize,
+        row: usize,
+    ) -> Var {
+        let base = tape.const_leaf(base.clone());
+        let mut z = tape.concat_rows(base, tail);
+        for _ in 0..steps {
+            z = tape.const_matmul(adj.clone(), z);
+        }
+        tape.row_select(z, &[row])
+    }
+
+    /// [`Tape::propagate_row`] gives the bits of concat → `steps` x
+    /// `const_matmul` → row select, for the value and for the gradient of a
+    /// `tail` that one or two readouts share.  The shapes cover the quick
+    /// grid's (24 rows, 64 features), a narrow output (`d < LANES`), one
+    /// trigger row, and the large tier's (81 rows, 128 features), where the
+    /// chain's products take the parallel gemm path.  The adjacency's
+    /// pattern is not symmetric, and the upstream gradient carries signed
+    /// zeros.
+    #[test]
+    fn propagate_row_matches_the_propagation_chain_bitwise() {
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        const { assert!(5 < kernel::LANES && 81 * 81 * 128 >= kernel::PAR_GEMM_WORK) };
+        for &(sub, t, d) in &[
+            (20usize, 4usize, 64usize),
+            (23, 1, 64),
+            (20, 4, 5),
+            (77, 4, 128),
+        ] {
+            let mut rng = rng_from_seed((sub * 1009 + t * 31 + d) as u64);
+            let adj = Arc::new(attached_adjacency(sub, t, sub as u64));
+            let base = Arc::new(randn(sub, d, 0.0, 1.0, &mut rng));
+            let tail0 = randn(t, d, 0.0, 1.0, &mut rng);
+            let mut g = randn(1, d, 0.0, 1.0, &mut rng);
+            g.set(0, 1, 0.0);
+            g.set(0, 2, -0.0);
+            let g = Arc::new(g);
+            for steps in 0..=3 {
+                for rows in [vec![0], vec![sub + t - 1], vec![sub / 2, 0]] {
+                    let run = |fused: bool| {
+                        let mut tape = Tape::new();
+                        let tail = tape.leaf_copied(&tail0);
+                        let mut values = Vec::new();
+                        let mut total = None;
+                        for &row in &rows {
+                            let out = if fused {
+                                tape.propagate_row(adj.clone(), base.clone(), tail, steps, row)
+                            } else {
+                                propagate_row_chain(&mut tape, &adj, &base, tail, steps, row)
+                            };
+                            values.extend(bits(tape.value_ref(out)));
+                            let weighted = tape.hadamard_const(out, g.clone());
+                            let term = tape.sum_all(weighted);
+                            total = Some(match total {
+                                Some(acc) => tape.add(acc, term),
+                                None => term,
+                            });
+                        }
+                        let grads = tape.backward(total.expect("one readout per row"));
+                        (values, bits(grads.get(tail).expect("tail gradient")))
+                    };
+                    assert_eq!(
+                        run(true),
+                        run(false),
+                        "sub {sub}, t {t}, d {d}, steps {steps}, rows {rows:?}"
+                    );
+                }
+            }
+        }
     }
 
     /// The `Aᵀ · B` backward products of [`Op::MatMul`] (`dw = aᵀ dy`) and
