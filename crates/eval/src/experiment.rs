@@ -20,9 +20,9 @@
 //! `build()` validates everything that can be validated without running:
 //! registry membership of the attack/method/defense names, ratio and knob
 //! ranges, and directed-attack consistency.  The built [`Experiment`] lowers
-//! to the existing [`CellKey`]/[`RunSpec`] grid coordinates, so
-//! builder-driven runs share cache entries with the table/figure
-//! regenerators bit-for-bit.
+//! to a [`CellGroup`] of the same [`CellKey`](crate::CellKey)s the
+//! table/figure regenerators declare, and runs through [`Runner`], so
+//! builder-driven runs share cache entries with them bit-for-bit.
 
 use bgc_condense::MethodId;
 use bgc_core::{AttackId, BgcError, GeneratorKind};
@@ -30,7 +30,7 @@ use bgc_defense::DefenseId;
 use bgc_graph::{DatasetKind, PoisonBudget};
 use bgc_nn::{GnnArchitecture, TrainingPlan};
 
-use crate::protocol::{lookup_attack, lookup_method, AttackKind, RunMetrics, RunSpec};
+use crate::protocol::{lookup_attack, lookup_method, AttackKind, RunMetrics};
 use crate::runner::{CellGroup, CellOverrides, EvalKind, Runner, DEFAULT_BASE_SEED};
 use crate::scale::ExperimentScale;
 
@@ -61,18 +61,6 @@ impl Experiment {
     /// quick scale, seed 17, standard evaluation).
     pub fn builder() -> ExperimentBuilder {
         ExperimentBuilder::default()
-    }
-
-    /// Lowers to the serial protocol's [`RunSpec`].
-    pub fn to_run_spec(&self) -> RunSpec {
-        RunSpec {
-            dataset: self.dataset,
-            method: self.method.clone(),
-            ratio: self.ratio,
-            attack: self.attack.clone(),
-            scale: self.scale,
-            seed: self.seed,
-        }
     }
 
     /// Lowers to a grid-runner [`CellGroup`] (one key per repetition).  The

@@ -27,10 +27,7 @@ pub mod tables;
 pub use bgc_core::BgcError;
 pub use bgc_runtime::{CancelToken, FaultAction, FaultPlan, FaultSpec};
 pub use experiment::{Experiment, ExperimentBuilder};
-pub use protocol::{
-    attack_stage, clean_stage, run_spec, run_spec_with, AttackArtifacts, AttackKind, RunMetrics,
-    RunSpec,
-};
+pub use protocol::{attack_stage, clean_stage, AttackArtifacts, AttackKind, RunMetrics};
 pub use runner::{
     enter_wave, BudgetOverride, CellGroup, CellKey, CellOutcome, CellOverrides, CellResult,
     CellStatus, CodeEpochs, EvalKind, GridReport, Runner, RunnerStats, WaveCtx, WaveObserver,

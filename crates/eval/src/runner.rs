@@ -82,11 +82,11 @@ use bgc_graph::{CondensedGraph, DatasetKind, Graph, PoisonBudget};
 use bgc_nn::{GnnArchitecture, TrainingPlan};
 
 use crate::artifact_codec;
-use crate::protocol::{clean_stage, lookup_attack, lookup_method, AttackKind, RunMetrics, RunSpec};
+use crate::protocol::{clean_stage, lookup_attack, lookup_method, AttackKind, RunMetrics};
 use crate::scale::ExperimentScale;
 
 /// Base seed of the experiment grid; repetition `i` of a cell runs with
-/// `DEFAULT_BASE_SEED + i` (matching [`RunSpec::bgc`]).
+/// `DEFAULT_BASE_SEED + i`.
 pub const DEFAULT_BASE_SEED: u64 = 17;
 
 /// Version tag of the cell canon grammar (its `v3|` prefix); bump it only
@@ -243,9 +243,8 @@ impl BudgetOverride {
     }
 }
 
-/// Deviations of a cell from the scale's baseline configuration — the
-/// declarative equivalent of the `customize` closures the ablation tables
-/// used to pass to `run_spec_with`.
+/// Deviations of a cell from the scale's baseline configuration, and the
+/// only way a cell departs from its scale's defaults.
 ///
 /// `None` means "the scale's default"; [`Runner::group`] normalizes overrides
 /// that equal the baseline back to `None`, so semantically identical cells
@@ -1368,27 +1367,7 @@ impl Runner {
             .iter()
             .map(|k| self.result(k))
             .collect::<Result<_, _>>()?;
-        if results.iter().any(|r| r.oom) {
-            return Ok(RunMetrics::oom(&RunSpec {
-                dataset: group.dataset,
-                method: group.method.clone(),
-                ratio: group.ratio,
-                attack: group.attack.clone(),
-                scale: self.scale,
-                seed: self.base_seed,
-            }));
-        }
-        let column = |f: fn(&CellResult) -> f32| -> Vec<f32> { results.iter().map(f).collect() };
-        Ok(RunMetrics::from_repetitions(
-            group.dataset.name(),
-            group.method.as_str(),
-            group.attack.as_str(),
-            group.ratio,
-            &column(|r| r.c_cta),
-            &column(|r| r.cta),
-            &column(|r| r.c_asr),
-            &column(|r| r.asr),
-        ))
+        Ok(RunMetrics::aggregate(group, &results))
     }
 
     /// Snapshot of the cache/execution counters.
@@ -1957,6 +1936,18 @@ mod tests {
         assert!(matches!(
             runner.metrics(&group),
             Err(BgcError::UnknownAttack(name)) if name == "GhostAttack"
+        ));
+        let group = runner.group(
+            DatasetKind::Cora,
+            "Vapour",
+            AttackKind::Bgc,
+            0.026,
+            EvalKind::Standard,
+            CellOverrides::default(),
+        );
+        assert!(matches!(
+            runner.metrics(&group),
+            Err(BgcError::UnknownMethod(name)) if name == "Vapour"
         ));
         let group = runner.group(
             DatasetKind::Cora,

@@ -1,11 +1,15 @@
 //! Cross-crate integration tests: the full BGC pipeline from dataset
 //! generation through condensation, attack, victim training and evaluation.
 
-use bgc_condense::{CondensationConfig, CondensationKind};
+use std::sync::Arc;
+
+use bgc_condense::{
+    register_condenser, CondensationConfig, CondensationKind, CondensationMethod, CondenseError,
+};
 use bgc_core::{evaluate_backdoor, BgcAttack, BgcConfig, EvaluationOptions, VictimSpec};
 use bgc_defense::{prune_defense, PruneConfig};
-use bgc_eval::{AttackKind, ExperimentScale, RunSpec};
-use bgc_graph::{DatasetKind, PoisonBudget};
+use bgc_eval::{AttackKind, CellOverrides, CellStatus, EvalKind, ExperimentScale, Runner};
+use bgc_graph::{CondensedGraph, DatasetKind, Graph, PoisonBudget};
 use bgc_nn::GnnArchitecture;
 
 fn quick_attack_config() -> BgcConfig {
@@ -130,25 +134,76 @@ fn pruning_the_condensed_graph_does_not_remove_the_backdoor() {
     );
 }
 
+/// GC-SNTK with a one-node capacity: it refuses every training set the way
+/// GC-SNTK refuses Reddit in Table II, both when it condenses and in the
+/// capacity check an attack runs first.
+struct OneNodeSntk;
+
+fn one_node(config: &CondensationConfig) -> CondensationConfig {
+    CondensationConfig {
+        sntk_node_limit: 1,
+        ..config.clone()
+    }
+}
+
+impl CondensationMethod for OneNodeSntk {
+    fn name(&self) -> &str {
+        "OneNodeSNTK"
+    }
+
+    fn condense(
+        &self,
+        graph: &Graph,
+        config: &CondensationConfig,
+    ) -> Result<CondensedGraph, CondenseError> {
+        CondensationKind::GcSntk
+            .build()
+            .condense(graph, &one_node(config))
+    }
+
+    fn check_capacity(
+        &self,
+        graph: &Graph,
+        config: &CondensationConfig,
+    ) -> Result<(), CondenseError> {
+        CondensationKind::GcSntk
+            .build()
+            .check_capacity(graph, &one_node(config))
+    }
+}
+
 #[test]
 fn sntk_oom_row_matches_table_two() {
-    // GC-SNTK refuses Reddit-scale training sets; the harness reports OOM.
-    let mut spec = RunSpec::bgc(
-        DatasetKind::Cora,
-        CondensationKind::GcSntk,
-        0.013,
-        ExperimentScale::Quick,
-    );
-    spec.attack = AttackKind::Bgc.into();
-    // Force an artificial OOM by requesting the paper-scale limit check on a
-    // node count we know exceeds it: use the quick dataset but patch the
-    // limit through the condensation config override entry point.
-    let metrics = bgc_eval::run_spec_with(&spec, |config, _| {
-        config.condensation.sntk_node_limit = 1;
-    })
-    .expect("OOM is a row, not an error");
-    assert!(metrics.oom, "expected an OOM row");
-    assert!(metrics.table_row().contains("OOM"));
+    // The runner turns an OOM from either stage into the paper's OOM row: a
+    // standard cell fails in its clean condensation, and a prune cell, which
+    // has no clean stage, fails in the attack's capacity check.
+    register_condenser(Arc::new(OneNodeSntk));
+    let runner = Runner::in_memory(ExperimentScale::Quick);
+    let groups = [EvalKind::Standard, EvalKind::prune()].map(|eval| {
+        runner.group(
+            DatasetKind::Cora,
+            "OneNodeSNTK",
+            AttackKind::Bgc,
+            0.013,
+            eval,
+            CellOverrides::default(),
+        )
+    });
+    let report = runner
+        .run_groups(&[&groups[0], &groups[1]])
+        .expect("OOM is a result, not an error");
+    assert_eq!(report.outcomes.len(), 2);
+    for outcome in &report.outcomes {
+        assert_eq!(outcome.status, CellStatus::Oom, "{}", outcome.key.canon());
+    }
+    let stats = runner.stats();
+    assert_eq!(stats.clean_stages_computed, 1);
+    assert_eq!(stats.attack_stages_computed, 1);
+    for group in &groups {
+        let metrics = runner.metrics(group).expect("OOM is a row, not an error");
+        assert!(metrics.oom, "expected an OOM row");
+        assert!(metrics.table_row().contains("OOM"));
+    }
 }
 
 #[test]

@@ -4,7 +4,7 @@
 
 use bgc_condense::CondensationKind;
 use bgc_eval::experiments;
-use bgc_eval::{run_spec, ExperimentScale, RunSpec, Runner};
+use bgc_eval::{ExperimentScale, Runner};
 use bgc_graph::DatasetKind;
 
 #[test]
@@ -34,13 +34,9 @@ fn paper_reference_values_encode_the_headline_claims() {
 
 #[test]
 fn one_table2_cell_reproduces_the_shape_of_the_paper() {
-    let spec = RunSpec::bgc(
-        DatasetKind::Cora,
-        CondensationKind::DcGraph,
-        0.026,
-        ExperimentScale::Quick,
-    );
-    let metrics = run_spec(&spec).expect("spec runs");
+    let runner = Runner::in_memory(ExperimentScale::Quick);
+    let group = runner.bgc_group(DatasetKind::Cora, CondensationKind::DcGraph, 0.026);
+    let metrics = runner.metrics(&group).expect("grid runs");
     // Shape checks (not absolute values): high ASR, near-chance C-ASR,
     // bounded utility loss.
     assert!(metrics.asr > 0.6, "ASR {}", metrics.asr);
@@ -51,25 +47,47 @@ fn one_table2_cell_reproduces_the_shape_of_the_paper() {
 
 #[test]
 fn grid_runner_reproduces_the_serial_protocol_bit_exactly() {
-    // The grid runner executes the same stages (clean condensation, attack,
-    // victim evaluations) with the same key-derived seeds as the serial
-    // `run_spec` protocol, so a runner cell and a `run_spec` call must agree
-    // to the bit — this is what makes the cached/parallel grid trustworthy.
-    let spec = RunSpec::bgc(
-        DatasetKind::Cora,
-        CondensationKind::GCondX,
-        0.026,
-        ExperimentScale::Quick,
-    );
-    let serial = run_spec(&spec).expect("spec runs");
+    // The runner's cell for quick Cora x GCond-X x 2.6% at seed 17, pinned
+    // to the bits the serial protocol (one repetition of clean condensation,
+    // attack and both victim evaluations, run in order) returned for it
+    // before the runner became the only cell pipeline.  Each value is a
+    // ratio of counts (97/99, 91/99, 4/60, 57/60), so the pin holds on any
+    // machine unless a prediction flips; CI's thread-count check holds the
+    // parallel grid to the same cells.
     let runner = Runner::in_memory(ExperimentScale::Quick);
-    let group = runner.bgc_group(spec.dataset, spec.method.clone(), spec.ratio);
+    let group = runner.bgc_group(DatasetKind::Cora, CondensationKind::GCondX, 0.026);
     let cell = runner.metrics(&group).expect("grid runs");
-    assert_eq!(serial.c_cta.to_bits(), cell.c_cta.to_bits());
-    assert_eq!(serial.cta.to_bits(), cell.cta.to_bits());
-    assert_eq!(serial.c_asr.to_bits(), cell.c_asr.to_bits());
-    assert_eq!(serial.asr.to_bits(), cell.asr.to_bits());
-    assert_eq!(serial.table_row(), cell.table_row());
+    assert_eq!(cell.c_cta.to_bits(), 0x3f7a_d40a);
+    assert_eq!(cell.cta.to_bits(), 0x3f6b_5029);
+    assert_eq!(cell.c_asr.to_bits(), 0x3d88_8889);
+    assert_eq!(cell.asr.to_bits(), 0x3f73_3333);
+    assert_eq!(
+        cell.table_row(),
+        "cora       GCond-X   BGC           2.60%   C-CTA  97.98 (0.00)  CTA  91.92 (0.00)  \
+         C-ASR   6.67 (0.00)  ASR  95.00 (0.00)"
+    );
+
+    // The headline shape, which outlives a re-pin of the bits: a high ASR
+    // that clearly exceeds the clean model's, at a bounded CTA drop.
+    assert!(!cell.oom);
+    assert!(
+        cell.asr > 0.7,
+        "BGC should reach a high ASR, got {}",
+        cell.asr
+    );
+    assert!(
+        cell.asr > cell.c_asr + 0.3,
+        "backdoored ASR ({}) must clearly exceed the clean model's ASR ({})",
+        cell.asr,
+        cell.c_asr
+    );
+    assert!(
+        cell.cta > cell.c_cta - 0.25,
+        "the CTA drop must stay bounded ({} vs {})",
+        cell.cta,
+        cell.c_cta
+    );
+    assert!(cell.table_row().contains("cora"));
 }
 
 #[test]

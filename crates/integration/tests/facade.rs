@@ -194,12 +194,11 @@ proptest! {
         let from_builder = experiment.group(&runner).expect("scales match");
         let by_hand = runner.group(dataset, method, attack, ratio, eval, overrides);
         prop_assert_eq!(&from_builder.keys, &by_hand.keys);
-        // The lowering is also consistent with the serial protocol's spec.
-        let spec = experiment.to_run_spec();
-        prop_assert_eq!(spec.dataset, dataset);
-        prop_assert_eq!(spec.ratio.to_bits(), ratio.to_bits());
-        prop_assert_eq!(spec.seed, DEFAULT_BASE_SEED);
-        prop_assert_eq!(spec.method.as_str(), method.name());
-        prop_assert_eq!(spec.attack.as_str(), attack.name());
+        // The experiment keeps the coordinates it was built from.
+        prop_assert_eq!(experiment.dataset, dataset);
+        prop_assert_eq!(experiment.ratio.to_bits(), ratio.to_bits());
+        prop_assert_eq!(experiment.seed, DEFAULT_BASE_SEED);
+        prop_assert_eq!(experiment.method.as_str(), method.name());
+        prop_assert_eq!(experiment.attack.as_str(), attack.name());
     }
 }
