@@ -5,10 +5,12 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bgc_core::{
     attach_to_computation_graph, select_poisoned_nodes, BgcConfig, GeneratorKind, TriggerGenerator,
+    TriggerProvider,
 };
 use bgc_graph::DatasetKind;
 use bgc_nn::AdjacencyRef;
 use bgc_tensor::init::rng_from_seed;
+use bgc_tensor::Tape;
 
 /// A full selection per iteration, selector training included: nothing
 /// memoizes the selector outside the grid runner.
@@ -29,8 +31,9 @@ fn bench_trigger_generation(c: &mut Criterion) {
     for kind in GeneratorKind::all() {
         let mut rng = rng_from_seed(0);
         let gen = TriggerGenerator::new(kind, graph.num_features(), 32, 4, &mut rng);
+        let mut tape = Tape::new();
         group.bench_with_input(BenchmarkId::from_parameter(kind.name()), &kind, |b, _| {
-            b.iter(|| gen.generate_plain(&adj, &graph.features, &nodes))
+            b.iter(|| gen.triggers(&mut tape, &adj, &graph.features, &nodes))
         });
     }
     group.finish();

@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use bgc_graph::{k_hop_subgraph, Graph, NeighborSampler};
+use bgc_graph::{k_hop_subgraph, ComputationGraph, Graph, NeighborSampler};
 use bgc_nn::{AdjacencyRef, TrainingPlan};
 use bgc_tensor::Matrix;
 
@@ -104,6 +104,20 @@ fn normalized_attached_adjacency(
     Matrix::from_fn(total, total, |r, c| a.get(r, c) * inv_sqrt[r] * inv_sqrt[c])
 }
 
+/// Attaches a trigger block of the given size to `sub`, the computation
+/// graph of `node` (trigger features to be supplied separately).
+fn attach(node: usize, sub: ComputationGraph, trigger_size: usize) -> AttachedGraph {
+    let norm_adj = normalized_attached_adjacency(&sub.adjacency, trigger_size, sub.center);
+    AttachedGraph {
+        node,
+        sub_features: Arc::new(sub.features),
+        norm_adj: Arc::new(norm_adj),
+        center: sub.center,
+        sub_nodes: sub.nodes.len(),
+        trigger_size,
+    }
+}
+
 /// Extracts the k-hop computation graph of `node` and attaches a trigger
 /// block of the given size (features to be supplied separately).
 pub fn attach_to_computation_graph(
@@ -114,47 +128,17 @@ pub fn attach_to_computation_graph(
     max_per_hop: usize,
 ) -> AttachedGraph {
     let sub = k_hop_subgraph(graph, node, khop, Some(max_per_hop));
-    let norm_adj = normalized_attached_adjacency(&sub.adjacency, trigger_size, sub.center);
-    AttachedGraph {
-        node,
-        sub_features: Arc::new(sub.features),
-        norm_adj: Arc::new(norm_adj),
-        center: sub.center,
-        sub_nodes: sub.nodes.len(),
-        trigger_size,
-    }
+    attach(node, sub, trigger_size)
 }
 
-/// Extracts a *sampled* computation graph of `node` (randomized,
-/// fanout-capped neighbour draws through the deterministic
-/// [`NeighborSampler`], one cap per hop) and attaches a trigger block — the
-/// sampled-plan counterpart of [`attach_to_computation_graph`], so the
-/// trigger subgraph joins the same kind of computation graph the sampled
-/// training pipeline sees.  `seed` keys the neighbour draws; extraction is a
-/// pure function of `(graph, node, fanouts, seed)`.
-pub fn attach_to_sampled_computation_graph(
-    graph: &Graph,
-    node: usize,
-    trigger_size: usize,
-    fanouts: &[usize],
-    seed: u64,
-) -> AttachedGraph {
-    let sampler = NeighborSampler::new(fanouts.to_vec(), seed ^ 0x47ac);
-    let sub = sampler.sampled_computation_graph(graph, node);
-    let norm_adj = normalized_attached_adjacency(&sub.adjacency, trigger_size, sub.center);
-    AttachedGraph {
-        node,
-        sub_features: Arc::new(sub.features),
-        norm_adj: Arc::new(norm_adj),
-        center: sub.center,
-        sub_nodes: sub.nodes.len(),
-        trigger_size,
-    }
-}
-
-/// Attachment used by the ASR evaluation: full-batch plans keep the
-/// historical deterministic first-k capped extraction; sampled plans route
-/// through [`attach_to_sampled_computation_graph`] with the plan's fanouts.
+/// Attachment used by the ASR evaluation.  Full-batch plans keep the
+/// deterministic first-k capped extraction of
+/// [`attach_to_computation_graph`].  Sampled plans extract a *sampled*
+/// computation graph (randomized, fanout-capped neighbour draws through the
+/// deterministic [`NeighborSampler`], one cap per hop), so the trigger
+/// joins the kind of computation graph the sampled training pipeline sees;
+/// `seed` keys the draws, so extraction is a pure function of
+/// `(graph, node, fanouts, seed)`.
 pub fn attach_for_evaluation(
     graph: &Graph,
     node: usize,
@@ -172,7 +156,12 @@ pub fn attach_for_evaluation(
             config.max_neighbors_per_hop,
         ),
         TrainingPlan::Sampled(sampled) => {
-            attach_to_sampled_computation_graph(graph, node, trigger_size, &sampled.fanouts, seed)
+            let sampler = NeighborSampler::new(sampled.fanouts.clone(), seed ^ 0x47ac);
+            attach(
+                node,
+                sampler.sampled_computation_graph(graph, node),
+                trigger_size,
+            )
         }
     }
 }

@@ -18,8 +18,12 @@
 //! features a from-scratch rebuild would give.  Step (ii) scores only the
 //! centre node of each triggered computation graph, so it propagates only
 //! the centre's receptive field (`Tape::propagate_row`), with the bits of a
-//! whole-graph propagation.  The output is the poisoned condensed graph plus
-//! the trained trigger used at inference time.
+//! whole-graph propagation.  A `TrainableTrigger` is a [`TriggerProvider`]
+//! that also exposes its parameters and records a batch differentiably;
+//! step (iii) reads `G_P`'s trigger rows through
+//! [`TriggerProvider::triggers`], the call the ASR evaluation makes for its
+//! test nodes.  The output is the poisoned condensed graph plus the trained
+//! trigger used at inference time.
 
 use std::collections::BTreeMap;
 
@@ -40,7 +44,7 @@ use crate::attach::{
 use crate::config::BgcConfig;
 use crate::error::BgcError;
 use crate::selector::{select_with, LazySelector, SelectionResult};
-use crate::trigger::TriggerGenerator;
+use crate::trigger::{TriggerGenerator, TriggerProvider};
 
 /// Result of a BGC attack run.
 pub struct BgcOutcome {
@@ -155,7 +159,7 @@ pub(crate) fn prepare(
 
 /// A trigger that [`trigger_step`] trains and `condense_with_trigger`
 /// attaches to `G_P`.
-pub(crate) trait TrainableTrigger {
+pub(crate) trait TrainableTrigger: TriggerProvider {
     /// Mutable views of the trained parameters, aligned with the handles
     /// [`TrainableTrigger::record`] returns.
     fn parameters_mut(&mut self) -> Vec<&mut Matrix>;
@@ -169,16 +173,6 @@ pub(crate) trait TrainableTrigger {
         features: &Matrix,
         nodes: &[usize],
     ) -> (Vec<Var>, Vec<Var>);
-
-    /// The trigger rows of `G_P`: the blocks of `poisoned_nodes` stacked in
-    /// order, computed on the pooled `tape`.
-    fn poisoned_block(
-        &self,
-        tape: &mut Tape,
-        adj: &AdjacencyRef,
-        features: &Matrix,
-        poisoned_nodes: &[usize],
-    ) -> Matrix;
 }
 
 impl TrainableTrigger for TriggerGenerator {
@@ -202,16 +196,6 @@ impl TrainableTrigger for TriggerGenerator {
             })
             .collect();
         (blocks, batch.param_vars)
-    }
-
-    fn poisoned_block(
-        &self,
-        tape: &mut Tape,
-        adj: &AdjacencyRef,
-        features: &Matrix,
-        poisoned_nodes: &[usize],
-    ) -> Matrix {
-        self.generate_plain_on(tape, adj, features, poisoned_nodes)
     }
 }
 
@@ -275,18 +259,13 @@ pub(crate) fn condense_with_trigger(
             ));
         }
         // (iii) attach the updated triggers to V_P: G_P in place.
-        poisoned.set_triggers(&trigger.poisoned_block(
-            &mut tape,
-            &adj,
-            &work.features,
-            poisoned_nodes,
-        ));
+        poisoned.set_triggers(&trigger.triggers(&mut tape, &adj, &work.features, poisoned_nodes));
         state.update_real_rows(poisoned.representation(), poisoned.rewritten_rows());
         // (iv) one condensed-graph update against G_P (Eq. 18).
         matching_losses.push(state.matching_step());
     }
     let condensed = if method.matching_variant().is_none() {
-        let triggers = trigger.poisoned_block(&mut tape, &adj, &work.features, poisoned_nodes);
+        let triggers = trigger.triggers(&mut tape, &adj, &work.features, poisoned_nodes);
         let poisoned = build_poisoned_graph(
             work,
             poisoned_nodes,
@@ -596,8 +575,7 @@ pub(crate) mod tests {
     /// and fully re-propagated by `state.step` every epoch: the oracle the
     /// in-place `PoisonedGraph` update must match bit for bit.  `trigger`
     /// and `rng` arrive as the attack initialized them; `block` computes the
-    /// trigger rows of `G_P` independently of
-    /// [`TrainableTrigger::poisoned_block`].
+    /// trigger rows of `G_P` independently of [`TriggerProvider::triggers`].
     pub(crate) fn rebuild_every_epoch<T: TrainableTrigger>(
         config: &BgcConfig,
         graph: &Graph,
@@ -684,7 +662,11 @@ pub(crate) mod tests {
                 kind,
                 &mut generator,
                 &mut rng,
-                |g, tape, adj, x, nodes| g.generate_plain_on(tape, adj, x, nodes),
+                |g, tape, adj, x, nodes| {
+                    tape.reset();
+                    let batch = g.generate(tape, adj, x, nodes);
+                    tape.value_ref(batch.features).clone()
+                },
             );
             assert_eq!(bits(&outcome.matching_losses), bits(&matching), "{kind:?}");
             assert_eq!(bits(&outcome.trigger_losses), bits(&trigger), "{kind:?}");

@@ -112,23 +112,6 @@ impl TrainableTrigger for UniversalTrigger {
         let shared = tape.leaf_copied(&self.features);
         (vec![shared; nodes.len()], vec![shared])
     }
-
-    /// Every poisoned node receives the same trigger, stacked in one
-    /// allocation.
-    fn poisoned_block(
-        &self,
-        _tape: &mut Tape,
-        _adj: &AdjacencyRef,
-        _features: &Matrix,
-        poisoned_nodes: &[usize],
-    ) -> Matrix {
-        let copies = poisoned_nodes.len();
-        Matrix::new(
-            copies * self.features.rows(),
-            self.features.cols(),
-            self.features.data().repeat(copies),
-        )
-    }
 }
 
 #[cfg(test)]

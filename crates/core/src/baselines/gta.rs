@@ -19,7 +19,7 @@ use crate::attack::{prepare, trigger_step, zero_grads};
 use crate::config::BgcConfig;
 use crate::error::BgcError;
 use crate::selector::{LazySelector, SelectionResult};
-use crate::trigger::TriggerGenerator;
+use crate::trigger::{TriggerGenerator, TriggerProvider};
 
 /// Result of the adapted GTA attack.
 pub struct GtaOutcome {
@@ -119,7 +119,7 @@ impl GtaAttack {
             );
         }
         let trigger_features =
-            generator.generate_plain(&adj, &work.features, &selection.poisoned_nodes);
+            generator.triggers(&mut tape, &adj, &work.features, &selection.poisoned_nodes);
         let poisoned = build_poisoned_graph(
             &work,
             &selection.poisoned_nodes,

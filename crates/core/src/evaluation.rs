@@ -1,13 +1,15 @@
 //! Attack evaluation: clean test accuracy (CTA) and attack success rate
-//! (ASR) of a victim GNN trained on a (possibly poisoned) condensed graph —
+//! (ASR) of victim GNNs trained on (possibly poisoned) condensed graphs —
 //! the protocol of Section V / Table II — with or without a defense
-//! (Table IV).
+//! (Table IV).  [`evaluate_victims`] trains one victim per condensed graph
+//! and measures them all on one set of ASR inputs, so a cell's ASR and
+//! C-ASR read the same triggered nodes.
 
 use bgc_defense::Defense;
 use bgc_graph::{CondensedGraph, Graph};
 use bgc_nn::{
     accuracy, attack_success_rate, train_node_classifier, train_on_condensed, AdjacencyRef,
-    GnnArchitecture, TrainConfig, TrainingPlan,
+    GnnArchitecture, GnnModel, TrainConfig, TrainingPlan,
 };
 use bgc_tensor::init::{rng_from_seed, sample_without_replacement};
 use bgc_tensor::{Matrix, Tape};
@@ -147,114 +149,123 @@ pub fn asr_sample_nodes(
 }
 
 /// Trains a victim model on `condensed` and evaluates CTA on the clean graph
-/// and ASR on triggered test nodes: [`evaluate_with_defense`] without a
-/// defense.
+/// and ASR on triggered test nodes: [`evaluate_victims`] for one victim,
+/// without a defense.
 ///
-/// The generator is always the attacker's trained generator; when the victim
+/// The provider is always the attacker's trained trigger; when the victim
 /// was trained on a *clean* condensed graph this yields the paper's C-CTA /
 /// C-ASR reference columns (C-ASR stays near chance in the paper: the
 /// triggers only work through the poisoned condensed graph).
 pub fn evaluate_backdoor(
     graph: &Graph,
     condensed: &CondensedGraph,
-    generator: &dyn TriggerProvider,
+    provider: &dyn TriggerProvider,
     attack_config: &BgcConfig,
     victim: &VictimSpec,
     options: &EvaluationOptions,
 ) -> AttackEvaluation {
-    evaluate_with_defense(
+    evaluate_victims(
         graph,
-        condensed,
-        generator,
+        &[condensed],
+        provider,
         attack_config,
         victim,
         options,
         None,
-    )
+    )[0]
 }
 
-/// CTA and ASR of a victim trained on `condensed`, optionally through a
-/// [`Defense`] (Table IV):
+/// CTA and ASR of one victim per graph of `condensed`, in order, optionally
+/// through a [`Defense`] (Table IV).  A standard cell passes its poisoned
+/// and its clean condensed graph: ASR and C-ASR are one measurement read by
+/// two models.
 ///
-/// 1. with a defense, the condensed graph first passes through
-///    [`Defense::sanitize`] (dataset-level defenses prune/transform it;
-///    model-level defenses leave it alone);
-/// 2. the victim trains on the (sanitized) graph;
-/// 3. every prediction — clean test nodes and triggered nodes alike — goes
-///    through [`Defense::predict`] when the defense overrides inference
-///    (randomized smoothing), and the plain forward pass otherwise.
-///
-/// Victim weight initialization and the ASR node subsample are drawn from
-/// *independent* RNG streams keyed off `options.seed`: a victim that draws
-/// more or fewer initialization samples (different architecture or layer
-/// count) must not silently change which test nodes the ASR is measured on,
-/// so defended and undefended rows are measured on identical node sets.
-/// Defended victims initialize from their own stream.
-pub fn evaluate_with_defense(
+/// Each victim trains on its graph, after [`Defense::sanitize`] when a
+/// defense is given, from a fresh RNG stream keyed off `options.seed`
+/// (defended victims from their own salt).  That stream is independent of
+/// the ASR sample's, so a victim that draws more or fewer initialization
+/// samples (another architecture or depth) cannot change which test nodes
+/// the ASR is measured on, and no victim's result depends on the others.
+/// Every prediction goes through [`Defense::predict`] when the defense
+/// overrides inference (randomized smoothing), and through the plain forward
+/// pass otherwise.  The victims share the ASR inputs: the sample is drawn
+/// once, one [`TriggerProvider::triggers`] call covers it, and each sampled
+/// node's computation graph is extracted once.  An empty sample calls no
+/// provider.
+pub fn evaluate_victims(
     graph: &Graph,
-    condensed: &CondensedGraph,
-    generator: &dyn TriggerProvider,
+    condensed: &[&CondensedGraph],
+    provider: &dyn TriggerProvider,
     attack_config: &BgcConfig,
     victim: &VictimSpec,
     options: &EvaluationOptions,
     defense: Option<&dyn Defense>,
-) -> AttackEvaluation {
-    let sanitized;
-    let (condensed, init_salt) = match defense {
-        Some(defense) => {
-            sanitized = defense.sanitize(condensed);
-            (&sanitized, 0x5107)
-        }
-        None => (condensed, 0xe7a1),
-    };
-    let mut init_rng = rng_from_seed(options.seed ^ init_salt);
-    let mut model = victim.architecture.build(
-        graph.num_features(),
-        victim.hidden_dim,
-        graph.num_classes,
-        victim.num_layers,
-        &mut init_rng,
-    );
-    train_on_condensed(model.as_mut(), condensed, &victim.train);
-    let predict = |tape: &mut Tape, adj: &AdjacencyRef, features: &Matrix| {
+) -> Vec<AttackEvaluation> {
+    let predict = |model: &dyn GnnModel, tape: &mut Tape, adj: &AdjacencyRef, x: &Matrix| {
         defense
-            .and_then(|d| d.predict(model.as_ref(), adj, features, graph.num_classes))
-            .unwrap_or_else(|| model.predict_on(tape, adj, features))
+            .and_then(|d| d.predict(model, adj, x, graph.num_classes))
+            .unwrap_or_else(|| model.predict_on(tape, adj, x))
     };
-
-    // One pooled tape serves the clean-accuracy forward pass, trigger
-    // generation, and victim prediction for every sampled ASR node.
+    // One pooled tape serves the clean-accuracy forward passes, trigger
+    // generation, and every victim's prediction on every sampled ASR node.
     let mut tape = Tape::new();
-
-    // Clean test accuracy on the full original graph.
     let full_adj = AdjacencyRef::from_graph(graph);
-    let preds = predict(&mut tape, &full_adj, &graph.features);
-    let test_preds: Vec<usize> = graph.split.test.iter().map(|&i| preds[i]).collect();
     let test_labels = graph.labels_of(&graph.split.test);
-    let cta = accuracy(&test_preds, &test_labels);
+    let init_salt = if defense.is_some() { 0x5107 } else { 0xe7a1 };
+    // Each victim trains, then takes its clean test accuracy on the full
+    // original graph.
+    let (models, ctas): (Vec<Box<dyn GnnModel>>, Vec<f32>) = condensed
+        .iter()
+        .map(|&condensed| {
+            let sanitized = defense.map(|d| d.sanitize(condensed));
+            let mut init_rng = rng_from_seed(options.seed ^ init_salt);
+            let mut model = victim.architecture.build(
+                graph.num_features(),
+                victim.hidden_dim,
+                graph.num_classes,
+                victim.num_layers,
+                &mut init_rng,
+            );
+            let condensed = sanitized.as_ref().unwrap_or(condensed);
+            train_on_condensed(model.as_mut(), condensed, &victim.train);
+            let preds = predict(model.as_ref(), &mut tape, &full_adj, &graph.features);
+            let test_preds: Vec<usize> = graph.split.test.iter().map(|&i| preds[i]).collect();
+            (model, accuracy(&test_preds, &test_labels))
+        })
+        .unzip();
 
     // Attack success rate on triggered test nodes.
     let sample = asr_sample_nodes(graph, options, attack_config.target_class);
-    let mut triggered_predictions = Vec::with_capacity(sample.len());
-    for &node in &sample {
-        let attached = attach_for_evaluation(
-            graph,
-            node,
-            generator.trigger_size(),
-            attack_config,
-            &options.plan,
-            options.seed,
-        );
-        let trigger = generator.trigger_for_on(&mut tape, &full_adj, &graph.features, node);
-        let features = attached.combined_features_plain(&trigger);
-        let preds = predict(&mut tape, &attached.adjacency_ref(), &features);
-        triggered_predictions.push(preds[attached.center]);
+    let mut triggered = vec![Vec::new(); models.len()];
+    if !sample.is_empty() {
+        let size = provider.trigger_size();
+        let triggers = provider.triggers(&mut tape, &full_adj, &graph.features, &sample);
+        for (i, &node) in sample.iter().enumerate() {
+            let attached = attach_for_evaluation(
+                graph,
+                node,
+                size,
+                attack_config,
+                &options.plan,
+                options.seed,
+            );
+            let block: Vec<usize> = (i * size..(i + 1) * size).collect();
+            let features = attached.combined_features_plain(&triggers.select_rows(&block));
+            let adj = attached.adjacency_ref();
+            for (model, predictions) in models.iter().zip(&mut triggered) {
+                let preds = predict(model.as_ref(), &mut tape, &adj, &features);
+                predictions.push(preds[attached.center]);
+            }
+        }
     }
-    AttackEvaluation {
-        cta,
-        asr: attack_success_rate(&triggered_predictions, attack_config.target_class),
-        asr_nodes: triggered_predictions.len(),
-    }
+    ctas.into_iter()
+        .zip(triggered)
+        .map(|(cta, predictions)| AttackEvaluation {
+            cta,
+            asr: attack_success_rate(&predictions, attack_config.target_class),
+            asr_nodes: predictions.len(),
+        })
+        .collect()
 }
 
 /// Accuracy of a victim-shaped model trained full batch on the original
@@ -287,9 +298,14 @@ pub fn full_graph_reference_accuracy(graph: &Graph, victim: &VictimSpec, seed: u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attack::tests::bits;
     use crate::attack::BgcAttack;
+    use crate::config::GeneratorKind;
+    use crate::trigger::{TriggerGenerator, UniversalTrigger};
     use bgc_condense::CondensationKind;
     use bgc_graph::{DatasetKind, PoisonBudget};
+    use bgc_nn::SampledPlan;
+    use bgc_tensor::init::randn;
 
     #[test]
     fn backdoored_model_reaches_high_asr_and_reasonable_cta() {
@@ -468,6 +484,157 @@ mod tests {
         ] {
             let eval = evaluate_backdoor(&graph, &clean, &trigger, &config, &victim, &options);
             assert_eq!(eval.asr_nodes, expected);
+        }
+    }
+
+    /// One [`TriggerProvider::triggers`] call for a whole ASR sample gives
+    /// every node the bits of its one-node call, for every generator encoder
+    /// and the universal trigger, on the 60-node samples of quick Cora and
+    /// quick Flickr at seed 17.
+    #[test]
+    fn one_trigger_call_for_the_sample_matches_one_call_per_node() {
+        let config = BgcConfig::quick();
+        let options = EvaluationOptions {
+            max_asr_nodes: 60,
+            seed: 17,
+            ..EvaluationOptions::default()
+        };
+        let mut tape = Tape::new();
+        for dataset in [DatasetKind::Cora, DatasetKind::Flickr] {
+            let graph = dataset.load_small(17);
+            let adj = AdjacencyRef::from_graph(&graph);
+            let sample = asr_sample_nodes(&graph, &options, config.target_class);
+            assert_eq!(sample.len(), 60, "{dataset:?}");
+            let mut rng = rng_from_seed(17);
+            let d = graph.num_features();
+            let mut providers: Vec<Box<dyn TriggerProvider>> = GeneratorKind::all()
+                .into_iter()
+                .map(|kind| {
+                    Box::new(TriggerGenerator::with_feature_scale(
+                        kind,
+                        d,
+                        config.hidden_dim,
+                        config.trigger_size,
+                        config.trigger_feature_scale,
+                        &mut rng,
+                    )) as Box<dyn TriggerProvider>
+                })
+                .collect();
+            let universal = randn(config.trigger_size, d, 0.0, 0.5, &mut rng);
+            providers.push(Box::new(UniversalTrigger::new(universal)));
+            for (i, provider) in providers.iter().enumerate() {
+                let batch = provider.triggers(&mut tape, &adj, &graph.features, &sample);
+                let one_by_one: Vec<u32> = sample
+                    .iter()
+                    .flat_map(|&node| {
+                        let block = provider.triggers(&mut tape, &adj, &graph.features, &[node]);
+                        bits(block.data())
+                    })
+                    .collect();
+                assert_eq!(
+                    batch.shape(),
+                    (sample.len() * config.trigger_size, d),
+                    "{dataset:?}, provider {i}"
+                );
+                assert_eq!(bits(batch.data()), one_by_one, "{dataset:?}, provider {i}");
+            }
+        }
+    }
+
+    /// A source class without test nodes leaves the ASR sample empty: every
+    /// victim reports no ASR nodes, and the provider is never called (the
+    /// generator asserts that its batch is non-empty).
+    #[test]
+    fn an_empty_asr_pool_makes_no_trigger_call() {
+        struct Uncallable;
+        impl TriggerProvider for Uncallable {
+            fn trigger_size(&self) -> usize {
+                2
+            }
+            fn triggers(&self, _: &mut Tape, _: &AdjacencyRef, _: &Matrix, n: &[usize]) -> Matrix {
+                panic!("triggers called for {} nodes", n.len())
+            }
+        }
+        let graph = DatasetKind::Cora.load_small(38);
+        let config = BgcConfig::quick();
+        let options = EvaluationOptions {
+            asr_source_class: Some(graph.num_classes),
+            ..EvaluationOptions::default()
+        };
+        assert!(asr_sample_nodes(&graph, &options, config.target_class).is_empty());
+        let clean = CondensationKind::GCondX
+            .build()
+            .condense(&graph, &config.condensation)
+            .expect("clean condensation");
+        let victim = VictimSpec::quick();
+        let evaluations = evaluate_victims(
+            &graph,
+            &[&clean, &clean],
+            &Uncallable,
+            &config,
+            &victim,
+            &options,
+            None,
+        );
+        assert_eq!(evaluations.len(), 2);
+        for eval in evaluations {
+            assert_eq!(eval.asr_nodes, 0);
+            assert_eq!(eval.asr, 0.0);
+        }
+    }
+
+    /// A standard cell's victims, evaluated together on one set of ASR
+    /// inputs, get the bits of two one-victim evaluations, under the
+    /// full-batch and the sampled extraction alike.
+    #[test]
+    fn shared_victims_match_one_victim_evaluations() {
+        let graph = DatasetKind::Cora.load_small(39);
+        let mut config = BgcConfig::quick();
+        config.condensation.outer_epochs = 5;
+        config.poison_budget = PoisonBudget::Count(6);
+        let outcome = BgcAttack::new(config.clone())
+            .run(&graph, CondensationKind::GCondX)
+            .expect("attack should run");
+        let clean = CondensationKind::GCondX
+            .build()
+            .condense(&graph, &config.condensation)
+            .expect("clean condensation");
+        let victim = VictimSpec::quick();
+        let sampled = TrainingPlan::Sampled(SampledPlan {
+            fanouts: vec![3, 3],
+            batch_size: 64,
+        });
+        for plan in [TrainingPlan::FullBatch, sampled] {
+            let options = EvaluationOptions {
+                max_asr_nodes: 30,
+                plan,
+                ..EvaluationOptions::default()
+            };
+            let condensed = [&outcome.condensed, &clean];
+            let shared = evaluate_victims(
+                &graph,
+                &condensed,
+                &outcome.generator,
+                &config,
+                &victim,
+                &options,
+                None,
+            );
+            assert_eq!(shared.len(), 2);
+            for (together, graph_of) in shared.iter().zip(condensed) {
+                let alone = evaluate_backdoor(
+                    &graph,
+                    graph_of,
+                    &outcome.generator,
+                    &config,
+                    &victim,
+                    &options,
+                );
+                assert_eq!(together.cta.to_bits(), alone.cta.to_bits());
+                assert_eq!(together.asr.to_bits(), alone.asr.to_bits());
+                assert_eq!(together.asr_nodes, alone.asr_nodes);
+                assert_eq!(alone.asr_nodes, 30);
+            }
         }
     }
 

@@ -32,14 +32,13 @@ pub mod trigger;
 pub mod variants;
 
 pub use attach::{
-    attach_for_evaluation, attach_to_computation_graph, attach_to_sampled_computation_graph,
-    build_poisoned_graph, AttachedGraph,
+    attach_for_evaluation, attach_to_computation_graph, build_poisoned_graph, AttachedGraph,
 };
 pub use attack::{BgcAttack, BgcOutcome};
 pub use config::{BgcConfig, GeneratorKind, SelectionStrategy};
 pub use error::BgcError;
 pub use evaluation::{
-    asr_candidate_pool, asr_sample_nodes, evaluate_backdoor, evaluate_with_defense,
+    asr_candidate_pool, asr_sample_nodes, evaluate_backdoor, evaluate_victims,
     full_graph_reference_accuracy, AttackEvaluation, EvaluationOptions, VictimSpec,
 };
 pub use kmeans::{kmeans, KMeansResult};
@@ -88,10 +87,13 @@ mod proptests {
             prop_assert_eq!(provider.trigger_size(), rows);
             let adj = bgc_nn::AdjacencyRef::dense(Matrix::identity(3));
             let dummy = Matrix::zeros(3, cols);
-            let a = provider.trigger_for(&adj, &dummy, 0);
-            let b = provider.trigger_for(&adj, &dummy, 2);
+            let mut tape = bgc_tensor::Tape::new();
+            let a = provider.triggers(&mut tape, &adj, &dummy, &[0]);
+            let b = provider.triggers(&mut tape, &adj, &dummy, &[2]);
             prop_assert!(a.approx_eq(&b, 0.0));
             prop_assert!(a.approx_eq(&features, 0.0));
+            let both = provider.triggers(&mut tape, &adj, &dummy, &[0, 2]);
+            prop_assert!(both.approx_eq(&features.vstack(&features), 0.0));
         }
     }
 }

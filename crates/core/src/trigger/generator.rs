@@ -372,27 +372,6 @@ impl TriggerGenerator {
         }
     }
 
-    /// Non-differentiable trigger-feature generation (used at attack inference
-    /// time and when materializing the poisoned graph).
-    pub fn generate_plain(&self, adj: &AdjacencyRef, features: &Matrix, nodes: &[usize]) -> Matrix {
-        let mut tape = Tape::new();
-        self.generate_plain_on(&mut tape, adj, features, nodes)
-    }
-
-    /// [`TriggerGenerator::generate_plain`] on a caller-provided pooled tape
-    /// (reset here), so per-epoch materialization reuses one tape's memory.
-    pub fn generate_plain_on(
-        &self,
-        tape: &mut Tape,
-        adj: &AdjacencyRef,
-        features: &Matrix,
-        nodes: &[usize],
-    ) -> Matrix {
-        tape.reset();
-        let batch = self.generate(tape, adj, features, nodes);
-        tape.value_ref(batch.features).clone()
-    }
-
     /// Generates the binarized trigger adjacency for a single node through the
     /// structure head `W_a` with a straight-through estimator (Eq. 11).
     pub fn generate_structure_plain(
@@ -430,6 +409,7 @@ impl TriggerGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trigger::TriggerProvider;
     use bgc_tensor::init::{randn, rng_from_seed};
     use bgc_tensor::CsrMatrix;
 
@@ -449,7 +429,7 @@ mod tests {
         for kind in GeneratorKind::all() {
             let mut rng = rng_from_seed(1);
             let gen = TriggerGenerator::new(kind, 10, 16, 4, &mut rng);
-            let out = gen.generate_plain(&adj, &features, &[0, 3, 5]);
+            let out = gen.triggers(&mut Tape::new(), &adj, &features, &[0, 3, 5]);
             assert_eq!(out.shape(), (12, 10), "{} wrong output shape", kind.name());
             assert!(!out.has_non_finite());
         }
@@ -460,7 +440,7 @@ mod tests {
         let (adj, features) = toy_inputs();
         let mut rng = rng_from_seed(2);
         let gen = TriggerGenerator::new(GeneratorKind::Mlp, 10, 16, 2, &mut rng);
-        let out = gen.generate_plain(&adj, &features, &[0, 4]);
+        let out = gen.triggers(&mut Tape::new(), &adj, &features, &[0, 4]);
         let first = out.select_rows(&[0, 1]);
         let second = out.select_rows(&[2, 3]);
         assert!(
@@ -522,8 +502,8 @@ mod tests {
                 .gcn_normalize(),
         );
         let adj_b = AdjacencyRef::sparse(CsrMatrix::zeros(6, 6).gcn_normalize());
-        let a = gen.generate_plain(&adj_a, &features, &[0]);
-        let b = gen.generate_plain(&adj_b, &features, &[0]);
+        let a = gen.triggers(&mut Tape::new(), &adj_a, &features, &[0]);
+        let b = gen.triggers(&mut Tape::new(), &adj_b, &features, &[0]);
         assert!(
             !a.approx_eq(&b, 1e-6),
             "GCN encoder must depend on the adjacency"
@@ -536,11 +516,11 @@ mod tests {
         for kind in GeneratorKind::all() {
             let mut rng = rng_from_seed(8);
             let gen = TriggerGenerator::new(kind, 10, 16, 3, &mut rng);
-            let reference = gen.generate_plain(&adj, &features, &[0, 2, 5]);
+            let reference = gen.triggers(&mut Tape::new(), &adj, &features, &[0, 2, 5]);
             let snap = gen.snapshot();
             let restored = TriggerGenerator::from_snapshot(snap)
                 .unwrap_or_else(|| unreachable!("own snapshot is always valid"));
-            let replayed = restored.generate_plain(&adj, &features, &[0, 2, 5]);
+            let replayed = restored.triggers(&mut Tape::new(), &adj, &features, &[0, 2, 5]);
             assert!(
                 reference.approx_eq(&replayed, 0.0),
                 "{}: restored generator must be bit-identical",

@@ -1,4 +1,8 @@
-//! Adaptive trigger generation (Section IV-C, Eq. 10–11).
+//! Triggers (Section IV-C, Eq. 10–11): BGC's adaptive generator and the
+//! baselines' universal trigger, both behind [`TriggerProvider`].  Its one
+//! method, [`TriggerProvider::triggers`], returns the trigger blocks of a
+//! batch of nodes: the attack loop reads `G_P`'s trigger rows from it every
+//! epoch, and the ASR evaluation reads its whole node sample in one call.
 
 pub mod generator;
 
@@ -41,29 +45,24 @@ impl TriggerSnapshot {
     }
 }
 
-/// Anything that can produce the trigger features for a given node at test
-/// time: BGC's adaptive generator, or the universal trigger of the DOORPING
-/// and Naive-Poison baselines.
+/// Anything that can produce the trigger features of nodes: BGC's adaptive
+/// generator, or the universal trigger of the DOORPING and Naive-Poison
+/// baselines.
 pub trait TriggerProvider {
     /// Number of trigger nodes produced per poisoned/target node.
     fn trigger_size(&self) -> usize;
 
-    /// Trigger node features (`trigger_size x d`) for `node`.
-    fn trigger_for(&self, adj: &AdjacencyRef, features: &Matrix, node: usize) -> Matrix;
-
-    /// [`TriggerProvider::trigger_for`] on a caller-provided pooled tape, so
-    /// per-node evaluation loops reuse one tape's memory.  Providers that do
-    /// not run a differentiable generator ignore the tape.
-    fn trigger_for_on(
+    /// Trigger node features of `nodes`: one `trigger_size x d` block per
+    /// node, stacked in order, computed on the pooled `tape` (providers
+    /// without a differentiable generator ignore it).  A batch gives every
+    /// node the bits a one-node call gives it.
+    fn triggers(
         &self,
         tape: &mut Tape,
         adj: &AdjacencyRef,
         features: &Matrix,
-        node: usize,
-    ) -> Matrix {
-        let _ = tape;
-        self.trigger_for(adj, features, node)
-    }
+        nodes: &[usize],
+    ) -> Matrix;
 
     /// Plain-data image of this provider for artifact persistence, or `None`
     /// when the provider cannot be snapshotted (the default for third-party
@@ -78,18 +77,17 @@ impl TriggerProvider for TriggerGenerator {
         TriggerGenerator::trigger_size(self)
     }
 
-    fn trigger_for(&self, adj: &AdjacencyRef, features: &Matrix, node: usize) -> Matrix {
-        self.generate_plain(adj, features, &[node])
-    }
-
-    fn trigger_for_on(
+    /// The value of [`TriggerGenerator::generate`] on the reset `tape`.
+    fn triggers(
         &self,
         tape: &mut Tape,
         adj: &AdjacencyRef,
         features: &Matrix,
-        node: usize,
+        nodes: &[usize],
     ) -> Matrix {
-        self.generate_plain_on(tape, adj, features, &[node])
+        tape.reset();
+        let batch = self.generate(tape, adj, features, nodes);
+        tape.value_ref(batch.features).clone()
     }
 
     fn snapshot(&self) -> Option<TriggerSnapshot> {
@@ -117,8 +115,20 @@ impl TriggerProvider for UniversalTrigger {
         self.features.rows()
     }
 
-    fn trigger_for(&self, _adj: &AdjacencyRef, _features: &Matrix, _node: usize) -> Matrix {
-        self.features.clone()
+    /// Every node receives the same block, stacked in one allocation.
+    fn triggers(
+        &self,
+        _tape: &mut Tape,
+        _adj: &AdjacencyRef,
+        _features: &Matrix,
+        nodes: &[usize],
+    ) -> Matrix {
+        let copies = nodes.len();
+        Matrix::new(
+            copies * self.features.rows(),
+            self.features.cols(),
+            self.features.data().repeat(copies),
+        )
     }
 
     fn snapshot(&self) -> Option<TriggerSnapshot> {

@@ -73,9 +73,8 @@ use bgc_store::{KeyBuilder, Store, StoreKey, StoreRole};
 
 use bgc_condense::{working_graph, MethodId};
 use bgc_core::{
-    directed_attack, evaluate_backdoor, evaluate_with_defense, selector_representations,
-    AttackArtifacts, AttackId, BgcConfig, BgcError, EvaluationOptions, GeneratorKind,
-    SelectorOutput, VictimSpec,
+    directed_attack, evaluate_victims, selector_representations, AttackArtifacts, AttackId,
+    BgcConfig, BgcError, EvaluationOptions, GeneratorKind, SelectorOutput, VictimSpec,
 };
 use bgc_defense::{resolve_defense, DefenseId};
 use bgc_graph::{CondensedGraph, DatasetKind, Graph, PoisonBudget};
@@ -1498,61 +1497,39 @@ impl Runner {
             }
         };
 
-        match defense {
-            None => {
-                let backdoored = evaluate_backdoor(
-                    &graph,
-                    &artifacts.condensed,
-                    artifacts.provider.as_ref(),
-                    &config,
-                    &victim,
-                    &options,
-                );
-                // Standard cells condense the clean reference above
-                // (`needs_clean` is true for `EvalKind::Standard`); a missing
-                // reference is a typed failure, not a panic.
-                let Some(clean) = clean else {
-                    return Err(BgcError::MissingCleanReference {
-                        attack: key.attack.as_str().to_string(),
-                    });
-                };
-                let reference = evaluate_backdoor(
-                    &graph,
-                    &clean,
-                    artifacts.provider.as_ref(),
-                    &config,
-                    &victim,
-                    &options,
-                );
-                Ok(CellResult {
-                    c_cta: reference.cta,
-                    cta: backdoored.cta,
-                    c_asr: reference.asr,
-                    asr: backdoored.asr,
-                    asr_nodes: backdoored.asr_nodes,
-                    oom: false,
+        // A standard cell's victims train on the poisoned and the clean
+        // condensed graph and read one set of ASR inputs; a defended cell
+        // trains one victim, on the poisoned graph, through its defense.
+        let condensed = match (&defense, &clean) {
+            (Some(_), _) => vec![artifacts.condensed.as_ref()],
+            (None, Some(clean)) => vec![artifacts.condensed.as_ref(), clean.as_ref()],
+            // Standard cells condense the clean reference above
+            // (`needs_clean` is true for `EvalKind::Standard`); a missing
+            // reference is a typed failure, not a panic.
+            (None, None) => {
+                return Err(BgcError::MissingCleanReference {
+                    attack: key.attack.as_str().to_string(),
                 })
             }
-            Some(defense) => {
-                let defended = evaluate_with_defense(
-                    &graph,
-                    &artifacts.condensed,
-                    artifacts.provider.as_ref(),
-                    &config,
-                    &victim,
-                    &options,
-                    Some(defense.as_ref()),
-                );
-                Ok(CellResult {
-                    c_cta: 0.0,
-                    cta: defended.cta,
-                    c_asr: 0.0,
-                    asr: defended.asr,
-                    asr_nodes: defended.asr_nodes,
-                    oom: false,
-                })
-            }
-        }
+        };
+        let evaluations = evaluate_victims(
+            &graph,
+            &condensed,
+            artifacts.provider.as_ref(),
+            &config,
+            &victim,
+            &options,
+            defense.as_deref(),
+        );
+        let (poisoned, reference) = (evaluations[0], evaluations.get(1));
+        Ok(CellResult {
+            c_cta: reference.map_or(0.0, |r| r.cta),
+            cta: poisoned.cta,
+            c_asr: reference.map_or(0.0, |r| r.asr),
+            asr: poisoned.asr,
+            asr_nodes: poisoned.asr_nodes,
+            oom: false,
+        })
     }
 
     /// A cell's attack configuration, victim and evaluation options: the

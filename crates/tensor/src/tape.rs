@@ -80,16 +80,13 @@ enum Op {
     /// `x + bias` where `bias` is a `1 x d` row broadcast over the rows of `x`.
     AddBias(usize, usize),
     Scale(usize, f32),
-    AddScalar(usize),
     Hadamard(usize, usize),
     HadamardConst(usize, Arc<Matrix>),
     Relu(usize),
     Sigmoid(usize),
-    Tanh(usize),
     Transpose(usize),
     RowSelect(usize, Vec<usize>),
     ConcatRows(usize, usize),
-    ConcatCols(usize, usize),
     SoftmaxRows(usize),
     RowNormalize(usize),
     Reshape(usize),
@@ -271,18 +268,15 @@ impl Tape {
             | Op::AddBias(a, b)
             | Op::Hadamard(a, b)
             | Op::ConcatRows(a, b)
-            | Op::ConcatCols(a, b)
             | Op::SolveSpd { a, b } => n(*a) || n(*b),
             Op::SpMM(_, x)
             | Op::ConstMul(_, x)
             | Op::MatMulTransposeConst(x, _)
             | Op::PropagateRow { tail: x, .. }
             | Op::Scale(x, _)
-            | Op::AddScalar(x)
             | Op::HadamardConst(x, _)
             | Op::Relu(x)
             | Op::Sigmoid(x)
-            | Op::Tanh(x)
             | Op::Transpose(x)
             | Op::RowSelect(x, _)
             | Op::SoftmaxRows(x)
@@ -584,11 +578,6 @@ impl Tape {
         self.unary_elementwise(x, Op::Scale(x.0, s), move |v| v * s)
     }
 
-    /// Adds a constant scalar to every entry.
-    pub fn add_scalar(&mut self, x: Var, s: f32) -> Var {
-        self.unary_elementwise(x, Op::AddScalar(x.0), move |v| v + s)
-    }
-
     /// Element-wise product of two variables.
     pub fn hadamard(&mut self, a: Var, b: Var) -> Var {
         self.binary_elementwise(a, b, Op::Hadamard(a.0, b.0), "hadamard", |x, y| x * y)
@@ -619,11 +608,6 @@ impl Tape {
     /// Logistic sigmoid non-linearity.
     pub fn sigmoid(&mut self, x: Var) -> Var {
         self.unary_elementwise(x, Op::Sigmoid(x.0), |v| 1.0 / (1.0 + (-v).exp()))
-    }
-
-    /// Hyperbolic tangent non-linearity.
-    pub fn tanh(&mut self, x: Var) -> Var {
-        self.unary_elementwise(x, Op::Tanh(x.0), f32::tanh)
     }
 
     /// Matrix transpose.
@@ -663,23 +647,6 @@ impl Tape {
         out.data_mut()[..ar * ac].copy_from_slice(self.val(a.0).data());
         out.data_mut()[ar * ac..].copy_from_slice(self.val(b.0).data());
         self.push_owned(out, Op::ConcatRows(a.0, b.0))
-    }
-
-    /// Horizontally concatenates `a` and `b`.
-    pub fn concat_cols(&mut self, a: Var, b: Var) -> Var {
-        let (ar, ac) = self.shape(a);
-        let (br, bc) = self.shape(b);
-        assert_eq!(ar, br, "hstack: row mismatch {} vs {}", ar, br);
-        let mut out = self.pool.raw(ar, ac + bc);
-        {
-            let av = self.val(a.0);
-            let bv = self.val(b.0);
-            for r in 0..ar {
-                out.row_mut(r)[..ac].copy_from_slice(av.row(r));
-                out.row_mut(r)[ac..].copy_from_slice(bv.row(r));
-            }
-        }
-        self.push_owned(out, Op::ConcatCols(a.0, b.0))
     }
 
     /// Reshapes a node to `(rows, cols)` preserving row-major element order
@@ -1047,9 +1014,6 @@ impl Tape {
                     kernel::unary_map_into(grad.data(), dx.data_mut(), move |v| v * s);
                     accumulate(&mut grads, pool, *x, dx);
                 }
-                Op::AddScalar(x) => {
-                    accumulate_copy(&mut grads, pool, *x, &grad);
-                }
                 Op::Hadamard(a, b) => {
                     if needs(*a) {
                         let mut da = pool.raw(grad.rows(), grad.cols());
@@ -1094,14 +1058,6 @@ impl Tape {
                     });
                     accumulate(&mut grads, pool, *x, dx);
                 }
-                Op::Tanh(x) => {
-                    let y = nodes[idx].value.matrix();
-                    let mut dx = pool.raw(grad.rows(), grad.cols());
-                    kernel::binary_map_into(grad.data(), y.data(), dx.data_mut(), |g, v| {
-                        g * (1.0 - v * v)
-                    });
-                    accumulate(&mut grads, pool, *x, dx);
-                }
                 Op::Transpose(x) => {
                     let mut dx = pool.raw(grad.cols(), grad.rows());
                     kernel::transpose_into(grad.rows(), grad.cols(), grad.data(), dx.data_mut());
@@ -1128,24 +1084,6 @@ impl Tape {
                     if needs(*b) {
                         let mut db = pool.raw(grad.rows() - a_rows, cols);
                         db.data_mut().copy_from_slice(&grad.data()[a_rows * cols..]);
-                        accumulate(&mut grads, pool, *b, db);
-                    }
-                }
-                Op::ConcatCols(a, b) => {
-                    let a_cols = val(*a).cols();
-                    let rows = grad.rows();
-                    if needs(*a) {
-                        let mut da = pool.raw(rows, a_cols);
-                        for r in 0..rows {
-                            da.row_mut(r).copy_from_slice(&grad.row(r)[..a_cols]);
-                        }
-                        accumulate(&mut grads, pool, *a, da);
-                    }
-                    if needs(*b) {
-                        let mut db = pool.raw(rows, grad.cols() - a_cols);
-                        for r in 0..rows {
-                            db.row_mut(r).copy_from_slice(&grad.row(r)[a_cols..]);
-                        }
                         accumulate(&mut grads, pool, *b, db);
                     }
                 }
@@ -1463,7 +1401,7 @@ mod tests {
     }
 
     #[test]
-    fn relu_sigmoid_tanh_gradcheck() {
+    fn relu_sigmoid_gradcheck() {
         let mut rng = rng_from_seed(2);
         let x0 = randn(3, 3, 0.3, 1.0, &mut rng);
         finite_difference_check(
@@ -1471,8 +1409,7 @@ mod tests {
             |tape, x| {
                 let r = tape.relu(x);
                 let s = tape.sigmoid(r);
-                let t = tape.tanh(s);
-                tape.sum_all(t)
+                tape.sum_all(s)
             },
             2e-2,
         );
@@ -1686,15 +1623,15 @@ mod tests {
         let t = tape.transpose(s);
         let tt = tape.transpose(t);
         let sel = tape.row_select(tt, &[0, 2, 1, 3]);
-        let cat = tape.concat_cols(sel, tt);
+        let cat = tape.concat_rows(sel, tt);
         let soft = tape.softmax_rows(cat);
         let norm = tape.row_normalize(soft);
         let l2 = tape.l2_normalize_rows(norm);
         let resh = tape.reshape(l2, 2, 12);
         let back = tape.reshape(resh, 4, 6);
         let scaled = tape.scale(back, 1.3);
-        let shifted = tape.add_scalar(scaled, 0.1);
-        let loss = tape.softmax_cross_entropy(shifted, &[0, 3, 1, 2]);
+        let rescaled = tape.scale(scaled, -0.7);
+        let loss = tape.softmax_cross_entropy(rescaled, &[0, 3, 1, 2]);
         let loss_value = tape.scalar(loss);
         let grads = tape.backward(loss);
         let gx = grads.get(x).expect("leaf gradient").clone();
