@@ -38,8 +38,6 @@ COMMANDS:
     all             Regenerate every table and figure through one shared grid
     list <WHAT>     List registered attacks|methods|defenses|datasets|
                     architectures|generators|scales
-    lint            Check workspace invariants (determinism, panic-safety,
-                    fault-point hygiene); see docs/lint.md
     store <stats|gc|doctor|clear>
                     Inspect or maintain the content-addressed artifact
                     store; see docs/store.md
@@ -86,14 +84,6 @@ EXPERIMENT OPTIONS (run; repeatable in grid):
                           (implies --plan sampled)
     --seed <n>            Base seed (default: 17)
 
-LINT OPTIONS (lint):
-    --format human|json   Output format (default: human)
-    --write-baseline      Regenerate lint-baseline.json from the current
-                          unchecked-panic findings (the ratchet may only
-                          shrink; review the diff before committing)
-    --root <dir>          Workspace root (default: the nearest ancestor
-                          directory containing Cargo.toml and crates/)
-
 STORE OPTIONS (store):
     --store-dir <dir>     Store root (default: target/store, or
                           BGC_STORE_DIR when set); --format json renders
@@ -102,8 +92,7 @@ STORE OPTIONS (store):
 EXIT CODES:
     0  success                  3  cell failure(s) (panic/timeout/error)
     1  error                    4  every executed cell was OOM
-    2  usage error               5  lint violation(s)
-                                 6  stale lint baseline entries
+    2  usage error
 
 FAULT INJECTION (testing and CI):
     BGC_FAULTS=\"point[@ctx][#n]=panic|io|delay:<ms>[;...]\" arms
@@ -124,7 +113,6 @@ EXAMPLES:
     bgc grid --dataset cora --dataset citeseer --attack BGC --attack GTA
     bgc table 2 --scale quick
     bgc list attacks
-    bgc lint --format json
     bgc all --scale quick    (a second run is served from the store)
     bgc store stats
 ";
@@ -167,12 +155,6 @@ pub const EXIT_CELL_FAILURE: i32 = 3;
 /// Exit code: the run completed but every executed cell was the paper's OOM
 /// condition — nothing usable was measured.
 pub const EXIT_OOM_ONLY: i32 = 4;
-/// Exit code: `bgc lint` found invariant violations.
-pub const EXIT_LINT: i32 = 5;
-/// Exit code: `bgc lint` found no violations but the committed baseline has
-/// stale entries (recorded findings that no longer exist); shrink it with
-/// `bgc lint --write-baseline`.
-pub const EXIT_STALE_BASELINE: i32 = 6;
 
 /// What a successful subcommand observed, used to pick the exit code.
 #[derive(Clone, Copy, Debug, Default)]
@@ -183,17 +165,11 @@ pub struct CliOutcome {
     pub completed: usize,
     /// Completed cells that were OOM.
     pub oom: usize,
-    /// Lint violations reported by `bgc lint`.
-    pub lint_violations: usize,
-    /// Stale lint baseline entries reported by `bgc lint`.
-    pub lint_stale: usize,
 }
 
 /// Maps a finished invocation to its exit code (see `EXIT_*`).
 pub fn exit_code(result: &Result<CliOutcome, CliError>) -> i32 {
     match result {
-        Ok(outcome) if outcome.lint_violations > 0 => EXIT_LINT,
-        Ok(outcome) if outcome.lint_stale > 0 => EXIT_STALE_BASELINE,
         Ok(outcome) if outcome.cell_failures > 0 => EXIT_CELL_FAILURE,
         Ok(outcome) if outcome.completed > 0 && outcome.completed == outcome.oom => EXIT_OOM_ONLY,
         Ok(_) => EXIT_OK,
@@ -225,7 +201,6 @@ pub fn run(args: &[String]) -> Result<CliOutcome, CliError> {
         "table" | "fig" => cmd_report(&rest, command),
         "all" => cmd_all(&rest),
         "list" => cmd_list(&rest),
-        "lint" => cmd_lint(&rest),
         "store" => cmd_store(&rest),
         "help" | "--help" | "-h" => {
             print!("{}", HELP);
@@ -578,7 +553,6 @@ fn outcome_from(collector: &OutcomeCollector) -> CliOutcome {
         cell_failures: failures,
         completed,
         oom,
-        ..CliOutcome::default()
     }
 }
 
@@ -856,95 +830,6 @@ pub fn list_lines(what: &str) -> Result<Vec<String>, CliError> {
 }
 
 // ---------------------------------------------------------------------------
-// lint
-// ---------------------------------------------------------------------------
-
-/// `bgc lint [--format human|json] [--write-baseline] [--root <dir>]` —
-/// runs the workspace invariant pass (see `docs/lint.md`).  Exit codes:
-/// [`EXIT_LINT`] on violations, [`EXIT_STALE_BASELINE`] on a stale
-/// baseline, [`EXIT_OK`] when clean.
-fn cmd_lint(args: &[&str]) -> Result<CliOutcome, CliError> {
-    let mut format = "human";
-    let mut write_baseline = false;
-    let mut root_arg: Option<String> = None;
-    let mut iter = args.iter();
-    while let Some(&arg) = iter.next() {
-        match arg {
-            "--format" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| usage("--format expects human or json"))?;
-                if !matches!(*value, "human" | "json") {
-                    return Err(usage(format!(
-                        "unknown lint format '{}' (expected human or json)",
-                        value
-                    )));
-                }
-                format = value;
-            }
-            "--write-baseline" => write_baseline = true,
-            "--root" => {
-                let value = iter.next().ok_or_else(|| usage("--root expects a path"))?;
-                root_arg = Some(value.to_string());
-            }
-            other => return Err(usage(format!("unknown lint option '{}'", other))),
-        }
-    }
-
-    let root = match root_arg {
-        Some(path) => std::path::PathBuf::from(path),
-        None => bgc_lint::find_workspace_root().map_err(usage)?,
-    };
-    let report = bgc_lint::lint_workspace(&root)
-        .map_err(|err| CliError::Bgc(BgcError::invalid(format!("bgc lint: {}", err))))?;
-
-    if write_baseline {
-        let baseline = bgc_lint::Baseline::from_counts(&report.counts);
-        let path = root.join(bgc_lint::BASELINE_FILE);
-        std::fs::write(&path, baseline.to_json()).map_err(|err| {
-            CliError::Bgc(BgcError::invalid(format!(
-                "cannot write {}: {}",
-                path.display(),
-                err
-            )))
-        })?;
-        println!("wrote {}", path.display());
-        // The freshly written baseline admits exactly the current findings,
-        // so re-evaluate against it: baselineable findings and staleness
-        // are gone by construction, everything else still fails the run.
-        let report = bgc_lint::lint_files(
-            &root,
-            &bgc_lint::workspace_files(&root).map_err(usage)?,
-            &baseline,
-            bgc_lint::FAULT_POINTS,
-        )
-        .map_err(|err| CliError::Bgc(BgcError::invalid(format!("bgc lint: {}", err))))?;
-        print_lint_report(&report, format);
-        return Ok(lint_outcome(&report));
-    }
-
-    print_lint_report(&report, format);
-    Ok(lint_outcome(&report))
-}
-
-fn print_lint_report(report: &bgc_lint::LintReport, format: &str) {
-    let text = if format == "json" {
-        bgc_lint::render_json(report)
-    } else {
-        bgc_lint::render_human(report)
-    };
-    print!("{}", text);
-}
-
-fn lint_outcome(report: &bgc_lint::LintReport) -> CliOutcome {
-    CliOutcome {
-        lint_violations: report.violations.len(),
-        lint_stale: report.stale.len(),
-        ..CliOutcome::default()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // store
 // ---------------------------------------------------------------------------
 
@@ -1108,7 +993,6 @@ mod tests {
                 cell_failures: 1,
                 completed: 120,
                 oom: 3,
-                ..CliOutcome::default()
             })),
             EXIT_CELL_FAILURE
         );
@@ -1117,7 +1001,6 @@ mod tests {
                 cell_failures: 0,
                 completed: 2,
                 oom: 2,
-                ..CliOutcome::default()
             })),
             EXIT_OOM_ONLY
         );
@@ -1126,26 +1009,9 @@ mod tests {
                 cell_failures: 0,
                 completed: 3,
                 oom: 2,
-                ..CliOutcome::default()
             })),
             EXIT_OK,
             "a mixed grid with some OOM rows is a success"
-        );
-        assert_eq!(
-            exit_code(&Ok(CliOutcome {
-                lint_violations: 2,
-                lint_stale: 1,
-                ..CliOutcome::default()
-            })),
-            EXIT_LINT,
-            "violations dominate staleness"
-        );
-        assert_eq!(
-            exit_code(&Ok(CliOutcome {
-                lint_stale: 1,
-                ..CliOutcome::default()
-            })),
-            EXIT_STALE_BASELINE
         );
         assert_eq!(
             exit_code(&Err(CliError::Usage("bad flag".into()))),
@@ -1192,23 +1058,6 @@ mod tests {
             HELP, snapshot,
             "docs/cli-help.txt is stale; regenerate it from cli::HELP"
         );
-    }
-
-    #[test]
-    fn lint_rejects_malformed_invocations() {
-        let args = |argv: &[&str]| -> Vec<String> { argv.iter().map(|s| s.to_string()).collect() };
-        assert!(matches!(
-            run(&args(&["lint", "--format", "yaml"])),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&args(&["lint", "--format"])),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&args(&["lint", "--frobnicate"])),
-            Err(CliError::Usage(_))
-        ));
     }
 
     #[test]
@@ -1265,15 +1114,5 @@ mod tests {
             };
             assert!(message.contains("BGC_STORE_DIR"), "{}", message);
         }
-    }
-
-    #[test]
-    fn lint_runs_clean_on_the_workspace_through_the_cli() {
-        // The unit-test working directory is the crate root; `--root` is
-        // resolved by ascending to the workspace root.
-        let outcome = run(&["lint".to_string()]).expect("bgc lint runs");
-        assert_eq!(outcome.lint_violations, 0, "bgc lint must stay clean");
-        assert_eq!(outcome.lint_stale, 0, "lint-baseline.json must stay fresh");
-        assert_eq!(exit_code(&Ok(outcome)), EXIT_OK);
     }
 }

@@ -9,6 +9,13 @@
 //! completed cells from the artifact store (`target/store/`, or
 //! `BGC_STORE_DIR`).
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod cli;
 pub mod scaling;
 

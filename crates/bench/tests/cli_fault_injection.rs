@@ -64,13 +64,16 @@ fn exit_codes_distinguish_failure_classes_end_to_end() {
     let status = bgc(&dir).arg("frobnicate").status().expect("bgc runs");
     assert_eq!(status.code(), Some(2));
 
-    // 2: malformed BGC_FAULTS (rejected before any cell runs).
-    let status = bgc(&dir)
-        .args(["run", "--dataset", "cora", "--no-cache"])
-        .env("BGC_FAULTS", "stage.clean=explode")
-        .status()
-        .expect("bgc runs");
-    assert_eq!(status.code(), Some(2));
+    // 2: malformed BGC_FAULTS (rejected before any cell runs): an unknown
+    // action, and a misspelt point that would otherwise arm nothing.
+    for faults in ["stage.clean=explode", "stage.clen=panic"] {
+        let status = bgc(&dir)
+            .args(["run", "--dataset", "cora", "--no-cache"])
+            .env("BGC_FAULTS", faults)
+            .status()
+            .expect("bgc runs");
+        assert_eq!(status.code(), Some(2), "BGC_FAULTS={}", faults);
+    }
 
     // 1: unknown registry name (a configuration error, not a cell failure).
     let status = bgc(&dir)

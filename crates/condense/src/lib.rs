@@ -8,6 +8,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::allow_attributes_without_reason
+)]
 
 /// Code epoch of the condensation implementations.  The artifact store
 /// mixes this into the keys of clean and poisoned condensation artifacts;

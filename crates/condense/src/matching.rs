@@ -403,6 +403,10 @@ impl GradientMatchingState {
         let (z_syn, structure_params) = match &self.structure {
             Some(gen) => {
                 let (adj, params) = gen.forward(&mut self.tape, x_var);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`new` sets `identity` exactly when it sets `structure`"
+                )]
                 let identity = self
                     .identity
                     .clone()
@@ -431,6 +435,11 @@ impl GradientMatchingState {
             let zc = self.tape.row_select(z_syn, syn_idx);
             let logits = self.tape.matmul(zc, w_const);
             let probs = self.tape.softmax_rows(logits);
+            #[expect(
+                clippy::expect_used,
+                reason = "`real_grad` is `Some` only for classes with synthetic nodes, \
+                          and `new` builds a one-hot for exactly those"
+            )]
             let onehot = self.class_onehots[class]
                 .clone()
                 .expect("non-empty classes precompute their one-hot target");

@@ -304,7 +304,10 @@ pub(crate) fn zero_grads(trigger: &mut impl TrainableTrigger) -> Vec<Matrix> {
 ///
 /// `tape` is a pooled tape reused across steps (reset here); `zero_grads`
 /// come from [`zero_grads`].
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the step borrows each part of the attack loop's state separately"
+)]
 pub(crate) fn trigger_step(
     config: &BgcConfig,
     tape: &mut Tape,
@@ -426,7 +429,7 @@ pub(crate) mod tests {
     /// The former [`trigger_step`]: each attached graph is propagated whole
     /// (concat → K x `const_matmul` → centre row select).  The oracle the
     /// receptive-field readout must match bit for bit.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "mirrors `trigger_step`")]
     fn chain_trigger_step(
         config: &BgcConfig,
         tape: &mut Tape,

@@ -223,7 +223,7 @@ mod tests {
 
     #[test]
     fn generator_kinds_have_unique_names() {
-        let names: std::collections::HashSet<_> =
+        let names: std::collections::BTreeSet<_> =
             GeneratorKind::all().iter().map(|g| g.name()).collect();
         assert_eq!(names.len(), 3);
     }

@@ -252,7 +252,7 @@ mod tests {
             );
         }
         // No duplicates.
-        let unique: std::collections::HashSet<_> = result.poisoned_nodes.iter().collect();
+        let unique: std::collections::BTreeSet<_> = result.poisoned_nodes.iter().collect();
         assert_eq!(unique.len(), result.poisoned_nodes.len());
         assert!(result.selector_train_accuracy > 0.3);
     }

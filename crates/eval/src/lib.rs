@@ -13,6 +13,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod artifact_codec;
 pub mod experiment;

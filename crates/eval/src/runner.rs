@@ -54,7 +54,8 @@
 // Deterministic-by-construction collections: every map and set of this
 // module keyed by cells or stage keys is a `BTreeMap`/`BTreeSet`, so no
 // iteration order in the persist/report path can ever depend on hash-seed
-// or insertion order (`bgc-lint` rule `nondet-iteration`).
+// or insertion order (`crates/clippy.toml` disallows the std hash
+// collections).
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -1029,7 +1030,10 @@ impl Runner {
 
     /// [`Runner::group`] with an explicit base seed (used by the experiment
     /// builder, whose specs carry their own seed).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per coordinate of a cell group"
+    )]
     pub(crate) fn group_seeded(
         &self,
         dataset: DatasetKind,

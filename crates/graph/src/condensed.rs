@@ -1,7 +1,7 @@
 //! The condensed (synthetic) graph `S = {A', X', Y'}` produced by a graph
 //! condensation method, and on which the victim GNN is trained.
 
-use bgc_tensor::{CsrMatrix, Matrix};
+use bgc_tensor::Matrix;
 
 /// A small synthetic graph with `N' << N` nodes.
 ///
@@ -92,11 +92,6 @@ impl CondensedGraph {
             .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
             .collect();
         Matrix::from_fn(n, n, |r, c| a.get(r, c) * inv_sqrt[r] * inv_sqrt[c])
-    }
-
-    /// Converts the (thresholded) adjacency to sparse CSR form.
-    pub fn adjacency_csr(&self, tol: f32) -> CsrMatrix {
-        CsrMatrix::from_dense(&self.adjacency, tol)
     }
 
     /// Number of synthetic nodes per class.

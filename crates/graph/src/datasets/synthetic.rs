@@ -503,9 +503,13 @@ mod tests {
     /// full graphs.
     #[test]
     fn edge_set_matches_the_historical_hashset_generator() {
-        use std::collections::HashSet;
-
+        #[expect(
+            clippy::disallowed_types,
+            reason = "the historical hash-set generator is the reference this test compares against"
+        )]
         fn reference_hashset_graph(spec: &SbmSpec, seed: u64) -> Graph {
+            use std::collections::HashSet;
+
             let mut rng = rng_from_seed(seed);
             let mut labels: Vec<usize> =
                 (0..spec.num_nodes).map(|i| i % spec.num_classes).collect();

@@ -10,6 +10,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::allow_attributes_without_reason
+)]
 
 /// Code epoch of dataset synthesis and loading.  The artifact store mixes
 /// this into every key derived from a loaded graph; bump it when dataset

@@ -1,1 +1,8 @@
 //! Placeholder library target; all content lives in `tests/`.
+
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::allow_attributes_without_reason
+)]

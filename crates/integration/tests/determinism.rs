@@ -1,9 +1,10 @@
 //! Byte-identical-output tests: the grid's observable outputs — the store
 //! artifacts of its stages and cells, and per-cell results — must not
 //! depend on cell submission order or on serial vs. parallel execution.
-//! This is the behavioural guarantee behind the `nondet-iteration` lint
-//! rule: every map on the canonicalization/persist/report path is a
-//! `BTreeMap`, so no hash-seed or scheduling accident can leak into bytes.
+//! This is the behavioural guarantee behind the `disallowed-types` entries
+//! of `crates/clippy.toml`: every map on the canonicalization/persist/report
+//! path is a `BTreeMap`, so no hash-seed or scheduling accident can leak
+//! into bytes.
 
 use std::fs;
 use std::path::{Path, PathBuf};

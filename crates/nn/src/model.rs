@@ -238,7 +238,7 @@ mod tests {
 
     #[test]
     fn names_are_unique() {
-        let names: std::collections::HashSet<_> =
+        let names: std::collections::BTreeSet<_> =
             GnnArchitecture::all().iter().map(|a| a.name()).collect();
         assert_eq!(names.len(), 6);
     }

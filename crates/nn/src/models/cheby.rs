@@ -87,27 +87,21 @@ impl GnnModel for ChebyNet {
     }
 
     fn parameters(&self) -> Vec<&Matrix> {
-        let mut out = Vec::new();
-        for l in 0..self.w0.len() {
-            out.push(&self.w0[l]);
-            out.push(&self.w1[l]);
-            out.push(&self.biases[l]);
-        }
-        out
+        self.w0
+            .iter()
+            .zip(&self.w1)
+            .zip(&self.biases)
+            .flat_map(|((w0, w1), b)| [w0, w1, b])
+            .collect()
     }
 
     fn parameters_mut(&mut self) -> Vec<&mut Matrix> {
-        let mut out: Vec<&mut Matrix> = Vec::new();
-        let layers = self.w0.len();
-        let mut w0_iter = self.w0.iter_mut();
-        let mut w1_iter = self.w1.iter_mut();
-        let mut b_iter = self.biases.iter_mut();
-        for _ in 0..layers {
-            out.push(w0_iter.next().expect("w0"));
-            out.push(w1_iter.next().expect("w1"));
-            out.push(b_iter.next().expect("bias"));
-        }
-        out
+        self.w0
+            .iter_mut()
+            .zip(&mut self.w1)
+            .zip(&mut self.biases)
+            .flat_map(|((w0, w1), b)| [w0, w1, b])
+            .collect()
     }
 
     fn output_dim(&self) -> usize {

@@ -85,31 +85,21 @@ impl GnnModel for GraphSage {
     }
 
     fn parameters(&self) -> Vec<&Matrix> {
-        let mut out = Vec::new();
-        for l in 0..self.self_weights.len() {
-            out.push(&self.self_weights[l]);
-            out.push(&self.neigh_weights[l]);
-            out.push(&self.biases[l]);
-        }
-        out
+        self.self_weights
+            .iter()
+            .zip(&self.neigh_weights)
+            .zip(&self.biases)
+            .flat_map(|((ws, wn), b)| [ws, wn, b])
+            .collect()
     }
 
     fn parameters_mut(&mut self) -> Vec<&mut Matrix> {
-        let mut out: Vec<&mut Matrix> = Vec::new();
-        let layers = self.self_weights.len();
-        let (sw, rest) = (
-            &mut self.self_weights,
-            (&mut self.neigh_weights, &mut self.biases),
-        );
-        let mut sw_iter = sw.iter_mut();
-        let mut nw_iter = rest.0.iter_mut();
-        let mut b_iter = rest.1.iter_mut();
-        for _ in 0..layers {
-            out.push(sw_iter.next().expect("self weight"));
-            out.push(nw_iter.next().expect("neigh weight"));
-            out.push(b_iter.next().expect("bias"));
-        }
-        out
+        self.self_weights
+            .iter_mut()
+            .zip(&mut self.neigh_weights)
+            .zip(&mut self.biases)
+            .flat_map(|((ws, wn), b)| [ws, wn, b])
+            .collect()
     }
 
     fn output_dim(&self) -> usize {

@@ -299,11 +299,19 @@ impl Prefetcher {
     /// The prepared batch for `(epoch, index)`.  Must be called in exactly
     /// the epoch-major order the schedule defines.
     pub fn next_batch(&mut self, epoch: usize, index: usize) -> PreparedBatch {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the trainer-stall timer feeds only the reported counters"
+        )]
         let start = Instant::now();
+        #[expect(
+            clippy::panic,
+            reason = "the producer sends every scheduled batch (or a Panicked notice) \
+                      before exiting, so recv only fails after a harness bug"
+        )]
         let produced = self
             .rx
             .recv()
-            // bgc-lint: allow(unchecked-panic) — protocol invariant: the producer sends every scheduled batch (or a Panicked notice) before exiting, so recv only fails after a harness bug
             .unwrap_or_else(|_| panic!("prefetch producer exited before batch ({epoch}, {index})"));
         TRAINER_STALL_NANOS.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         match produced {
@@ -367,6 +375,10 @@ pub fn with_prefetcher<R>(
                     match produced {
                         Ok(batch) => {
                             BATCHES_PRODUCED.fetch_add(1, Ordering::Relaxed);
+                            #[expect(
+                                clippy::disallowed_methods,
+                                reason = "the sampler-idle timer feeds only the reported counters"
+                            )]
                             let start = Instant::now();
                             if tx.send(Produced::Batch(Box::new(batch))).is_err() {
                                 return; // trainer stopped early

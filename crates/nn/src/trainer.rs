@@ -516,6 +516,10 @@ fn train_sampled_epochs(
             // plan provides fanouts — selecting rows from a mid-chain
             // matrix would silently train on the wrong nodes.
             let rows = tape.shape(pass.logits).0;
+            #[expect(
+                clippy::panic,
+                reason = "a plan whose fanouts do not match the model's depth is a caller bug"
+            )]
             let selected = if rows == targets.len() {
                 pass.logits
             } else if rows == num_inputs {

@@ -269,7 +269,7 @@ fn first_step_input_trains_bit_identically_to_raw_input() {
     // of 40 leave a partial last batch.  Fanout 3 caps the first-block rows
     // of nodes with more than two neighbours and keeps the others verbatim.
     let mut g = DatasetKind::Cora.load_small(29);
-    let held_out: std::collections::HashSet<usize> =
+    let held_out: std::collections::BTreeSet<usize> =
         g.split.val.iter().chain(&g.split.test).copied().collect();
     g.split.train = (0..g.num_nodes())
         .filter(|v| !held_out.contains(v))

@@ -19,7 +19,7 @@
 //! BGC_FAULTS="point[@ctx][#n]=action[;point=action...]"
 //!     point   fault-point name (trainer.epoch, condense.outer,
 //!             stage.clean, stage.attack, store.read, store.write, ...;
-//!             see FAULT_POINTS)
+//!             a name missing from FAULT_POINTS is rejected)
 //!     @ctx    only fire when the scope context contains this substring
 //!             (cell canonical keys make good filters)
 //!     #n      fire on the nth matching hit (default 1)
@@ -35,10 +35,10 @@ use std::time::Duration;
 /// Central registry of every named fault point in the workspace.
 ///
 /// Instrumenting a new site means adding its name here *first*: the
-/// `unregistered-fault-point` rule of `bgc-lint` rejects any
-/// `fault::fire("…")` / `fault::fire_io("…")` literal that is not listed,
-/// a meta-test asserts the registry exactly matches the instrumented call
-/// sites, and the CLI help (`docs/cli-help.txt`) documents each point.
+/// `fault_points` test of this crate asserts that the registry exactly
+/// matches the `fault::fire("…")` / `fault::fire_io("…")` literals of the
+/// workspace's library code, [`FaultPlan::parse`] rejects any other name,
+/// and the CLI help (`docs/cli-help.txt`) documents each point.
 pub const FAULT_POINTS: &[&str] = &[
     // One trainer epoch (bgc-nn trainer, full-batch and sampled loops).
     "trainer.epoch",
@@ -167,7 +167,8 @@ impl FaultPlan {
         self.specs.is_empty()
     }
 
-    /// Parses the `BGC_FAULTS` spec syntax (see the module docs).
+    /// Parses the `BGC_FAULTS` spec syntax (see the module docs).  A point
+    /// missing from [`FAULT_POINTS`] is an error: it would arm nothing.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut plan = FaultPlan::new();
         for part in text.split(';').filter(|p| !p.trim().is_empty()) {
@@ -202,10 +203,18 @@ impl FaultPlan {
                 Some((point, ctx)) => (point, Some(ctx.to_string())),
                 None => (head, None),
             };
-            if point.trim().is_empty() {
+            let point = point.trim();
+            if point.is_empty() {
                 return Err(format!("fault spec '{}' is missing a point name", part));
             }
-            let mut spec = FaultSpec::new(point.trim(), action).on_hit(nth);
+            if !is_registered(point) {
+                return Err(format!(
+                    "unknown fault point '{}' (expected one of: {})",
+                    point,
+                    FAULT_POINTS.join(", ")
+                ));
+            }
+            let mut spec = FaultSpec::new(point, action).on_hit(nth);
             spec.context = context;
             plan = plan.with(spec);
         }
@@ -301,8 +310,11 @@ pub fn fire(point: &str) {
     match armed(point) {
         None => {}
         Some(FaultAction::Delay(duration)) => std::thread::sleep(duration),
+        #[expect(
+            clippy::panic,
+            reason = "injecting a panic is this fault point's contract"
+        )]
         Some(FaultAction::Panic) | Some(FaultAction::IoError) => {
-            // bgc-lint: allow(unchecked-panic) — injecting a panic is this fault point's contract
             panic!("injected panic at fault point '{}'", point)
         }
     }
@@ -317,7 +329,10 @@ pub fn fire_io(point: &str) -> std::io::Result<()> {
             std::thread::sleep(duration);
             Ok(())
         }
-        // bgc-lint: allow(unchecked-panic) — injecting a panic is this fault point's contract
+        #[expect(
+            clippy::panic,
+            reason = "injecting a panic is this fault point's contract"
+        )]
         Some(FaultAction::Panic) => panic!("injected panic at fault point '{}'", point),
         Some(FaultAction::IoError) => Err(std::io::Error::other(format!(
             "injected i/o error at fault point '{}'",
@@ -339,8 +354,9 @@ mod tests {
 
     #[test]
     fn parse_roundtrips_every_action() {
-        let plan = FaultPlan::parse("trainer.epoch=panic;store.write@cora#3=io;x=delay:250")
-            .expect("plan parses");
+        let plan =
+            FaultPlan::parse("trainer.epoch=panic;store.write@cora#3=io;store.lock=delay:250")
+                .expect("plan parses");
         assert_eq!(plan.specs.len(), 3);
         assert_eq!(plan.specs[0].point, "trainer.epoch");
         assert_eq!(plan.specs[0].action, FaultAction::Panic);
@@ -355,6 +371,9 @@ mod tests {
         assert!(FaultPlan::parse("p=explode").is_err());
         assert!(FaultPlan::parse("p#x=panic").is_err());
         assert!(FaultPlan::parse("=panic").is_err());
+        let unknown = FaultPlan::parse("stage.clean=panic;stage.clen=panic")
+            .expect_err("an unknown point name arms nothing, so it must not parse");
+        assert!(unknown.contains("stage.clen"), "{}", unknown);
     }
 
     #[test]

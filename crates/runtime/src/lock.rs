@@ -9,15 +9,16 @@
 //! behind a `PoisonError`.
 //!
 //! Use these helpers instead of `.lock().unwrap()` / `.read().unwrap()` /
-//! `.write().unwrap()`; the `poison-unsafe-lock` rule of `bgc-lint` rejects
-//! the raw spellings in non-test code.
+//! `.write().unwrap()`; clippy's `unwrap_used` and `expect_used`, which
+//! every crate root warns on, reject the raw spellings in non-test code.
 //!
 //! **When recovery would be unsound:** a lock whose critical section
 //! performs a multi-step update that must be observed atomically (write A,
 //! then write B, invariant links them) must *not* blanket-recover, because
 //! a panic between the steps leaves the invariant broken for the recovering
 //! reader.  No workspace lock currently does this; if one ever must, keep
-//! the explicit `.lock().unwrap()` and waive the lint with a reason.
+//! the explicit `.lock().unwrap()` under
+//! `#[expect(clippy::unwrap_used, reason = "...")]`.
 
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 

@@ -610,7 +610,7 @@ mod tests {
         KeyBuilder::new("clean", 1).field("dataset", name).build()
     }
 
-    #[allow(clippy::type_complexity)]
+    #[allow(clippy::type_complexity, reason = "a decode/encode closure pair")]
     fn text_codec() -> (
         impl Fn(&[u8]) -> Option<String>,
         impl Fn(&String) -> Option<Vec<u8>>,

@@ -108,7 +108,10 @@ pub fn simd_level() -> SimdLevel {
 
 /// `c[j] += a0 * b0[j]` over equal-length slices.
 #[inline]
-#[allow(unsafe_code)] // sanctioned SIMD dispatch (see crate-level lint note)
+#[allow(
+    unsafe_code,
+    reason = "sanctioned SIMD dispatch (see the crate-level note)"
+)]
 pub fn axpy(c: &mut [f32], a0: f32, b0: &[f32]) {
     #[cfg(target_arch = "x86_64")]
     if simd_level() == SimdLevel::Avx2 {
@@ -148,7 +151,10 @@ fn axpy_scalar(c: &mut [f32], a0: f32, b0: &[f32]) {
 /// traffic, and every lane is an independent sum so the loop vectorizes
 /// without `-ffast-math`-style reassociation.
 #[inline]
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "four fused rows, each a coefficient and a slice"
+)]
 fn axpy4(
     c: &mut [f32],
     a0: f32,
@@ -233,7 +239,10 @@ struct Tile<'a> {
 ///
 /// The AVX2 `gemm_row` and the portable `axpy4`/`axpy` rows apply the same
 /// [`KU`]-fused updates in the same order, so both tiers agree bit for bit.
-#[allow(unsafe_code)] // sanctioned SIMD dispatch (see crate-level lint note)
+#[allow(
+    unsafe_code,
+    reason = "sanctioned SIMD dispatch (see the crate-level note)"
+)]
 fn wide_panel(
     level: SimdLevel,
     a: &[f32],
@@ -383,7 +392,10 @@ pub fn gemm_scalar(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut
 }
 
 /// [`gemm`] at a fixed micro-kernel tier, on the pool when `parallel`.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the gemm shape and operands plus the tier and pool choice"
+)]
 fn gemm_at(
     level: SimdLevel,
     parallel: bool,
@@ -483,7 +495,10 @@ fn gemm_tn_at(parallel: bool, r: usize, m: usize, n: usize, a: &[f32], b: &[f32]
 
 /// Rows `i0..i0 + mb` of `C += Aᵀ · B`, i.e. columns `i0..i0 + mb` of `A`,
 /// one `KC`-deep panel at a time. `panel` holds at least `MC x KC` floats.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the gemm shape and operands plus the block's offset and scratch panel"
+)]
 fn gemm_tn_block(
     r: usize,
     m: usize,
@@ -766,7 +781,10 @@ pub fn naive_matmul_transpose(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)] // the crate's one sanctioned unsafe surface (std::arch)
+#[allow(
+    unsafe_code,
+    reason = "the crate's one sanctioned unsafe surface (std::arch)"
+)]
 mod avx2 {
     //! AVX2 twins of the portable micro-kernels.
     //!

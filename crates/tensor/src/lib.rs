@@ -31,6 +31,12 @@
 // safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod init;
 pub mod kernel;
@@ -110,7 +116,7 @@ mod proptests {
         ) {
             // Deduplicate coordinates so the sum-on-duplicate rule does not
             // interfere with the round-trip comparison.
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             let entries: Vec<_> = entries
                 .into_iter()
                 .filter(|&(r, c, _)| seen.insert((r, c)))

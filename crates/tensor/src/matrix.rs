@@ -148,11 +148,6 @@ impl Matrix {
         Self::new(1, values.len(), values.to_vec())
     }
 
-    /// Builds a single-column matrix from a slice.
-    pub fn col_vector(values: &[f32]) -> Self {
-        Self::new(values.len(), 1, values.to_vec())
-    }
-
     /// A one-hot encoded label matrix with `classes` columns.
     pub fn one_hot(labels: &[usize], classes: usize) -> Self {
         let mut m = Self::zeros(labels.len(), classes);
@@ -495,11 +490,6 @@ impl Matrix {
         out
     }
 
-    /// Applies `f` to every entry in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32 + Sync) {
-        kernel::unary_map_inplace(&mut self.data, f);
-    }
-
     /// Combines two equally-shaped matrices entry-wise. Parallel for large
     /// matrices.
     pub fn zip_map(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32 + Sync) -> Matrix {
@@ -581,30 +571,6 @@ impl Matrix {
             }
         }
         sums
-    }
-
-    /// Mean of every row.
-    pub fn row_means(&self) -> Vec<f32> {
-        self.row_sums()
-            .into_iter()
-            .map(|s| {
-                if self.cols == 0 {
-                    0.0
-                } else {
-                    s / self.cols as f32
-                }
-            })
-            .collect()
-    }
-
-    /// Mean of every column as a `1 x cols` matrix.
-    pub fn col_mean_matrix(&self) -> Matrix {
-        let mut sums = self.col_sums();
-        let n = self.rows.max(1) as f32;
-        for s in &mut sums {
-            *s /= n;
-        }
-        Matrix::row_vector(&sums)
     }
 
     /// Index of the maximum value of row `r` (first maximum wins).

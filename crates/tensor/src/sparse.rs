@@ -654,19 +654,6 @@ impl CsrMatrix {
         }
         CsrMatrix::from_triplets(nodes.len(), nodes.len(), &triplets)
     }
-
-    /// Returns a copy with the listed (undirected) edges removed.
-    pub fn remove_edges(&self, edges: &[(usize, usize)]) -> CsrMatrix {
-        use std::collections::HashSet;
-        let forbidden: HashSet<(usize, usize)> =
-            edges.iter().flat_map(|&(u, v)| [(u, v), (v, u)]).collect();
-        let triplets: Vec<(usize, usize, f32)> = self
-            .triplets()
-            .into_iter()
-            .filter(|&(r, c, _)| !forbidden.contains(&(r, c)))
-            .collect();
-        CsrMatrix::from_triplets(self.rows, self.cols, &triplets)
-    }
 }
 
 #[cfg(test)]
@@ -844,15 +831,6 @@ mod tests {
         assert_eq!(sub.get(0, 1), 1.0); // old (1,2)
         assert_eq!(sub.get(1, 0), 1.0);
         assert_eq!(sub.get(0, 0), 0.0);
-    }
-
-    #[test]
-    fn remove_edges_removes_both_directions() {
-        let m = small();
-        let pruned = m.remove_edges(&[(0, 1)]);
-        assert_eq!(pruned.get(0, 1), 0.0);
-        assert_eq!(pruned.get(1, 0), 0.0);
-        assert_eq!(pruned.get(1, 2), 1.0);
     }
 
     #[test]

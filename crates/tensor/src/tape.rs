@@ -852,6 +852,10 @@ impl Tape {
     /// Both `A` and `B` may carry gradients; used by the kernel ridge
     /// regression objective of GC-SNTK.
     pub fn solve_spd(&mut self, a: Var, b: Var) -> Var {
+        #[expect(
+            clippy::expect_used,
+            reason = "the one caller, GC-SNTK, adds a ridge term, so the system is positive definite"
+        )]
         let value = crate::linalg::solve_spd(self.val(a.0), self.val(b.0))
             .expect("solve_spd: matrix is not positive definite");
         self.push_owned(value, Op::SolveSpd { a: a.0, b: b.0 })
@@ -1227,6 +1231,10 @@ impl Tape {
                     // C = A^{-1} B.  dB = A^{-1} dC, dA = -dB C^T.
                     let av = val(*a);
                     let c = nodes[idx].value.matrix();
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the forward solve of the same matrix succeeded"
+                    )]
                     let db = crate::linalg::solve_spd(av, &grad)
                         .expect("solve_spd backward: matrix is not positive definite");
                     if needs(*a) {
