@@ -14,11 +14,11 @@ use bgc_core::{attack_names, BgcError, GeneratorKind};
 use bgc_defense::defense_names;
 use bgc_eval::report_json::{self, OutcomeCollector};
 use bgc_eval::{
-    enter_wave, experiments, CancelToken, Experiment, ExperimentReport, ExperimentScale, FaultPlan,
-    RunMetrics, Runner, WaveCtx,
+    enter_wave, experiments, CancelToken, CellOverrides, Experiment, ExperimentReport,
+    ExperimentScale, FaultPlan, RunMetrics, Runner, WaveCtx,
 };
 use bgc_graph::{DatasetKind, PoisonBudget};
-use bgc_nn::{GnnArchitecture, SampledPlan, TrainingPlan};
+use bgc_nn::GnnArchitecture;
 use bgc_store::{Store, StoreReport};
 use serde::Value;
 
@@ -54,8 +54,6 @@ GLOBAL OPTIONS:
                           (every failure is reported; exit code 3)
     --cell-timeout <s>    Per-cell deadline in seconds; cells past it are
                           cooperatively cancelled and reported as timed out
-    --retries <n>         Retry retriable cell failures (caught panics, I/O
-                          errors) up to n extra attempts (default: 0)
     --format human|json   run/grid/all output format (default: human); json
                           emits the machine-readable grid report document
     --deadline <s>        Whole-invocation deadline in seconds; cells past it
@@ -79,10 +77,8 @@ EXPERIMENT OPTIONS (run; repeatable in grid):
     --plan full|sampled[:b<batch>][:f<f1>x<f2>...]
                           Training plan of full-graph stages (default: the
                           scale's per-dataset choice)
-    --batch-size <n>      Sampled-plan minibatch size (implies --plan sampled)
-    --fanouts <f1xf2...>  Sampled-plan per-layer fanout caps, 0 = unbounded
-                          (implies --plan sampled)
-    --seed <n>            Base seed (default: 17)
+    --seed <n>            Base seed (default: 17); the only experiment
+                          option that table, fig and all accept
 
 STORE OPTIONS (store):
     --store-dir <dir>     Store root (default: target/store, or
@@ -100,8 +96,9 @@ FAULT INJECTION (testing and CI):
     stage.clean, stage.attack, store.read, store.write, store.lock,
     sampler.produce.
     @ctx fires only in cells whose canonical key contains ctx; #n fires on
-    the nth matching hit (default 1).  Each fault fires exactly once, so
-    retries and re-runs heal.
+    the nth matching hit (default 1).  Each fault fires exactly once, so a
+    clean re-run heals: it reads every finished cell from the store and
+    recomputes the failed ones.
     Example: BGC_FAULTS=\"stage.clean@citeseer=panic\"
 
 EXAMPLES:
@@ -225,7 +222,7 @@ enum OutputFormat {
 
 /// Parsed flags shared by every subcommand.  `run` reads the singular
 /// experiment fields; `grid` reads the repeated ones; reports read only the
-/// globals.
+/// globals and `--seed`.
 struct Options {
     scale: ExperimentScale,
     full: bool,
@@ -233,7 +230,6 @@ struct Options {
     no_cache: bool,
     keep_going: bool,
     cell_timeout: Option<Duration>,
-    retries: Option<usize>,
     format: OutputFormat,
     deadline: Option<Duration>,
     datasets: Vec<DatasetKind>,
@@ -241,16 +237,8 @@ struct Options {
     attacks: Vec<String>,
     ratios: Vec<f32>,
     defense: Option<String>,
-    victim: Option<GnnArchitecture>,
-    layers: Option<usize>,
-    generator: Option<GeneratorKind>,
-    trigger_size: Option<usize>,
-    epochs: Option<usize>,
-    budget: Option<PoisonBudget>,
-    source_class: Option<usize>,
-    plan: Option<TrainingPlan>,
-    batch_size: Option<usize>,
-    fanouts: Option<Vec<usize>>,
+    /// The overrides every experiment of the invocation shares.
+    overrides: CellOverrides,
     seed: Option<u64>,
     store_dir: Option<String>,
     operands: Vec<String>,
@@ -268,7 +256,6 @@ fn parse_options(args: &[&str]) -> Result<Options, CliError> {
         no_cache: false,
         keep_going: false,
         cell_timeout: None,
-        retries: None,
         format: OutputFormat::Human,
         deadline: None,
         datasets: Vec::new(),
@@ -276,16 +263,7 @@ fn parse_options(args: &[&str]) -> Result<Options, CliError> {
         attacks: Vec::new(),
         ratios: Vec::new(),
         defense: None,
-        victim: None,
-        layers: None,
-        generator: None,
-        trigger_size: None,
-        epochs: None,
-        budget: None,
-        source_class: None,
-        plan: None,
-        batch_size: None,
-        fanouts: None,
+        overrides: CellOverrides::default(),
         seed: None,
         store_dir: None,
         operands: Vec::new(),
@@ -312,7 +290,6 @@ fn parse_options(args: &[&str]) -> Result<Options, CliError> {
                 }
                 options.cell_timeout = Some(Duration::from_secs_f64(seconds));
             }
-            "--retries" => options.retries = Some(parse_num(value("--retries")?, "--retries")?),
             "--format" => {
                 options.format = match value("--format")? {
                     "human" => OutputFormat::Human,
@@ -342,51 +319,41 @@ fn parse_options(args: &[&str]) -> Result<Options, CliError> {
                 .push(parse_num(value("--ratio")?, "--ratio")?),
             "--defense" => options.defense = Some(value("--defense")?.to_string()),
             "--victim" => {
-                options.victim = Some(value("--victim")?.parse().map_err(|e: String| usage(e))?)
+                options.overrides.architecture =
+                    Some(value("--victim")?.parse().map_err(|e: String| usage(e))?)
             }
-            "--layers" => options.layers = Some(parse_num(value("--layers")?, "--layers")?),
+            "--layers" => {
+                options.overrides.num_layers = Some(parse_num(value("--layers")?, "--layers")?)
+            }
             "--generator" => {
-                options.generator = Some(
+                options.overrides.generator = Some(
                     value("--generator")?
                         .parse()
                         .map_err(|e: String| usage(e))?,
                 )
             }
             "--trigger-size" => {
-                options.trigger_size = Some(parse_num(value("--trigger-size")?, "--trigger-size")?)
+                options.overrides.trigger_size =
+                    Some(parse_num(value("--trigger-size")?, "--trigger-size")?)
             }
-            "--epochs" => options.epochs = Some(parse_num(value("--epochs")?, "--epochs")?),
+            "--epochs" => {
+                options.overrides.outer_epochs = Some(parse_num(value("--epochs")?, "--epochs")?)
+            }
             "--budget-ratio" => {
-                options.budget = Some(PoisonBudget::Ratio(parse_num(
-                    value("--budget-ratio")?,
-                    "--budget-ratio",
-                )?))
+                let ratio = parse_num(value("--budget-ratio")?, "--budget-ratio")?;
+                options.overrides.poison_budget = Some(PoisonBudget::Ratio(ratio).into())
             }
             "--budget-count" => {
-                options.budget = Some(PoisonBudget::Count(parse_num(
-                    value("--budget-count")?,
-                    "--budget-count",
-                )?))
+                let count = parse_num(value("--budget-count")?, "--budget-count")?;
+                options.overrides.poison_budget = Some(PoisonBudget::Count(count).into())
             }
             "--source-class" => {
-                options.source_class = Some(parse_num(value("--source-class")?, "--source-class")?)
+                options.overrides.source_class =
+                    Some(parse_num(value("--source-class")?, "--source-class")?)
             }
             "--plan" => {
-                options.plan = Some(value("--plan")?.parse().map_err(|e: String| usage(e))?)
-            }
-            "--batch-size" => {
-                options.batch_size = Some(parse_num(value("--batch-size")?, "--batch-size")?)
-            }
-            "--fanouts" => {
-                let list = value("--fanouts")?;
-                let fanouts = list
-                    .split('x')
-                    .map(|f| parse_num::<usize>(f, "--fanouts"))
-                    .collect::<Result<Vec<usize>, CliError>>()?;
-                if fanouts.is_empty() {
-                    return Err(usage("--fanouts expects a non-empty f1xf2... list"));
-                }
-                options.fanouts = Some(fanouts);
+                options.overrides.plan =
+                    Some(value("--plan")?.parse().map_err(|e: String| usage(e))?)
             }
             "--seed" => options.seed = Some(parse_num(value("--seed")?, "--seed")?),
             "--store-dir" => options.store_dir = Some(value("--store-dir")?.to_string()),
@@ -431,9 +398,6 @@ fn build_runner(options: &Options) -> Result<Runner, CliError> {
     if options.cell_timeout.is_some() {
         runner = runner.with_cell_timeout(options.cell_timeout);
     }
-    if let Some(retries) = options.retries {
-        runner = runner.with_retries(retries);
-    }
     if let Some(plan) = fault_plan {
         runner = runner.with_fault_plan(plan);
     }
@@ -448,6 +412,25 @@ fn no_operands(options: &Options) -> Result<(), CliError> {
     }
 }
 
+/// Rejects the experiment options on `table`, `fig` and `all`, whose cells
+/// the paper's reports fix, rather than silently ignoring them; `--seed` is
+/// the one they accept.
+fn no_experiment_options(options: &Options, command: &str) -> Result<(), CliError> {
+    let set = !options.datasets.is_empty()
+        || !options.methods.is_empty()
+        || !options.attacks.is_empty()
+        || !options.ratios.is_empty()
+        || options.defense.is_some()
+        || options.overrides != CellOverrides::default();
+    if set {
+        return Err(usage(format!(
+            "`bgc {}` takes no experiment option but --seed; vary a cell with `bgc run` or `bgc grid`",
+            command
+        )));
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------------
 // run / grid
 // ---------------------------------------------------------------------------
@@ -459,7 +442,10 @@ fn experiment_for(
     attack: Option<&str>,
     ratio: Option<f32>,
 ) -> Result<Experiment, BgcError> {
-    let mut builder = Experiment::builder().scale(options.scale).dataset(dataset);
+    let mut builder = Experiment::builder()
+        .scale(options.scale)
+        .dataset(dataset)
+        .overrides(options.overrides.clone());
     if let Some(method) = method {
         builder = builder.method(method);
     }
@@ -472,62 +458,30 @@ fn experiment_for(
     if let Some(defense) = &options.defense {
         builder = builder.defense(defense.as_str());
     }
-    if let Some(victim) = options.victim {
-        builder = builder.victim(victim);
-    }
-    if let Some(layers) = options.layers {
-        builder = builder.num_layers(layers);
-    }
-    if let Some(generator) = options.generator {
-        builder = builder.generator(generator);
-    }
-    if let Some(size) = options.trigger_size {
-        builder = builder.trigger_size(size);
-    }
-    if let Some(epochs) = options.epochs {
-        builder = builder.outer_epochs(epochs);
-    }
-    if let Some(budget) = options.budget {
-        builder = builder.poison_budget(budget);
-    }
-    if let Some(source) = options.source_class {
-        builder = builder.source_class(source);
-    }
-    if let Some(plan) = resolve_plan(options)? {
-        builder = builder.plan(plan);
-    }
     if let Some(seed) = options.seed {
         builder = builder.seed(seed);
     }
     builder.build()
 }
 
-/// Combines `--plan` with the `--batch-size` / `--fanouts` shorthands (the
-/// shorthands imply a sampled plan when `--plan` is absent).
-fn resolve_plan(options: &Options) -> Result<Option<TrainingPlan>, BgcError> {
-    let mut plan = options.plan.clone();
-    if plan.is_none() && (options.batch_size.is_some() || options.fanouts.is_some()) {
-        plan = Some(TrainingPlan::Sampled(SampledPlan::default_two_layer()));
+/// The one experiment `bgc run` runs.
+fn run_experiment(options: &Options) -> Result<Experiment, CliError> {
+    no_operands(options)?;
+    if options.datasets.len() != 1 {
+        return Err(usage("run expects exactly one --dataset"));
     }
-    match &mut plan {
-        Some(TrainingPlan::Sampled(sampled)) => {
-            if let Some(batch) = options.batch_size {
-                sampled.batch_size = batch;
-            }
-            if let Some(fanouts) = &options.fanouts {
-                sampled.fanouts = fanouts.clone();
-            }
-        }
-        Some(TrainingPlan::FullBatch)
-            if options.batch_size.is_some() || options.fanouts.is_some() =>
-        {
-            return Err(BgcError::invalid(
-                "--batch-size/--fanouts only apply to sampled plans (--plan sampled)",
-            ));
-        }
-        Some(TrainingPlan::FullBatch) | None => {}
+    if options.methods.len() > 1 || options.attacks.len() > 1 || options.ratios.len() > 1 {
+        return Err(usage(
+            "run takes one --method/--attack/--ratio; use `bgc grid` for sweeps",
+        ));
     }
-    Ok(plan)
+    Ok(experiment_for(
+        options,
+        options.datasets[0],
+        options.methods.first().map(String::as_str),
+        options.attacks.first().map(String::as_str),
+        options.ratios.first().copied(),
+    )?)
 }
 
 fn print_rows(rows: &[RunMetrics]) {
@@ -557,7 +511,7 @@ fn outcome_from(collector: &OutcomeCollector) -> CliOutcome {
 }
 
 /// Emits the machine-readable grid-report document of `--format json`:
-/// per-cell status/attempts/results (deterministic), the runner's cache
+/// per-cell status and results (deterministic), the runner's cache
 /// counters and the invocation outcome (execution metadata).
 fn emit_json(command: &str, runner: &Runner, collector: &OutcomeCollector, started: Instant) {
     let (completed, oom, failures) = collector.counts();
@@ -591,22 +545,7 @@ fn emit_json(command: &str, runner: &Runner, collector: &OutcomeCollector, start
 fn cmd_run(args: &[&str]) -> Result<CliOutcome, CliError> {
     let options = parse_options(args)?;
     let runner = build_runner(&options)?;
-    no_operands(&options)?;
-    if options.datasets.len() != 1 {
-        return Err(usage("run expects exactly one --dataset"));
-    }
-    if options.methods.len() > 1 || options.attacks.len() > 1 || options.ratios.len() > 1 {
-        return Err(usage(
-            "run takes one --method/--attack/--ratio; use `bgc grid` for sweeps",
-        ));
-    }
-    let experiment = experiment_for(
-        &options,
-        options.datasets[0],
-        options.methods.first().map(String::as_str),
-        options.attacks.first().map(String::as_str),
-        options.ratios.first().copied(),
-    )?;
+    let experiment = run_experiment(&options)?;
     let started = Instant::now();
     let collector = OutcomeCollector::new();
     let group = experiment.group(&runner)?;
@@ -742,6 +681,7 @@ fn cmd_report(args: &[&str], family: &str) -> Result<CliOutcome, CliError> {
         )));
     };
     let runner = build_runner(&options)?;
+    no_experiment_options(&options, family)?;
     let started = Instant::now();
     let collector = OutcomeCollector::new();
     let report = {
@@ -757,6 +697,7 @@ fn cmd_all(args: &[&str]) -> Result<CliOutcome, CliError> {
     let options = parse_options(args)?;
     let runner = build_runner(&options)?;
     no_operands(&options)?;
+    no_experiment_options(&options, "all")?;
     let started = Instant::now();
     let collector = OutcomeCollector::new();
     let _wave = enter_wave(invocation_wave(&options, &collector));
@@ -917,6 +858,12 @@ mod tests {
     use super::*;
     use bgc_condense::CondensationKind;
     use bgc_core::AttackKind;
+    use bgc_eval::{CellKey, EvalKind};
+    use bgc_nn::{SampledPlan, TrainingPlan};
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
 
     #[test]
     fn every_builtin_is_listed() {
@@ -960,17 +907,18 @@ mod tests {
             ]),
             Err(CliError::Usage(_))
         ));
-        // The prefetch depth is a constant, not an option.
-        assert!(matches!(
-            run(&[
-                "run".to_string(),
-                "--dataset".to_string(),
-                "cora".to_string(),
-                "--prefetch-depth".to_string(),
-                "0".to_string()
-            ]),
-            Err(CliError::Usage(_))
-        ));
+        // The prefetch depth is a constant, a sampled plan is spelled only
+        // through `--plan`, and the runner never retries a cell.
+        for flag in ["--prefetch-depth", "--batch-size", "--fanouts", "--retries"] {
+            assert!(
+                matches!(
+                    run(&argv(&["run", "--dataset", "cora", flag, "1"])),
+                    Err(CliError::Usage(message)) if message.contains(flag)
+                ),
+                "{} must be an unknown option",
+                flag
+            );
+        }
         // Unknown registry names surface as typed experiment errors.
         let err = run(&[
             "run".to_string(),
@@ -1032,21 +980,15 @@ mod tests {
 
     #[test]
     fn fault_tolerance_flags_parse() {
-        let options =
-            parse_options(&["--keep-going", "--cell-timeout", "2.5", "--retries", "3"]).unwrap();
+        let options = parse_options(&["--keep-going", "--cell-timeout", "2.5"]).unwrap();
         assert!(options.keep_going);
         assert_eq!(options.cell_timeout, Some(Duration::from_millis(2500)));
-        assert_eq!(options.retries, Some(3));
         assert!(matches!(
             parse_options(&["--cell-timeout", "0"]),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
             parse_options(&["--cell-timeout", "soon"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            parse_options(&["--retries", "-1"]),
             Err(CliError::Usage(_))
         ));
     }
@@ -1114,5 +1056,142 @@ mod tests {
             };
             assert!(message.contains("BGC_STORE_DIR"), "{}", message);
         }
+    }
+
+    #[test]
+    fn override_flags_lower_to_the_keys_of_their_overrides() {
+        let runner = Runner::in_memory(ExperimentScale::Quick);
+        let lowered = |flags: &[&str]| -> Vec<CellKey> {
+            let mut args = vec!["--dataset", "cora"];
+            args.extend(flags);
+            let options = parse_options(&args).expect("flags parse");
+            let experiment = run_experiment(&options).expect("experiment validates");
+            experiment.group(&runner).expect("scales match").keys
+        };
+        let literal = |overrides: CellOverrides| -> Vec<CellKey> {
+            let ratio = DatasetKind::Cora.paper_condensation_ratios()[1];
+            let group = runner.group(
+                DatasetKind::Cora,
+                CondensationKind::GCond,
+                AttackKind::Bgc,
+                ratio,
+                EvalKind::Standard,
+                overrides,
+            );
+            group.keys
+        };
+        let none = CellOverrides::default;
+        let cases: [(&[&str], CellOverrides); 9] = [
+            (
+                &["--victim", "SAGE"],
+                CellOverrides {
+                    architecture: Some(GnnArchitecture::Sage),
+                    ..none()
+                },
+            ),
+            (
+                &["--layers", "3"],
+                CellOverrides {
+                    num_layers: Some(3),
+                    ..none()
+                },
+            ),
+            (
+                &["--generator", "GCN"],
+                CellOverrides {
+                    generator: Some(GeneratorKind::Gcn),
+                    ..none()
+                },
+            ),
+            (
+                &["--trigger-size", "2"],
+                CellOverrides {
+                    trigger_size: Some(2),
+                    ..none()
+                },
+            ),
+            (
+                &["--epochs", "5"],
+                CellOverrides {
+                    outer_epochs: Some(5),
+                    ..none()
+                },
+            ),
+            (
+                &["--budget-ratio", "0.25"],
+                CellOverrides {
+                    poison_budget: Some(PoisonBudget::Ratio(0.25).into()),
+                    ..none()
+                },
+            ),
+            (
+                &["--budget-count", "5"],
+                CellOverrides {
+                    poison_budget: Some(PoisonBudget::Count(5).into()),
+                    ..none()
+                },
+            ),
+            (
+                &["--source-class", "1"],
+                CellOverrides {
+                    source_class: Some(1),
+                    ..none()
+                },
+            ),
+            (
+                &["--plan", "sampled:b32:f5x5"],
+                CellOverrides {
+                    plan: Some(TrainingPlan::Sampled(SampledPlan {
+                        fanouts: vec![5, 5],
+                        batch_size: 32,
+                    })),
+                    ..none()
+                },
+            ),
+        ];
+        let baseline = literal(none());
+        assert_eq!(lowered(&[]), baseline);
+        for (flags, overrides) in cases {
+            let keys = lowered(flags);
+            assert_eq!(keys, literal(overrides), "{:?}", flags);
+            assert_ne!(keys, baseline, "{:?} reaches the cell key", flags);
+        }
+    }
+
+    #[test]
+    fn reports_reject_the_experiment_options_they_ignore() {
+        let flags: [&[&str]; 14] = [
+            &["--dataset", "reddit"],
+            &["--method", "GCond-X"],
+            &["--attack", "GTA"],
+            &["--ratio", "0.05"],
+            &["--defense", "prune"],
+            &["--victim", "SAGE"],
+            &["--layers", "3"],
+            &["--generator", "GCN"],
+            &["--trigger-size", "2"],
+            &["--epochs", "5"],
+            &["--budget-ratio", "0.25"],
+            &["--budget-count", "5"],
+            &["--source-class", "1"],
+            &["--plan", "sampled:b32:f5x5"],
+        ];
+        for command in [&["table", "1"][..], &["fig", "1"], &["all"]] {
+            for flag in flags {
+                let mut args = argv(command);
+                args.extend(argv(flag));
+                args.push("--no-cache".to_string());
+                let result = run(&args);
+                assert!(
+                    matches!(&result, Err(CliError::Usage(message)) if message.contains("--seed")),
+                    "{:?} must be a usage error",
+                    args
+                );
+                assert_eq!(exit_code(&result), EXIT_USAGE);
+            }
+        }
+        // `--seed` is the one experiment option they accept.
+        let options = parse_options(&["--seed", "5"]).expect("seed parses");
+        assert!(no_experiment_options(&options, "all").is_ok());
     }
 }

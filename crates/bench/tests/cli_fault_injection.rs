@@ -159,10 +159,8 @@ fn sampler_thread_panic_fails_only_its_cell_and_shuts_down_cleanly() {
         "--dataset",
         "cora",
         "--serial",
-        "--batch-size",
-        "32",
-        "--fanouts",
-        "5x5",
+        "--plan",
+        "sampled:b32:f5x5",
     ];
 
     // A panic injected on the prefetch producer thread must be forwarded to

@@ -6,12 +6,10 @@
 
 use rand::Rng;
 
-use bgc_condense::{CondensationConfig, CondensationKind};
-use bgc_graph::{CondensedGraph, Graph};
+use bgc_graph::CondensedGraph;
 use bgc_tensor::init::{randn, rng_from_seed, sample_without_replacement};
 use bgc_tensor::Matrix;
 
-use crate::error::BgcError;
 use crate::trigger::UniversalTrigger;
 
 /// Configuration of the naive direct-injection attack.
@@ -59,18 +57,6 @@ impl NaivePoisonAttack {
     /// Creates the attack.
     pub fn new(config: NaivePoisonConfig) -> Self {
         Self { config }
-    }
-
-    /// Condenses `graph` cleanly with `kind`, then injects the trigger
-    /// directly into the condensed graph.
-    pub fn run(
-        &self,
-        graph: &Graph,
-        kind: CondensationKind,
-        condensation: &CondensationConfig,
-    ) -> Result<NaivePoisonOutcome, BgcError> {
-        let clean = kind.build().condense(graph, condensation)?;
-        Ok(self.poison_condensed(&clean, graph.num_features()))
     }
 
     /// Injects the trigger into an already condensed graph.

@@ -87,14 +87,6 @@ impl BgcError {
         }
     }
 
-    /// Whether a bounded retry could plausibly clear this failure: transient
-    /// I/O errors and caught panics are retriable, deterministic
-    /// configuration and condensation failures (and deadline overruns, which
-    /// would only overrun again) are not.
-    pub fn is_retriable(&self) -> bool {
-        matches!(self, BgcError::Io(_) | BgcError::CellPanicked { .. })
-    }
-
     /// Aggregates per-cell failures into one error: `None` for an empty
     /// list, the error itself for a single failure, [`BgcError::Grid`]
     /// retaining every failure otherwise.
@@ -215,7 +207,7 @@ mod tests {
     }
 
     #[test]
-    fn failure_classes_drive_retry_and_exit_codes() {
+    fn failure_classes_drive_exit_codes() {
         let panicked = BgcError::CellPanicked {
             canon: "c".into(),
             message: "m".into(),
@@ -224,9 +216,9 @@ mod tests {
             canon: "c".into(),
             limit_ms: 50,
         };
-        assert!(panicked.is_retriable() && panicked.is_cell_failure());
-        assert!(BgcError::Io("x".into()).is_retriable());
-        assert!(!timed_out.is_retriable() && timed_out.is_cell_failure());
+        assert!(panicked.is_cell_failure());
+        assert!(BgcError::Io("x".into()).is_cell_failure());
+        assert!(timed_out.is_cell_failure());
         assert!(!BgcError::UnknownAttack("Ghost".into()).is_cell_failure());
         assert!(BgcError::Grid {
             failures: vec![timed_out]

@@ -18,20 +18,21 @@
 //! ```
 //!
 //! `build()` validates everything that can be validated without running:
-//! registry membership of the attack/method/defense names, ratio and knob
-//! ranges, and directed-attack consistency.  The built [`Experiment`] lowers
-//! to a [`CellGroup`] of the same [`CellKey`](crate::CellKey)s the
-//! table/figure regenerators declare, and runs through [`Runner`], so
-//! builder-driven runs share cache entries with them bit-for-bit.
+//! registry membership of the attack/method/defense names, the ratio, and
+//! the cell's [`CellOverrides`] ([`CellOverrides::validate`]).  The built
+//! [`Experiment`] lowers to a [`CellGroup`] of the same
+//! [`CellKey`](crate::CellKey)s the table/figure regenerators declare, and
+//! runs through [`Runner`], so builder-driven runs share cache entries with
+//! them bit-for-bit.
 
 use bgc_condense::MethodId;
-use bgc_core::{AttackId, BgcError, GeneratorKind};
+use bgc_core::{AttackId, BgcError};
 use bgc_defense::DefenseId;
-use bgc_graph::{DatasetKind, PoisonBudget};
-use bgc_nn::{GnnArchitecture, TrainingPlan};
+use bgc_graph::DatasetKind;
 
+use crate::overrides::CellOverrides;
 use crate::protocol::{lookup_attack, lookup_method, AttackKind, RunMetrics};
-use crate::runner::{CellGroup, CellOverrides, EvalKind, Runner, DEFAULT_BASE_SEED};
+use crate::runner::{CellGroup, EvalKind, Runner, DEFAULT_BASE_SEED};
 use crate::scale::ExperimentScale;
 
 /// A validated experiment description: one (dataset, method, attack, ratio,
@@ -157,59 +158,12 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Evaluation mode, parsed/constructed directly (`standard` or a defense
-    /// name).
-    pub fn eval(mut self, eval: EvalKind) -> Self {
-        self.eval = eval;
-        self
-    }
-
-    /// Victim GNN architecture (Table III; default: the scale's GCN victim).
-    pub fn victim(mut self, architecture: GnnArchitecture) -> Self {
-        self.overrides.architecture = Some(architecture);
-        self
-    }
-
-    /// Victim layer count (Table VIII).
-    pub fn num_layers(mut self, layers: usize) -> Self {
-        self.overrides.num_layers = Some(layers);
-        self
-    }
-
-    /// Trigger-generator encoder (Table V).
-    pub fn generator(mut self, generator: GeneratorKind) -> Self {
-        self.overrides.generator = Some(generator);
-        self
-    }
-
-    /// Trigger size (Figure 8).
-    pub fn trigger_size(mut self, size: usize) -> Self {
-        self.overrides.trigger_size = Some(size);
-        self
-    }
-
-    /// Condensation epochs (Figure 6).
-    pub fn outer_epochs(mut self, epochs: usize) -> Self {
-        self.overrides.outer_epochs = Some(epochs);
-        self
-    }
-
-    /// Poisoning budget (Table VII).
-    pub fn poison_budget(mut self, budget: PoisonBudget) -> Self {
-        self.overrides.poison_budget = Some(budget.into());
-        self
-    }
-
-    /// Directed attack from this source class (Table VI).
-    pub fn source_class(mut self, class: usize) -> Self {
-        self.overrides.source_class = Some(class);
-        self
-    }
-
-    /// Training plan of the full-graph stages (`full` or a sampled
-    /// minibatch plan; default: the scale's per-dataset choice).
-    pub fn plan(mut self, plan: TrainingPlan) -> Self {
-        self.overrides.plan = Some(plan);
+    /// Deviations from the scale's baseline configuration (default: none):
+    /// victim architecture and depth, trigger generator and size,
+    /// condensation epochs, poisoning budget, directed source class and
+    /// training plan.
+    pub fn overrides(mut self, overrides: CellOverrides) -> Self {
+        self.overrides = overrides;
         self
     }
 
@@ -246,83 +200,7 @@ impl ExperimentBuilder {
                 ratio
             )));
         }
-        if self.overrides.trigger_size == Some(0) {
-            return Err(BgcError::invalid("trigger size must be at least 1"));
-        }
-        if self.overrides.outer_epochs == Some(0) {
-            return Err(BgcError::invalid("condensation needs at least one epoch"));
-        }
-        if self.overrides.num_layers == Some(0) {
-            return Err(BgcError::invalid("the victim needs at least one layer"));
-        }
-        match self.overrides.poison_budget {
-            Some(crate::runner::BudgetOverride::RatioBits(bits)) => {
-                let r = f32::from_bits(bits);
-                if !r.is_finite() || r <= 0.0 || r > 1.0 {
-                    return Err(BgcError::invalid(format!(
-                        "poisoning ratio must lie in (0, 1], got {}",
-                        r
-                    )));
-                }
-            }
-            Some(crate::runner::BudgetOverride::Count(0)) => {
-                return Err(BgcError::invalid(
-                    "poisoning budget must be at least 1 node",
-                ));
-            }
-            _ => {}
-        }
-        if let Some(TrainingPlan::Sampled(plan)) = &self.overrides.plan {
-            if plan.batch_size == 0 {
-                return Err(BgcError::invalid(
-                    "sampled plans need a non-zero batch size",
-                ));
-            }
-            if plan.fanouts.is_empty() {
-                return Err(BgcError::invalid(
-                    "sampled plans need at least one fanout (one per propagation step)",
-                ));
-            }
-            // Victims train full batch, but the ASR evaluation extracts each
-            // triggered computation graph with the plan's fanouts, one hop
-            // per fanout (`attach_for_evaluation`).  An explicitly requested
-            // plan must therefore provide one fanout per propagation step of
-            // the victim, so the extraction is as deep as the victim's
-            // receptive field (the selector GCN adapts any plan to its fixed
-            // depth).
-            let architecture = self.overrides.architecture.unwrap_or(GnnArchitecture::Gcn);
-            let layers = self.overrides.num_layers.unwrap_or(2);
-            if let Some(depth) = architecture.propagation_depth(layers) {
-                if plan.fanouts.len() != depth {
-                    return Err(BgcError::invalid(format!(
-                        "the sampled plan provides {} fanouts but a {}-layer {} victim \
-                         performs {} propagation steps — pass one fanout per step",
-                        plan.fanouts.len(),
-                        layers,
-                        architecture,
-                        depth
-                    )));
-                }
-            }
-        }
-        if let Some(source) = self.overrides.source_class {
-            let baseline = self.scale.bgc_config(dataset, ratio, self.seed);
-            if source == baseline.target_class {
-                return Err(BgcError::invalid(format!(
-                    "directed source class {} equals the attack's target class",
-                    source
-                )));
-            }
-            let num_classes = dataset.spec().num_classes;
-            if source >= num_classes {
-                return Err(BgcError::invalid(format!(
-                    "source class {} is out of range for {} ({} classes)",
-                    source,
-                    dataset.name(),
-                    num_classes
-                )));
-            }
-        }
+        self.overrides.validate(self.scale, dataset, ratio)?;
         Ok(Experiment {
             scale: self.scale,
             dataset,
@@ -341,6 +219,8 @@ mod tests {
     use super::*;
     use crate::runner::Runner;
     use bgc_condense::CondensationKind;
+    use bgc_graph::PoisonBudget;
+    use bgc_nn::TrainingPlan;
 
     #[test]
     fn builder_defaults_follow_the_paper() {
@@ -412,65 +292,74 @@ mod tests {
                 Err(BgcError::InvalidExperiment(_))
             ));
         }
-        assert!(Experiment::builder()
-            .dataset(DatasetKind::Cora)
-            .trigger_size(0)
-            .build()
-            .is_err());
-        assert!(Experiment::builder()
-            .dataset(DatasetKind::Cora)
-            .num_layers(0)
-            .build()
-            .is_err());
-        assert!(Experiment::builder()
-            .dataset(DatasetKind::Cora)
-            .outer_epochs(0)
-            .build()
-            .is_err());
-        assert!(Experiment::builder()
-            .dataset(DatasetKind::Cora)
-            .poison_budget(PoisonBudget::Ratio(2.0))
-            .build()
-            .is_err());
-        assert!(Experiment::builder()
-            .dataset(DatasetKind::Cora)
-            .poison_budget(PoisonBudget::Count(0))
-            .build()
-            .is_err());
-        // Sampled-plan depth validation: fanout count must match the
-        // victim's propagation depth.
-        assert!(Experiment::builder()
-            .dataset(DatasetKind::Cora)
-            .plan("sampled:b64:f8x8".parse().unwrap())
-            .build()
-            .is_ok());
-        assert!(Experiment::builder()
-            .dataset(DatasetKind::Cora)
-            .plan("sampled:b64:f8".parse().unwrap())
-            .build()
-            .is_err());
-        assert!(Experiment::builder()
-            .dataset(DatasetKind::Cora)
-            .num_layers(3)
-            .plan("sampled:b64:f8x8x8".parse().unwrap())
-            .build()
-            .is_ok());
-        // Directed-attack consistency: class 0 is the target class.
-        assert!(Experiment::builder()
-            .dataset(DatasetKind::Cora)
-            .source_class(0)
-            .build()
-            .is_err());
-        assert!(Experiment::builder()
-            .dataset(DatasetKind::Cora)
-            .source_class(99)
-            .build()
-            .is_err());
-        assert!(Experiment::builder()
-            .dataset(DatasetKind::Cora)
-            .source_class(1)
-            .build()
-            .is_ok());
+        // Out-of-range overrides.
+        let with = |overrides: CellOverrides| {
+            Experiment::builder()
+                .dataset(DatasetKind::Cora)
+                .overrides(overrides)
+                .build()
+        };
+        let plan = |text: &str| Some(text.parse::<TrainingPlan>().unwrap());
+        for invalid in [
+            CellOverrides {
+                trigger_size: Some(0),
+                ..CellOverrides::default()
+            },
+            CellOverrides {
+                num_layers: Some(0),
+                ..CellOverrides::default()
+            },
+            CellOverrides {
+                outer_epochs: Some(0),
+                ..CellOverrides::default()
+            },
+            CellOverrides {
+                poison_budget: Some(PoisonBudget::Ratio(2.0).into()),
+                ..CellOverrides::default()
+            },
+            CellOverrides {
+                poison_budget: Some(PoisonBudget::Count(0).into()),
+                ..CellOverrides::default()
+            },
+            // Sampled-plan depth validation: the fanout count must match
+            // the victim's propagation depth.
+            CellOverrides {
+                plan: plan("sampled:b64:f8"),
+                ..CellOverrides::default()
+            },
+            // Directed-attack consistency: class 0 is the target class.
+            CellOverrides {
+                source_class: Some(0),
+                ..CellOverrides::default()
+            },
+            CellOverrides {
+                source_class: Some(99),
+                ..CellOverrides::default()
+            },
+        ] {
+            assert!(
+                matches!(with(invalid.clone()), Err(BgcError::InvalidExperiment(_))),
+                "{:?}",
+                invalid
+            );
+        }
+        for valid in [
+            CellOverrides {
+                plan: plan("sampled:b64:f8x8"),
+                ..CellOverrides::default()
+            },
+            CellOverrides {
+                num_layers: Some(3),
+                plan: plan("sampled:b64:f8x8x8"),
+                ..CellOverrides::default()
+            },
+            CellOverrides {
+                source_class: Some(1),
+                ..CellOverrides::default()
+            },
+        ] {
+            assert!(with(valid.clone()).is_ok(), "{:?}", valid);
+        }
     }
 
     #[test]

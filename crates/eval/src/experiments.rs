@@ -15,8 +15,9 @@ use bgc_core::{BgcError, GeneratorKind};
 use bgc_graph::{DatasetKind, GraphStats};
 use bgc_nn::GnnArchitecture;
 
+use crate::overrides::CellOverrides;
 use crate::protocol::AttackKind;
-use crate::runner::{CellGroup, CellOverrides, EvalKind, Runner};
+use crate::runner::{CellGroup, EvalKind, Runner};
 use crate::scale::ExperimentScale;
 use crate::tables::ExperimentReport;
 
@@ -299,36 +300,6 @@ fn defense_record(
         randsmooth_cta: randsmooth.cta,
         randsmooth_asr: randsmooth.asr,
     })
-}
-
-/// Runs one defense cell: BGC attack, then evaluation without defense, with
-/// Prune, and with Randsmooth.  The attack itself is computed once and
-/// shared by the three evaluations through the runner's stage cache.
-pub fn run_defense_cell(
-    runner: &Runner,
-    dataset: DatasetKind,
-    method: CondensationKind,
-    ratio: f32,
-) -> Result<DefenseRecord, BgcError> {
-    let groups: Vec<CellGroup> = [
-        EvalKind::Standard,
-        EvalKind::prune(),
-        EvalKind::randsmooth(),
-    ]
-    .into_iter()
-    .map(|eval| {
-        runner.group(
-            dataset,
-            method,
-            AttackKind::Bgc,
-            ratio,
-            eval,
-            CellOverrides::default(),
-        )
-    })
-    .collect();
-    runner.run_groups(&groups.iter().collect::<Vec<_>>())?;
-    defense_record(runner, &groups[0], &groups[1], &groups[2])
 }
 
 /// Figure 5: ablation of the poisoned-node selection module (BGC vs BGC_Rand)

@@ -23,6 +23,7 @@
 pub mod artifact_codec;
 pub mod experiment;
 pub mod experiments;
+pub mod overrides;
 pub mod paper;
 pub mod protocol;
 pub mod report_json;
@@ -33,11 +34,12 @@ pub mod tables;
 pub use bgc_core::BgcError;
 pub use bgc_runtime::{CancelToken, FaultAction, FaultPlan, FaultSpec};
 pub use experiment::{Experiment, ExperimentBuilder};
+pub use overrides::{BudgetOverride, CellOverrides};
 pub use protocol::{attack_stage, clean_stage, AttackArtifacts, AttackKind, RunMetrics};
 pub use runner::{
-    enter_wave, BudgetOverride, CellGroup, CellKey, CellOutcome, CellOverrides, CellResult,
-    CellStatus, CodeEpochs, EvalKind, GridReport, Runner, RunnerStats, WaveCtx, WaveObserver,
-    WaveScope, DEFAULT_BASE_SEED, EVAL_CODE_EPOCH,
+    enter_wave, CellGroup, CellKey, CellOutcome, CellResult, CellStatus, CodeEpochs, EvalKind,
+    GridReport, Runner, RunnerStats, WaveCtx, WaveObserver, WaveScope, DEFAULT_BASE_SEED,
+    EVAL_CODE_EPOCH,
 };
 pub use scale::ExperimentScale;
 pub use tables::ExperimentReport;

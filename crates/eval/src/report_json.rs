@@ -5,9 +5,8 @@
 //!
 //! The cell sub-documents are deterministic (canonical key, status, result
 //! values); execution metadata that legitimately varies between runs
-//! (attempts, cache-hit counters, wall clock) is kept in separate fields so
-//! callers can diff the deterministic part byte-for-byte across warm and
-//! cold runs.
+//! (cache-hit counters, wall clock) is kept in separate fields so callers
+//! can diff the deterministic part byte-for-byte across warm and cold runs.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -41,8 +40,8 @@ pub fn status_value(status: &CellStatus) -> Value {
     Value::Object(fields)
 }
 
-/// One cell of a report: canonical key, status, attempts and (for completed
-/// cells) the measured [`CellResult`] values.
+/// One cell of a report: canonical key, status and (for completed cells)
+/// the measured [`CellResult`] values.
 pub fn outcome_value(outcome: &CellOutcome, result: Option<&CellResult>) -> Value {
     let result_value = result
         .and_then(|r| serde_json::to_value(r).ok())
@@ -50,7 +49,6 @@ pub fn outcome_value(outcome: &CellOutcome, result: Option<&CellResult>) -> Valu
     Value::Object(vec![
         field("cell", string(outcome.key.canon())),
         field("status", status_value(&outcome.status)),
-        field("attempts", Value::Number(outcome.attempts as f64)),
         field("result", result_value),
     ])
 }
@@ -172,7 +170,8 @@ impl OutcomeCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{enter_wave, CellKey, CellOverrides, EvalKind, WaveCtx};
+    use crate::overrides::CellOverrides;
+    use crate::runner::{enter_wave, CellKey, EvalKind, WaveCtx};
     use crate::scale::ExperimentScale;
     use bgc_core::BgcError;
     use bgc_graph::DatasetKind;
@@ -296,7 +295,7 @@ mod tests {
             collector.cells_value(&runner).to_json_string()
         };
         // Compute the cells once, then observe them from memory in two
-        // opposite orders (so `attempts` agrees too).
+        // opposite orders.
         runner.run_cells(&keys);
         let forward = render(&keys);
         keys.reverse();

@@ -30,11 +30,10 @@
 //!   so a panic becomes a typed [`CellStatus::Panicked`] outcome instead of
 //!   a poisoned-mutex cascade; a per-cell deadline ([`Runner::with_cell_timeout`])
 //!   cooperatively cancels stuck cells through the `bgc_runtime` checkpoints
-//!   in the trainer and condensation loops; transient failures retry
-//!   deterministically ([`Runner::with_retries`]); and
-//!   [`Runner::keep_going`] completes the rest of the grid around failed
-//!   cells, returning a [`GridReport`] that records every per-cell status
-//!   rather than the first error;
+//!   in the trainer and condensation loops; and [`Runner::keep_going`]
+//!   completes the rest of the grid around failed cells, returning a
+//!   [`GridReport`] that records every per-cell status rather than the
+//!   first error;
 //! * **openly** — attacks, condensation methods and defenses are resolved by
 //!   name from their registries and driven through trait objects, so a newly
 //!   registered attack/method/defense runs through the grid without touching
@@ -74,14 +73,15 @@ use bgc_store::{KeyBuilder, Store, StoreKey, StoreRole};
 
 use bgc_condense::{working_graph, MethodId};
 use bgc_core::{
-    directed_attack, evaluate_victims, selector_representations, AttackArtifacts, AttackId,
-    BgcConfig, BgcError, EvaluationOptions, GeneratorKind, SelectorOutput, VictimSpec,
+    evaluate_victims, selector_representations, AttackArtifacts, AttackId, BgcConfig, BgcError,
+    EvaluationOptions, SelectorOutput, VictimSpec,
 };
 use bgc_defense::{resolve_defense, DefenseId};
-use bgc_graph::{CondensedGraph, DatasetKind, Graph, PoisonBudget};
-use bgc_nn::{GnnArchitecture, TrainingPlan};
+use bgc_graph::{CondensedGraph, DatasetKind, Graph};
+use bgc_nn::TrainingPlan;
 
 use crate::artifact_codec;
+use crate::overrides::CellOverrides;
 use crate::protocol::{clean_stage, lookup_attack, lookup_method, AttackKind, RunMetrics};
 use crate::scale::ExperimentScale;
 
@@ -205,132 +205,6 @@ impl FromStr for EvalKind {
         } else {
             Ok(EvalKind::Defended(DefenseId::from(s)))
         }
-    }
-}
-
-/// A poisoning-budget override, hashable (the ratio is stored as f32 bits).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum BudgetOverride {
-    /// Fraction of the training nodes (stored as `f32::to_bits`).
-    RatioBits(u32),
-    /// Absolute number of nodes.
-    Count(usize),
-}
-
-impl From<PoisonBudget> for BudgetOverride {
-    fn from(budget: PoisonBudget) -> Self {
-        match budget {
-            PoisonBudget::Ratio(r) => BudgetOverride::RatioBits(r.to_bits()),
-            PoisonBudget::Count(c) => BudgetOverride::Count(c),
-        }
-    }
-}
-
-impl BudgetOverride {
-    /// Converts back to the graph crate's budget type.
-    pub fn to_budget(self) -> PoisonBudget {
-        match self {
-            BudgetOverride::RatioBits(bits) => PoisonBudget::Ratio(f32::from_bits(bits)),
-            BudgetOverride::Count(c) => PoisonBudget::Count(c),
-        }
-    }
-
-    fn canon(&self) -> String {
-        match self {
-            BudgetOverride::RatioBits(bits) => format!("ratio{:08x}", bits),
-            BudgetOverride::Count(c) => format!("count{}", c),
-        }
-    }
-}
-
-/// Deviations of a cell from the scale's baseline configuration, and the
-/// only way a cell departs from its scale's defaults.
-///
-/// `None` means "the scale's default"; [`Runner::group`] normalizes overrides
-/// that equal the baseline back to `None`, so semantically identical cells
-/// from different tables share one cache entry.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct CellOverrides {
-    /// Trigger-generator encoder (Table V).
-    pub generator: Option<GeneratorKind>,
-    /// Trigger size (Figure 8).
-    pub trigger_size: Option<usize>,
-    /// Condensation epochs (Figure 6).
-    pub outer_epochs: Option<usize>,
-    /// Poisoning budget (Table VII).
-    pub poison_budget: Option<BudgetOverride>,
-    /// Directed attack from this source class; also restricts the ASR
-    /// estimate to that class (Table VI).
-    pub source_class: Option<usize>,
-    /// Victim architecture (Table III).
-    pub architecture: Option<GnnArchitecture>,
-    /// Victim layer count (Table VIII).
-    pub num_layers: Option<usize>,
-    /// Training plan of full-graph stages (the selector's training and the
-    /// ASR computation-graph extraction).  `None` means the scale's
-    /// per-dataset default (sampled on the large tier's big graphs, full
-    /// batch elsewhere).
-    pub plan: Option<TrainingPlan>,
-}
-
-impl CellOverrides {
-    /// Applies the overrides to a cell's inputs.
-    pub fn apply(
-        &self,
-        config: &mut BgcConfig,
-        victim: &mut VictimSpec,
-        options: &mut EvaluationOptions,
-    ) {
-        if let Some(generator) = self.generator {
-            config.generator = generator;
-        }
-        if let Some(trigger_size) = self.trigger_size {
-            config.trigger_size = trigger_size;
-        }
-        if let Some(epochs) = self.outer_epochs {
-            config.condensation.outer_epochs = epochs;
-        }
-        if let Some(budget) = self.poison_budget {
-            config.poison_budget = budget.to_budget();
-        }
-        if let Some(source) = self.source_class {
-            *config = directed_attack(config, source);
-            options.asr_source_class = Some(source);
-        }
-        if let Some(architecture) = self.architecture {
-            victim.architecture = architecture;
-        }
-        if let Some(layers) = self.num_layers {
-            victim.num_layers = layers;
-        }
-        if let Some(plan) = &self.plan {
-            config.training_plan = plan.clone();
-            options.plan = plan.clone();
-        }
-    }
-
-    /// Fixed-order canonical encoding (part of [`CellKey::canon`]).
-    fn canon(&self) -> String {
-        fn opt<T: std::fmt::Display>(v: &Option<T>) -> String {
-            v.as_ref().map_or_else(|| "-".to_string(), T::to_string)
-        }
-        let mut canon = format!(
-            "gen={}|tsz={}|ep={}|budget={}|src={}|arch={}|layers={}",
-            self.generator.map_or("-", |g| g.name()),
-            opt(&self.trigger_size),
-            opt(&self.outer_epochs),
-            self.poison_budget
-                .map_or_else(|| "-".to_string(), |b| b.canon()),
-            opt(&self.source_class),
-            self.architecture.map_or("-", |a| a.name()),
-            opt(&self.num_layers),
-        );
-        // Appended only when set: pre-plan cell canons (and the `eval` store
-        // keys built from them) must stay byte-identical.
-        if let Some(plan) = &self.plan {
-            canon.push_str(&format!("|plan={}", plan));
-        }
-        canon
     }
 }
 
@@ -593,13 +467,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// An outcome that did not execute in this wave (memory hit, previously
-/// failed cell, or a skipped cell of an aborted wave).
-fn resolved_outcome(key: &CellKey, status: CellStatus) -> CellOutcome {
+/// The outcome of `key` with `status`.
+fn cell_outcome(key: &CellKey, status: CellStatus) -> CellOutcome {
     CellOutcome {
         key: key.clone(),
         status,
-        attempts: 0,
     }
 }
 
@@ -760,10 +632,6 @@ pub struct CellOutcome {
     pub key: CellKey,
     /// Terminal status of the cell in this wave.
     pub status: CellStatus,
-    /// Execution attempts this wave spent on the cell; `0` when the cell was
-    /// already resolved (an in-memory hit, or a cell that failed in an
-    /// earlier wave of the same runner).
-    pub attempts: usize,
 }
 
 /// Per-cell statuses of one [`Runner::run_cells`] wave, in submission order
@@ -846,8 +714,6 @@ pub struct Runner {
     parallel: bool,
     keep_going: bool,
     cell_timeout: Option<Duration>,
-    retries: usize,
-    retry_backoff: Duration,
     fault_plan: Option<FaultPlan>,
     /// Content-addressed artifact store, the runner's only persistence
     /// layer: every stage and cell result reads through it (`None`: all of
@@ -858,7 +724,7 @@ pub struct Runner {
     results: Mutex<BTreeMap<CellKey, CellResult>>,
     /// Cells that failed terminally in an earlier wave.  A failed cell stays
     /// failed for the lifetime of the runner (so overlapping reports are
-    /// deterministic); a fresh process retries it naturally.
+    /// deterministic); a fresh process re-runs it.
     failures: Mutex<BTreeMap<CellKey, CellStatus>>,
     clean_cache: StageCache<StoreKey, StageResult<Arc<CondensedGraph>>>,
     attack_cache: StageCache<StoreKey, StageResult<AttackArtifacts>>,
@@ -900,8 +766,6 @@ impl Runner {
             parallel: true,
             keep_going: false,
             cell_timeout: None,
-            retries: 0,
-            retry_backoff: Duration::from_millis(100),
             fault_plan: None,
             store: root.map(Store::open),
             epochs: CodeEpochs::default(),
@@ -965,21 +829,6 @@ impl Runner {
         self
     }
 
-    /// Retries retriable cell failures (caught panics, I/O errors) up to
-    /// `retries` extra attempts, with deterministic linear backoff.
-    /// Deterministic failures — unknown registry names, condensation errors,
-    /// deadline overruns — never retry.
-    pub fn with_retries(mut self, retries: usize) -> Self {
-        self.retries = retries;
-        self
-    }
-
-    /// Pause before retry attempt `n` is `backoff * n` (default 100 ms).
-    pub fn with_retry_backoff(mut self, backoff: Duration) -> Self {
-        self.retry_backoff = backoff;
-        self
-    }
-
     /// Arms a deterministic fault-injection plan: it is entered around every
     /// cell with the cell's canonical key as context, so context filters
     /// target exact cells (see [`bgc_runtime::fault`]).
@@ -1007,7 +856,8 @@ impl Runner {
 
     /// Declares one experiment configuration as a group of per-repetition
     /// cells.  Overrides equal to the scale's baseline are normalized to
-    /// `None` so identical cells from different tables share cache entries.
+    /// `None` ([`CellOverrides::normalized`]) so identical cells from
+    /// different tables share cache entries.
     pub fn group(
         &self,
         dataset: DatasetKind,
@@ -1050,7 +900,7 @@ impl Runner {
         let method = MethodId::from(method.as_str());
         let attack = AttackId::from(attack.as_str());
         let eval = eval.canonicalized();
-        let overrides = self.normalize(dataset, ratio, overrides);
+        let overrides = overrides.normalized(self.scale, dataset, ratio);
         let keys = (0..self.scale.repetitions())
             .map(|rep| CellKey {
                 scale: self.scale,
@@ -1092,38 +942,6 @@ impl Runner {
         )
     }
 
-    fn normalize(
-        &self,
-        dataset: DatasetKind,
-        ratio: f32,
-        mut overrides: CellOverrides,
-    ) -> CellOverrides {
-        let baseline = self.scale.bgc_config(dataset, ratio, self.base_seed);
-        let victim = self.scale.victim_spec();
-        if overrides.generator == Some(baseline.generator) {
-            overrides.generator = None;
-        }
-        if overrides.trigger_size == Some(baseline.trigger_size) {
-            overrides.trigger_size = None;
-        }
-        if overrides.outer_epochs == Some(baseline.condensation.outer_epochs) {
-            overrides.outer_epochs = None;
-        }
-        if overrides.poison_budget.map(BudgetOverride::to_budget) == Some(baseline.poison_budget) {
-            overrides.poison_budget = None;
-        }
-        if overrides.architecture == Some(victim.architecture) {
-            overrides.architecture = None;
-        }
-        if overrides.num_layers == Some(victim.num_layers) {
-            overrides.num_layers = None;
-        }
-        if overrides.plan.as_ref() == Some(&baseline.training_plan) {
-            overrides.plan = None;
-        }
-        overrides
-    }
-
     /// Executes every not-yet-known cell of `keys` (deduplicated), in
     /// parallel unless [`Runner::serial`], and reports one [`CellOutcome`]
     /// per distinct cell in submission order.
@@ -1131,9 +949,8 @@ impl Runner {
     /// Every cell runs behind an unwind boundary: a panic becomes
     /// [`CellStatus::Panicked`], a deadline overrun [`CellStatus::TimedOut`]
     /// and a typed error [`CellStatus::Failed`] — OOM cells stay ordinary
-    /// OOM *results*.  Retriable failures retry per
-    /// [`Runner::with_retries`].  Without [`Runner::keep_going`] the first
-    /// failure stops cells that have not started yet (recorded as
+    /// OOM *results*.  Without [`Runner::keep_going`] the first failure
+    /// stops cells that have not started yet (recorded as
     /// [`CellStatus::Skipped`]); with it the whole grid completes.
     pub fn run_cells(&self, keys: &[CellKey]) -> GridReport {
         let wave = MergedWave::current();
@@ -1156,9 +973,9 @@ impl Runner {
                     } else {
                         CellStatus::Ok
                     };
-                    resolved.insert(key.clone(), resolved_outcome(key, status));
+                    resolved.insert(key.clone(), cell_outcome(key, status));
                 } else if let Some(status) = failures.get(key) {
-                    resolved.insert(key.clone(), resolved_outcome(key, status.clone()));
+                    resolved.insert(key.clone(), cell_outcome(key, status.clone()));
                 } else {
                     pending.push(key.clone());
                 }
@@ -1174,7 +991,7 @@ impl Runner {
         let computed: Mutex<BTreeMap<CellKey, CellOutcome>> = Mutex::new(BTreeMap::new());
         let execute = |key: CellKey| {
             let outcome = if aborted.load(Ordering::Relaxed) {
-                resolved_outcome(&key, CellStatus::Skipped)
+                cell_outcome(&key, CellStatus::Skipped)
             } else {
                 let outcome = self.execute_cell(&key, &wave);
                 if !outcome.status.is_success() {
@@ -1210,7 +1027,7 @@ impl Runner {
                         .or_else(|| computed.remove(&key))
                         .unwrap_or_else(|| {
                             let canon = key.canon();
-                            resolved_outcome(
+                            cell_outcome(
                                 &key,
                                 CellStatus::Failed(BgcError::CellNotExecuted { canon }),
                             )
@@ -1221,93 +1038,60 @@ impl Runner {
     }
 
     /// Executes one cell behind the unwind boundary, with the deadline
-    /// token, the fault-injection scope and bounded deterministic retry.
-    /// The cell's result reads through the store as an `eval` artifact
-    /// before anything is computed, so a stored cell loads no graph.
+    /// token and the fault-injection scope.  The cell's result reads
+    /// through the store as an `eval` artifact before anything is computed,
+    /// so a stored cell loads no graph.
     fn execute_cell(&self, key: &CellKey, wave: &MergedWave) -> CellOutcome {
         let canon = key.canon();
         let eval_key = self.eval_store_key(&canon);
-        let mut attempt = 0usize;
-        loop {
-            attempt += 1;
-            let unwound = catch_unwind(AssertUnwindSafe(|| {
-                let _faults = self.fault_plan.as_ref().map(|plan| plan.enter(&canon));
-                // The per-cell timeout composes with the ambient invocation
-                // deadline: the child token cancels on whichever fires first.
-                let deadline = match (&wave.deadline, self.cell_timeout) {
-                    (Some(outer), Some(timeout)) => Some(outer.child_with_timeout(timeout)),
-                    (Some(outer), None) => Some(outer.clone()),
-                    (None, Some(timeout)) => Some(CancelToken::with_timeout(timeout)),
-                    (None, None) => None,
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let _faults = self.fault_plan.as_ref().map(|plan| plan.enter(&canon));
+            // The per-cell timeout composes with the ambient invocation
+            // deadline: the child token cancels on whichever fires first.
+            let deadline = match (&wave.deadline, self.cell_timeout) {
+                (Some(outer), Some(timeout)) => Some(outer.child_with_timeout(timeout)),
+                (Some(outer), None) => Some(outer.clone()),
+                (None, Some(timeout)) => Some(CancelToken::with_timeout(timeout)),
+                (None, None) => None,
+            };
+            let _scope = deadline.as_ref().map(CancelToken::enter);
+            let (result, role) = self.through_store(
+                &eval_key,
+                |bytes| artifact_codec::decode_cell(bytes).map(Ok),
+                |result| result.as_ref().ok().map(artifact_codec::encode_cell),
+                || self.compute_cell(key),
+            );
+            result.map(|result| (result, role == Some(StoreRole::Hit)))
+        }));
+        let status = match unwound {
+            Ok(Ok((result, stored))) => {
+                let counter = if stored {
+                    &self.cell_disk_hits
+                } else {
+                    &self.cells_computed
                 };
-                let _scope = deadline.as_ref().map(CancelToken::enter);
-                let (result, role) = self.through_store(
-                    &eval_key,
-                    |bytes| artifact_codec::decode_cell(bytes).map(Ok),
-                    |result| result.as_ref().ok().map(artifact_codec::encode_cell),
-                    || self.compute_cell(key),
-                );
-                result.map(|result| (result, role == Some(StoreRole::Hit)))
-            }));
-            let failure = match unwound {
-                Ok(Ok((result, stored))) => {
-                    let counter = if stored {
-                        &self.cell_disk_hits
-                    } else {
-                        &self.cells_computed
-                    };
-                    counter.fetch_add(1, Ordering::Relaxed);
-                    relock(&self.results).insert(key.clone(), result);
-                    let status = if result.oom {
-                        CellStatus::Oom
-                    } else {
-                        CellStatus::Ok
-                    };
-                    return CellOutcome {
-                        key: key.clone(),
-                        status,
-                        attempts: attempt,
-                    };
+                counter.fetch_add(1, Ordering::Relaxed);
+                relock(&self.results).insert(key.clone(), result);
+                if result.oom {
+                    CellStatus::Oom
+                } else {
+                    CellStatus::Ok
                 }
-                Ok(Err(err)) => err,
-                Err(payload) => {
-                    if payload.downcast_ref::<CancelUnwind>().is_some() {
-                        BgcError::CellTimedOut {
-                            canon: canon.clone(),
-                            limit_ms: self
-                                .cell_timeout
-                                .or_else(|| wave.deadline.as_ref().and_then(CancelToken::timeout))
-                                .map_or(0, |t| t.as_millis() as u64),
-                        }
-                    } else {
-                        BgcError::CellPanicked {
-                            canon: canon.clone(),
-                            message: panic_message(payload.as_ref()),
-                        }
-                    }
-                }
-            };
-            if failure.is_retriable() && attempt <= self.retries {
-                eprintln!(
-                    "warning: cell attempt {} of {} failed, retrying: {}",
-                    attempt,
-                    self.retries + 1,
-                    failure
-                );
-                std::thread::sleep(self.retry_backoff * attempt as u32);
-                continue;
             }
-            let status = match failure {
-                BgcError::CellTimedOut { limit_ms, .. } => CellStatus::TimedOut { limit_ms },
-                BgcError::CellPanicked { message, .. } => CellStatus::Panicked { message },
-                other => CellStatus::Failed(other),
-            };
-            return CellOutcome {
-                key: key.clone(),
-                status,
-                attempts: attempt,
-            };
-        }
+            Ok(Err(err)) => CellStatus::Failed(err),
+            Err(payload) if payload.downcast_ref::<CancelUnwind>().is_some() => {
+                CellStatus::TimedOut {
+                    limit_ms: self
+                        .cell_timeout
+                        .or_else(|| wave.deadline.as_ref().and_then(CancelToken::timeout))
+                        .map_or(0, |t| t.as_millis() as u64),
+                }
+            }
+            Err(payload) => CellStatus::Panicked {
+                message: panic_message(payload.as_ref()),
+            },
+        };
+        cell_outcome(key, status)
     }
 
     /// Runs every cell of the given groups (one call per report keeps the
@@ -1630,6 +1414,7 @@ impl Runner {
 mod tests {
     use super::*;
     use bgc_condense::CondensationKind;
+    use bgc_nn::GnnArchitecture;
     use std::fs;
     use std::path::Path;
 
@@ -1870,11 +1655,10 @@ mod tests {
         }
 
         // Re-running on the same runner hits the in-memory map, and the
-        // report still carries per-cell outcomes (attempts 0: resolved
-        // without executing).
+        // report still carries per-cell outcomes.
         let report = second.run_cells(&keys);
         assert!(report.is_ok());
-        assert!(report.outcomes.iter().all(|o| o.attempts == 0));
+        assert_eq!(report.outcomes.len(), keys.len());
         assert_eq!(second.stats().cell_memory_hits, keys.len());
 
         let _ = fs::remove_dir_all(&dir);
@@ -2025,10 +1809,9 @@ mod tests {
             runner.result(&keys[0]),
             Err(BgcError::UnknownAttack(_))
         ));
-        // Re-submitting does not re-execute the failed cell: the outcome is
-        // resolved from the failure map (attempts 0) with the same status.
+        // Re-submitting resolves the failed cell from the failure map with
+        // the same status.
         let again = runner.run_cells(&keys);
-        assert_eq!(again.outcomes[0].attempts, 0);
         assert!(matches!(
             &again.outcomes[0].status,
             CellStatus::Failed(BgcError::UnknownAttack(_))
@@ -2051,7 +1834,7 @@ mod tests {
     }
 
     #[test]
-    fn injected_panic_is_isolated_and_bounded_retry_recovers() {
+    fn injected_panic_is_isolated_and_a_rerun_recovers() {
         use bgc_runtime::{FaultAction, FaultSpec};
 
         let overrides = CellOverrides {
@@ -2077,17 +1860,15 @@ mod tests {
             );
             cora.keys.into_iter().chain(citeseer.keys).collect()
         };
-        let citeseer_clean_panic = || {
-            FaultPlan::new()
-                .with(FaultSpec::new("stage.clean", FaultAction::Panic).in_context("citeseer"))
-        };
+        let plan = FaultPlan::new()
+            .with(FaultSpec::new("stage.clean", FaultAction::Panic).in_context("citeseer"));
 
         // The injected panic is caught at the cell boundary: the cora cell
         // completes, the citeseer cell reports Panicked.
         let faulted = Runner::in_memory(ExperimentScale::Quick)
             .serial()
             .keep_going(true)
-            .with_fault_plan(citeseer_clean_panic());
+            .with_fault_plan(plan.clone());
         let keys = groups(&faulted);
         let report = faulted.run_cells(&keys);
         assert_eq!(report.outcomes[0].status, CellStatus::Ok);
@@ -2100,21 +1881,24 @@ mod tests {
             Err(BgcError::CellPanicked { .. })
         ));
 
-        // Faults fire exactly once, so one retry heals the cell — and the
-        // healed result is bit-identical to a fault-free run.
-        let retried = Runner::in_memory(ExperimentScale::Quick)
+        // The failed cell stays failed on its runner, although the fault
+        // is spent now.
+        assert!(matches!(
+            &faulted.run_cells(&keys).outcomes[1].status,
+            CellStatus::Panicked { .. }
+        ));
+
+        // Faults fire exactly once, so a re-run on the same, now spent,
+        // plan heals the cell — bit-identically to a fault-free run.
+        let rerun = Runner::in_memory(ExperimentScale::Quick)
             .serial()
-            .with_retries(1)
-            .with_retry_backoff(Duration::from_millis(1))
-            .with_fault_plan(citeseer_clean_panic());
-        let report = retried.run_cells(&keys);
-        assert!(report.is_ok());
-        assert_eq!(report.outcomes[1].attempts, 2);
+            .with_fault_plan(plan);
+        assert!(rerun.run_cells(&keys).is_ok());
 
         let plain = Runner::in_memory(ExperimentScale::Quick).serial();
         assert!(plain.run_cells(&keys).is_ok());
         for key in &keys {
-            let a = retried.result(key).unwrap();
+            let a = rerun.result(key).unwrap();
             let b = plain.result(key).unwrap();
             assert_eq!(a.cta.to_bits(), b.cta.to_bits(), "{}", key.canon());
             assert_eq!(a.asr.to_bits(), b.asr.to_bits(), "{}", key.canon());
@@ -2126,7 +1910,6 @@ mod tests {
         let runner = Runner::in_memory(ExperimentScale::Quick)
             .serial()
             .keep_going(true)
-            .with_retries(3)
             .with_cell_timeout(Some(Duration::ZERO));
         let group = runner.group(
             DatasetKind::Cora,
@@ -2144,8 +1927,6 @@ mod tests {
             report.outcomes[0].status,
             CellStatus::TimedOut { limit_ms: 0 }
         );
-        // Deadline overruns would only overrun again: never retried.
-        assert_eq!(report.outcomes[0].attempts, 1);
         assert!(matches!(
             runner.result(&group.keys[0]),
             Err(BgcError::CellTimedOut { limit_ms: 0, .. })

@@ -84,11 +84,15 @@ fn a_registered_toy_attack_runs_end_to_end_without_touching_eval() {
     assert!(resolve_defense("edgewipe").is_some());
 
     let runner = Runner::in_memory(ExperimentScale::Quick);
+    let short = CellOverrides {
+        outer_epochs: Some(4),
+        ..CellOverrides::default()
+    };
     let experiment = Experiment::builder()
         .dataset(DatasetKind::Cora)
         .method("GCond-X")
         .attack("toylabelflip") // case-insensitive resolution
-        .outer_epochs(4)
+        .overrides(short.clone())
         .build()
         .expect("registered attack validates");
     assert_eq!(experiment.attack.as_str(), "ToyLabelFlip");
@@ -109,7 +113,7 @@ fn a_registered_toy_attack_runs_end_to_end_without_touching_eval() {
         .dataset(DatasetKind::Cora)
         .method("GCond-X")
         .attack("ToyLabelFlip")
-        .outer_epochs(4)
+        .overrides(short)
         .defense("edgewipe")
         .build()
         .expect("registered defense validates")
@@ -168,25 +172,20 @@ proptest! {
             _ => EvalKind::randsmooth(),
         };
 
+        let overrides = CellOverrides {
+            architecture: (use_arch == 1).then(|| GnnArchitecture::all()[arch_idx]),
+            num_layers: (use_layers == 1).then_some(layers),
+            trigger_size: (use_trigger == 1).then_some(trigger_size),
+            ..CellOverrides::default()
+        };
         let mut builder = Experiment::builder()
             .dataset(dataset)
             .method(method)
             .attack(attack)
             .ratio(ratio)
-            .eval(eval.clone());
-        let mut overrides = CellOverrides::default();
-        if use_arch == 1 {
-            let arch = GnnArchitecture::all()[arch_idx];
-            builder = builder.victim(arch);
-            overrides.architecture = Some(arch);
-        }
-        if use_layers == 1 {
-            builder = builder.num_layers(layers);
-            overrides.num_layers = Some(layers);
-        }
-        if use_trigger == 1 {
-            builder = builder.trigger_size(trigger_size);
-            overrides.trigger_size = Some(trigger_size);
+            .overrides(overrides.clone());
+        if let EvalKind::Defended(defense) = &eval {
+            builder = builder.defense(defense.clone());
         }
         let experiment = builder.build().expect("valid coordinates");
 

@@ -10,10 +10,10 @@
 //! thread-local read per fault point.
 //!
 //! Every spec fires exactly once — on its `nth` matching hit — which makes
-//! the injected failure *transient by construction*: a retry or a re-run of
-//! the same process observes the fault already spent and succeeds.  Plans
-//! are configured programmatically (tests) or parsed from the `BGC_FAULTS`
-//! environment variable (CLI, CI):
+//! the injected failure *transient by construction*: a re-run on the same
+//! plan (clones share their hit counts) observes the fault already spent
+//! and succeeds.  Plans are configured programmatically (tests) or parsed
+//! from the `BGC_FAULTS` environment variable (CLI, CI):
 //!
 //! ```text
 //! BGC_FAULTS="point[@ctx][#n]=action[;point=action...]"

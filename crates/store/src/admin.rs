@@ -8,9 +8,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use crate::key::fnv1a64;
-use crate::store::{
-    file_age, parse_artifact_canon, pid_alive, pid_probe_available, tmp_file_pid, Store,
-};
+use crate::store::{file_age, parse_artifact_canon, tmp_file_pid, Store};
 
 /// The outcome of one administrative operation, rendered by the CLI
 /// (human) and `report_json` (`--format json`) alike.
@@ -123,23 +121,19 @@ impl Store {
         Ok(report)
     }
 
-    /// Removes reclaimable state: quarantined files, dead-writer temp files,
-    /// and abandoned locks (dead holder, or lease-expired when the holder is
-    /// unknown).  Live writers and holders are left alone.
+    /// Removes reclaimable state: the leftovers of dead processes that the
+    /// sweep at open removes too (dead-writer temp files, abandoned locks),
+    /// plus quarantined files and unattributable temp files older than the
+    /// lock lease.  Live writers and holders are left alone.
     pub fn gc(&self) -> Result<StoreReport, String> {
         let mut removed = Vec::new();
         for (name, path) in sorted_entries(self.root())? {
             let reclaim = match classify(&name) {
                 EntryKind::Corrupt => true,
-                EntryKind::Tmp(pid) => match pid {
-                    Some(pid) => {
-                        pid != std::process::id() && pid_probe_available() && !pid_alive(pid)
-                    }
-                    // Unattributable temp file: reclaim once it has clearly
-                    // been abandoned (older than the lock lease).
-                    None => file_age(&path).is_some_and(|age| age > self.config().lock_lease),
-                },
-                EntryKind::Lock => self.lock_reclaimable(&path),
+                EntryKind::Tmp(None) => {
+                    file_age(&path).is_some_and(|age| age > self.config().lock_lease)
+                }
+                EntryKind::Tmp(Some(_)) | EntryKind::Lock => self.is_dead_leftover(&name, &path),
                 EntryKind::Artifact | EntryKind::Other => false,
             };
             if reclaim && fs::remove_file(&path).is_ok() {
@@ -213,19 +207,6 @@ impl Store {
             action: action.to_string(),
             root: self.root().display().to_string(),
             ..StoreReport::default()
-        }
-    }
-
-    /// Whether a lock file can be reclaimed by gc (dead or lease-expired
-    /// holder; our own and live foreign holders are kept).
-    fn lock_reclaimable(&self, path: &std::path::Path) -> bool {
-        let holder = fs::read_to_string(path)
-            .ok()
-            .and_then(|s| s.trim().parse::<u32>().ok());
-        match holder {
-            Some(pid) if pid == std::process::id() => false,
-            Some(pid) if pid_probe_available() => !pid_alive(pid),
-            _ => file_age(path).is_some_and(|age| age > self.config().lock_lease),
         }
     }
 }

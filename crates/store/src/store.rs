@@ -390,9 +390,19 @@ impl Store {
         }
     }
 
-    /// Removes leftovers that provably belong to dead processes: stale
-    /// `.tmp-<pid>` files and dead-holder locks.  Runs at open so the next
-    /// run after a crash starts from a healthy store.
+    /// Whether the file `name` at `path` is a leftover of a dead process: a
+    /// `.tmp-<pid>` file whose writer is provably dead, or a stale lock.
+    /// Both the sweep at open and `gc` reclaim these.
+    pub(crate) fn is_dead_leftover(&self, name: &str, path: &Path) -> bool {
+        match tmp_file_pid(name) {
+            Some(pid) => pid != std::process::id() && pid_probe_available() && !pid_alive(pid),
+            None => name.ends_with(".lock") && self.lock_is_stale(path),
+        }
+    }
+
+    /// Removes the leftovers of dead processes ([`Store::is_dead_leftover`]).
+    /// Runs at open so the next run after a crash starts from a healthy
+    /// store.
     fn sweep_dead_leftovers(&self) {
         let Ok(entries) = fs::read_dir(&self.root) else {
             return;
@@ -401,12 +411,10 @@ impl Store {
             let path = entry.path();
             let name = entry.file_name();
             let name = name.to_string_lossy();
-            if let Some(pid) = tmp_file_pid(&name) {
-                if pid != std::process::id() && pid_probe_available() && !pid_alive(pid) {
-                    let _ = fs::remove_file(&path);
+            if self.is_dead_leftover(&name, &path) {
+                if name.ends_with(".lock") {
+                    self.stale_locks.fetch_add(1, Ordering::AcqRel);
                 }
-            } else if name.ends_with(".lock") && self.lock_is_stale(&path) {
-                self.stale_locks.fetch_add(1, Ordering::AcqRel);
                 let _ = fs::remove_file(&path);
             }
         }
@@ -578,12 +586,12 @@ pub(crate) fn tmp_file_pid(name: &str) -> Option<u32> {
 }
 
 /// Whether pid liveness can be probed on this platform.
-pub(crate) fn pid_probe_available() -> bool {
+fn pid_probe_available() -> bool {
     Path::new("/proc/self").exists()
 }
 
 /// Whether `pid` is a live process (Linux `/proc` probe).
-pub(crate) fn pid_alive(pid: u32) -> bool {
+fn pid_alive(pid: u32) -> bool {
     Path::new("/proc").join(pid.to_string()).exists()
 }
 

@@ -47,12 +47,6 @@ pub fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut StdRng) -> Matrix
     uniform(fan_in, fan_out, -limit, limit, rng)
 }
 
-/// Kaiming/He normal initialization (suited to ReLU activations).
-pub fn kaiming_normal(fan_in: usize, fan_out: usize, rng: &mut StdRng) -> Matrix {
-    let std = (2.0 / fan_in as f32).sqrt();
-    randn(fan_in, fan_out, 0.0, std, rng)
-}
-
 /// Samples `k` distinct indices from `0..n` (Fisher–Yates style partial
 /// shuffle).  Panics when `k > n`.
 pub fn sample_without_replacement(n: usize, k: usize, rng: &mut StdRng) -> Vec<usize> {

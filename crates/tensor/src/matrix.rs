@@ -143,11 +143,6 @@ impl Matrix {
         }
     }
 
-    /// Builds a single-row matrix from a slice.
-    pub fn row_vector(values: &[f32]) -> Self {
-        Self::new(1, values.len(), values.to_vec())
-    }
-
     /// A one-hot encoded label matrix with `classes` columns.
     pub fn one_hot(labels: &[usize], classes: usize) -> Self {
         let mut m = Self::zeros(labels.len(), classes);
@@ -562,17 +557,6 @@ impl Matrix {
         sums
     }
 
-    /// Sums of every column as a vector.
-    pub fn col_sums(&self) -> Vec<f32> {
-        let mut sums = vec![0.0; self.cols];
-        for r in 0..self.rows {
-            for (s, &v) in sums.iter_mut().zip(self.row(r).iter()) {
-                *s += v;
-            }
-        }
-        sums
-    }
-
     /// Index of the maximum value of row `r` (first maximum wins).
     pub fn row_argmax(&self, r: usize) -> usize {
         let row = self.row(r);
@@ -794,7 +778,6 @@ mod tests {
         assert_eq!(m.sum(), 10.0);
         assert_eq!(m.mean(), 2.5);
         assert_eq!(m.row_sums(), vec![3.0, 7.0]);
-        assert_eq!(m.col_sums(), vec![4.0, 6.0]);
         assert_eq!(m.max(), 4.0);
         assert_eq!(m.min(), 1.0);
         assert!((m.frobenius_norm() - 30.0_f32.sqrt()).abs() < 1e-6);

@@ -3,14 +3,15 @@
 //! across architectures.  One BGC-poisoned condensed graph is handed to six
 //! different victims.
 //!
-//! Each victim is one builder-described experiment; because only the
-//! victim-side fields differ, all six cells share a single BGC attack run
-//! through the grid runner's stage cache.
+//! Each victim is one builder-described experiment whose only override is
+//! the victim architecture; because only that victim-side field differs,
+//! all six cells share a single BGC attack run through the grid runner's
+//! stage cache.
 //!
 //! Run with: `cargo run --release --example architecture_transfer`
 
 use bgc_core::BgcError;
-use bgc_eval::{Experiment, ExperimentScale, Runner};
+use bgc_eval::{CellOverrides, Experiment, ExperimentScale, Runner};
 use bgc_graph::DatasetKind;
 use bgc_nn::GnnArchitecture;
 
@@ -24,7 +25,10 @@ fn main() -> Result<(), BgcError> {
             .method("GCond-X")
             .attack("BGC")
             .ratio(0.026)
-            .victim(architecture)
+            .overrides(CellOverrides {
+                architecture: Some(architecture),
+                ..CellOverrides::default()
+            })
             .build()?;
         let metrics = experiment.run(&runner)?;
         println!(
