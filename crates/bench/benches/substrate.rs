@@ -17,7 +17,10 @@
 //! the scalar gemm bit for bit on awkward and narrow shapes, and
 //! `Tape::propagate_row` must equal the concat → `const_matmul` → row-select
 //! chain it replaces bit for bit, readout and gradient, at trigger-step
-//! shapes (its timings at the quick and large-tier shapes are recorded).  A
+//! shapes (its timings at the quick and large-tier shapes are recorded), and
+//! the one-pass `CsrMatrix::gcn_normalize` must equal the triplet chain it
+//! replaces bit for bit on the large-tier Flickr adjacency, as generated and
+//! with stored diagonals (both timings are recorded).  A
 //! `thread_scaling` column (threads 1/2/4/physical) is measured by
 //! re-executing this binary per thread count (`bgc_bench::scaling`).
 
@@ -306,6 +309,63 @@ fn propagate_row_timings(reps: usize) -> Vec<String> {
             chain_us,
             op_us,
             chain_us / op_us
+        ));
+    }
+    entries
+}
+
+/// Same-run gate: the one-pass `CsrMatrix::gcn_normalize` must give the bits
+/// of the triplet chain it replaced (`gcn_normalize_via_triplets`) on the
+/// large-tier Flickr adjacency (89,250 nodes), as generated and with a
+/// weighted diagonal stored on every third row.  Returns one JSON entry per
+/// case with the best-of-`reps` time of both.
+fn gcn_normalize_gate(reps: usize) -> Vec<String> {
+    let bits = |m: &CsrMatrix| {
+        m.triplets()
+            .into_iter()
+            .map(|(r, c, v)| (r, c, v.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    let adjacency = DatasetKind::Flickr.load_large(17).adjacency;
+    let mut triplets = adjacency.triplets();
+    triplets.extend(
+        (0..adjacency.rows())
+            .step_by(3)
+            .map(|r| (r, r, 0.5 + (r % 5) as f32 * 0.25)),
+    );
+    let with_diagonal = CsrMatrix::from_triplets(adjacency.rows(), adjacency.cols(), &triplets);
+    drop(triplets);
+    let mut entries = Vec::new();
+    for (name, m) in [
+        ("large_flickr", &*adjacency),
+        ("large_flickr_with_diagonal", &with_diagonal),
+    ] {
+        assert!(
+            bits(&m.gcn_normalize()) == bits(&m.gcn_normalize_via_triplets()),
+            "gcn_normalize diverged from the triplet chain on {name}"
+        );
+        let chain_secs = best_secs(reps, || {
+            black_box(m.gcn_normalize_via_triplets());
+        });
+        let one_pass_secs = best_secs(reps, || {
+            black_box(m.gcn_normalize());
+        });
+        println!(
+            "substrate_speedup/gcn_normalize/{:<27} nnz {}  chain {:.2} ms  one pass {:.2} ms  speedup {:.2}x",
+            name,
+            m.nnz(),
+            chain_secs * 1e3,
+            one_pass_secs * 1e3,
+            chain_secs / one_pass_secs
+        );
+        entries.push(format!(
+            "    \"{}\": {{\"rows\": {}, \"nnz\": {}, \"chain_ms\": {:.3}, \"one_pass_ms\": {:.3}, \"speedup\": {:.3}}}",
+            name,
+            m.rows(),
+            m.nnz(),
+            chain_secs * 1e3,
+            one_pass_secs * 1e3,
+            chain_secs / one_pass_secs
         ));
     }
     entries
@@ -646,6 +706,20 @@ fn bench_substrate_speedup(_c: &mut Criterion) {
     sections.push(format!(
         "  \"propagate_row\": {{\n{}\n  }}",
         propagate_row_timings(reps).join(",\n")
+    ));
+
+    let gcn_normalize = gcn_normalize_gate(reps);
+    println!(
+        "substrate_speedup/gcn_normalize: bit-identical to the triplet chain in {} cases",
+        gcn_normalize.len()
+    );
+    sections.push(format!(
+        "  \"gcn_normalize_gate\": {{\"cases\": {}, \"bit_identical_to_chain\": true}}",
+        gcn_normalize.len()
+    ));
+    sections.push(format!(
+        "  \"gcn_normalize\": {{\n{}\n  }}",
+        gcn_normalize.join(",\n")
     ));
 
     // --- Multi-thread scaling column (re-executed children; the rayon shim

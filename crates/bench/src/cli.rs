@@ -413,8 +413,8 @@ fn no_operands(options: &Options) -> Result<(), CliError> {
 }
 
 /// Rejects the experiment options on `table`, `fig` and `all`, whose cells
-/// the paper's reports fix, rather than silently ignoring them; `--seed` is
-/// the one they accept.
+/// the paper's reports fix, and on `list` and `store`, which run no cell,
+/// rather than silently ignoring them; `--seed` is the one they accept.
 fn no_experiment_options(options: &Options, command: &str) -> Result<(), CliError> {
     let set = !options.datasets.is_empty()
         || !options.methods.is_empty()
@@ -729,6 +729,7 @@ fn cmd_all(args: &[&str]) -> Result<CliOutcome, CliError> {
 
 fn cmd_list(args: &[&str]) -> Result<CliOutcome, CliError> {
     let options = parse_options(args)?;
+    no_experiment_options(&options, "list")?;
     if options.operands.len() != 1 {
         return Err(usage(
             "list expects one of: attacks, methods, defenses, datasets, architectures, generators, scales",
@@ -779,6 +780,7 @@ pub fn list_lines(what: &str) -> Result<Vec<String>, CliError> {
 /// store state.
 fn cmd_store(args: &[&str]) -> Result<CliOutcome, CliError> {
     let options = parse_options(args)?;
+    no_experiment_options(&options, "store")?;
     if options.operands.len() != 1 {
         return Err(usage("store expects one of: stats, gc, doctor, clear"));
     }
@@ -1176,7 +1178,13 @@ mod tests {
             &["--source-class", "1"],
             &["--plan", "sampled:b32:f5x5"],
         ];
-        for command in [&["table", "1"][..], &["fig", "1"], &["all"]] {
+        for command in [
+            &["table", "1"][..],
+            &["fig", "1"],
+            &["all"],
+            &["list", "scales"],
+            &["store", "stats"],
+        ] {
             for flag in flags {
                 let mut args = argv(command);
                 args.extend(argv(flag));

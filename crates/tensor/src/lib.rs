@@ -150,6 +150,39 @@ mod proptests {
             }
         }
 
+        /// The one-pass normalization gives the bits of the triplet chain
+        /// it replaced on random weighted matrices: negative entries (so
+        /// some degrees are zero or negative), stored diagonals and empty
+        /// rows.
+        #[test]
+        fn gcn_normalize_matches_the_triplet_chain(
+            entries in proptest::collection::vec((0usize..9, 0usize..9, -2.0f32..3.0), 0..40)
+        ) {
+            let m = CsrMatrix::from_triplets(9, 9, &entries);
+            let bits = |m: &CsrMatrix| -> Vec<(usize, usize, u32)> {
+                m.triplets().into_iter().map(|(r, c, v)| (r, c, v.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(&m.gcn_normalize()), bits(&m.gcn_normalize_via_triplets()));
+        }
+
+        /// The counting-pass constructor builds what `symmetrize` builds.
+        #[test]
+        fn sorted_undirected_edges_match_symmetrize(
+            pairs in proptest::collection::vec((0usize..12, 0usize..12), 0..40)
+        ) {
+            let mut edges: Vec<(usize, usize)> = pairs
+                .into_iter()
+                .filter(|&(u, v)| u != v)
+                .map(|(u, v)| (u.min(v), u.max(v)))
+                .collect();
+            edges.sort_unstable();
+            edges.dedup();
+            prop_assert_eq!(
+                CsrMatrix::from_sorted_undirected_edges(12, &edges),
+                CsrMatrix::from_edges(12, &edges).symmetrize()
+            );
+        }
+
         /// The blocked `matmul` agrees with the retained naive reference
         /// across randomized awkward shapes (satellite of the kernel
         /// substrate rewrite).

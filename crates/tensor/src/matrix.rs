@@ -594,14 +594,20 @@ impl Matrix {
     pub fn l2_normalize_rows(&self) -> Matrix {
         let mut out = self.clone();
         kernel::for_each_row(&mut out.data, self.cols, |_, row| {
-            let norm = row.iter().map(|&v| v * v).sum::<f32>().sqrt();
-            if norm > 1e-12 {
-                for v in row.iter_mut() {
-                    *v /= norm;
-                }
-            }
+            Self::l2_normalize_row(row)
         });
         out
+    }
+
+    /// L2-normalizes one row slice in place (left unchanged when its norm
+    /// is tiny): the per-row body of [`Matrix::l2_normalize_rows`].
+    pub fn l2_normalize_row(row: &mut [f32]) {
+        let norm = row.iter().map(|&v| v * v).sum::<f32>().sqrt();
+        if norm > 1e-12 {
+            for v in row.iter_mut() {
+                *v /= norm;
+            }
+        }
     }
 
     /// Cosine similarity between two row slices (0 when either is ~zero).

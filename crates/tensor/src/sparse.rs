@@ -177,6 +177,57 @@ impl CsrMatrix {
         Self::from_triplets(n, n, &triplets)
     }
 
+    /// The symmetric 0/1 adjacency of an undirected graph on `n` nodes, from
+    /// its edges as `(u, v)` pairs with `u < v`, sorted and free of
+    /// duplicates: the matrix `from_edges(n, edges).symmetrize()` builds, in
+    /// one counting pass without triplets or per-row sorts.  Scattering the
+    /// sorted pairs in order fills every row in ascending column order: row
+    /// `r` receives its `(u, r)` entries (all `u < r`, ascending) before its
+    /// `(r, v)` entries (all `v > r`, ascending).
+    ///
+    /// # Panics
+    /// Panics when a pair has `u >= v` or `v >= n`, or when the pairs are
+    /// not strictly ascending.
+    pub fn from_sorted_undirected_edges(n: usize, edges: &[(usize, usize)]) -> Self {
+        let mut indptr = vec![0usize; n + 1];
+        let mut previous = None;
+        for &(u, v) in edges {
+            assert!(
+                u < v && v < n,
+                "CsrMatrix::from_sorted_undirected_edges: edge ({}, {}) is not u < v < {}",
+                u,
+                v,
+                n
+            );
+            assert!(
+                previous < Some((u, v)),
+                "CsrMatrix::from_sorted_undirected_edges: edges must be sorted and unique"
+            );
+            previous = Some((u, v));
+            indptr[u + 1] += 1;
+            indptr[v + 1] += 1;
+        }
+        for r in 1..indptr.len() {
+            indptr[r] += indptr[r - 1];
+        }
+        let mut cursor = indptr[..n].to_vec();
+        let mut indices = vec![0usize; 2 * edges.len()];
+        for &(u, v) in edges {
+            indices[cursor[u]] = v;
+            cursor[u] += 1;
+            indices[cursor[v]] = u;
+            cursor[v] += 1;
+        }
+        Self {
+            rows: n,
+            cols: n,
+            indptr,
+            values: vec![1.0; indices.len()],
+            indices,
+            transpose_cache: OnceLock::new(),
+        }
+    }
+
     /// The identity matrix as CSR.
     pub fn identity(n: usize) -> Self {
         let triplets: Vec<(usize, usize, f32)> = (0..n).map(|i| (i, i, 1.0)).collect();
@@ -335,8 +386,76 @@ impl CsrMatrix {
         CsrMatrix::from_triplets(self.rows, self.cols, &triplets)
     }
 
-    /// Symmetric GCN normalization `D^{-1/2} (A + I) D^{-1/2}`.
+    /// Symmetric GCN normalization `D^{-1/2} (A + I) D^{-1/2}`, where `A + I`
+    /// is [`CsrMatrix::add_self_loops`] (a unit loop on every row that stores
+    /// no diagonal; a stored diagonal keeps its weight) and `D` holds its row
+    /// sums.  One pass over the sorted rows sums the degrees and a second
+    /// emits the scaled entries, both merging the loop in at its column; so
+    /// every sum runs in the order, and every entry is the product, of the
+    /// triplet chain it replaced ([`CsrMatrix::gcn_normalize_via_triplets`]),
+    /// bit for bit.  Entries that scale to zero are dropped, as
+    /// [`CsrMatrix::from_triplets`] drops them.
     pub fn gcn_normalize(&self) -> CsrMatrix {
+        assert_eq!(self.rows, self.cols, "gcn_normalize requires square");
+        let inv_sqrt: Vec<f32> = (0..self.rows)
+            .map(|r| {
+                let d: f32 = self.row_with_self_loop(r).map(|(_, v)| v).sum();
+                if d > 0.0 {
+                    1.0 / d.sqrt()
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let capacity = self.nnz() + self.rows;
+        let mut indptr = Vec::with_capacity(self.rows + 1);
+        let mut indices = Vec::with_capacity(capacity);
+        let mut values = Vec::with_capacity(capacity);
+        indptr.push(0);
+        for r in 0..self.rows {
+            self.row_with_self_loop(r).for_each(|(c, v)| {
+                let scaled = v * inv_sqrt[r] * inv_sqrt[c];
+                if scaled != 0.0 {
+                    indices.push(c);
+                    values.push(scaled);
+                }
+            });
+            indptr.push(indices.len());
+        }
+        Self {
+            rows: self.rows,
+            cols: self.cols,
+            indptr,
+            indices,
+            values,
+            transpose_cache: OnceLock::new(),
+        }
+    }
+
+    /// Row `r` of [`CsrMatrix::add_self_loops`] without building it: the
+    /// stored entries in column order, with `(r, 1.0)` merged in at its
+    /// column when the row stores no diagonal.
+    fn row_with_self_loop(&self, r: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
+        let (start, end) = (self.indptr[r], self.indptr[r + 1]);
+        let split = start + self.indices[start..end].partition_point(|&c| c < r);
+        let self_loop = (split == end || self.indices[split] != r).then_some((r, 1.0));
+        let entries = |range: std::ops::Range<usize>| {
+            self.indices[range.clone()]
+                .iter()
+                .copied()
+                .zip(self.values[range].iter().copied())
+        };
+        entries(start..split)
+            .chain(self_loop)
+            .chain(entries(split..end))
+    }
+
+    /// The triplet chain [`CsrMatrix::gcn_normalize`] replaced —
+    /// [`CsrMatrix::add_self_loops`], [`CsrMatrix::weighted_degrees`], then
+    /// one [`CsrMatrix::from_triplets`] of the scaled entries — kept as the
+    /// reference it is checked against bit for bit.
+    #[doc(hidden)]
+    pub fn gcn_normalize_via_triplets(&self) -> CsrMatrix {
         let with_loops = self.add_self_loops();
         let deg = with_loops.weighted_degrees();
         let inv_sqrt: Vec<f32> = deg
@@ -793,6 +912,54 @@ mod tests {
         for i in 0..3 {
             assert!(norm.get(i, i) > 0.0);
         }
+    }
+
+    /// Every stored entry with its value's bits.
+    fn entry_bits(m: &CsrMatrix) -> Vec<(usize, usize, u32)> {
+        m.triplets()
+            .into_iter()
+            .map(|(r, c, v)| (r, c, v.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn one_pass_gcn_normalization_matches_the_triplet_chain() {
+        // Weighted, negative and stored-diagonal entries, empty rows (3 and
+        // 5), a row whose degree cancels to zero (6) and one that goes
+        // negative (4).
+        let m = CsrMatrix::from_triplets(
+            7,
+            7,
+            &[
+                (0, 0, 2.5),
+                (0, 2, 0.75),
+                (0, 6, -1.0),
+                (1, 0, 3.0),
+                (1, 1, -0.5),
+                (2, 0, 0.75),
+                (2, 4, 1.0),
+                (4, 2, -4.0),
+                (4, 4, 0.125),
+                (6, 0, -1.0),
+            ],
+        );
+        for m in [m, small(), CsrMatrix::zeros(4, 4), CsrMatrix::zeros(0, 0)] {
+            let (one_pass, chain) = (m.gcn_normalize(), m.gcn_normalize_via_triplets());
+            assert_eq!(entry_bits(&one_pass), entry_bits(&chain));
+            assert_eq!(one_pass, chain);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted and unique")]
+    fn unsorted_undirected_edges_panic() {
+        let _ = CsrMatrix::from_sorted_undirected_edges(4, &[(1, 2), (0, 3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not u < v")]
+    fn reversed_undirected_edges_panic() {
+        let _ = CsrMatrix::from_sorted_undirected_edges(4, &[(2, 1)]);
     }
 
     #[test]

@@ -264,28 +264,42 @@ pub mod rngs {
         index: usize,
     }
 
+    /// One word of each of the four blocks a refill computes.
+    type Lanes = [u32; 4];
+
+    /// The ChaCha quarter round on four independent blocks at once, one per
+    /// lane; written lane-wise so the compiler can keep each word in a
+    /// vector register.
     #[inline(always)]
-    fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
-        state[a] = state[a].wrapping_add(state[b]);
-        state[d] = (state[d] ^ state[a]).rotate_left(16);
-        state[c] = state[c].wrapping_add(state[d]);
-        state[b] = (state[b] ^ state[c]).rotate_left(12);
-        state[a] = state[a].wrapping_add(state[b]);
-        state[d] = (state[d] ^ state[a]).rotate_left(8);
-        state[c] = state[c].wrapping_add(state[d]);
-        state[b] = (state[b] ^ state[c]).rotate_left(7);
+    fn quarter_round(state: &mut [Lanes; BLOCK_WORDS], a: usize, b: usize, c: usize, d: usize) {
+        let (mut xa, mut xb, mut xc, mut xd) = (state[a], state[b], state[c], state[d]);
+        for (((a, b), c), d) in xa.iter_mut().zip(&mut xb).zip(&mut xc).zip(&mut xd) {
+            *a = a.wrapping_add(*b);
+            *d = (*d ^ *a).rotate_left(16);
+            *c = c.wrapping_add(*d);
+            *b = (*b ^ *c).rotate_left(12);
+            *a = a.wrapping_add(*b);
+            *d = (*d ^ *a).rotate_left(8);
+            *c = c.wrapping_add(*d);
+            *b = (*b ^ *c).rotate_left(7);
+        }
+        (state[a], state[b], state[c], state[d]) = (xa, xb, xc, xd);
     }
 
-    /// One 12-round ChaCha block in the djb layout rand_chacha uses:
-    /// constants, key, 64-bit little-endian block counter, 64-bit stream
-    /// id (always zero here).
-    fn chacha12_block(key: &[u32; 8], counter: u64, out: &mut [u32]) {
+    /// The four 12-round ChaCha blocks at `counter .. counter + 4`, computed
+    /// in one pass with one block per lane and written block after block:
+    /// the words of four single-block calls in the djb layout rand_chacha
+    /// uses (constants, key, 64-bit little-endian block counter, 64-bit
+    /// stream id, always zero here).
+    fn chacha12_four_blocks(key: &[u32; 8], counter: u64, out: &mut [u32; BUFFER_WORDS]) {
         const CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
-        let mut initial = [0u32; 16];
-        initial[..4].copy_from_slice(&CONSTANTS);
-        initial[4..12].copy_from_slice(key);
-        initial[12] = counter as u32;
-        initial[13] = (counter >> 32) as u32;
+        let mut initial = [[0u32; 4]; BLOCK_WORDS];
+        for (word, &c) in initial.iter_mut().zip(CONSTANTS.iter().chain(key)) {
+            *word = [c; 4];
+        }
+        let blocks: [u64; 4] = std::array::from_fn(|lane| counter.wrapping_add(lane as u64));
+        initial[12] = blocks.map(|block| block as u32);
+        initial[13] = blocks.map(|block| (block >> 32) as u32);
         // words 14/15: stream id = 0.
         let mut working = initial;
         for _ in 0..6 {
@@ -298,20 +312,16 @@ pub mod rngs {
             quarter_round(&mut working, 2, 7, 8, 13);
             quarter_round(&mut working, 3, 4, 9, 14);
         }
-        for (o, (w, i)) in out.iter_mut().zip(working.iter().zip(initial.iter())) {
-            *o = w.wrapping_add(*i);
+        for (lane, block) in out.chunks_exact_mut(BLOCK_WORDS).enumerate() {
+            for (o, (w, i)) in block.iter_mut().zip(working.iter().zip(initial.iter())) {
+                *o = w[lane].wrapping_add(i[lane]);
+            }
         }
     }
 
     impl StdRng {
         fn generate_and_set(&mut self, index: usize) {
-            for block in 0..BUFFER_WORDS / BLOCK_WORDS {
-                chacha12_block(
-                    &self.key,
-                    self.counter + block as u64,
-                    &mut self.results[block * BLOCK_WORDS..(block + 1) * BLOCK_WORDS],
-                );
-            }
+            chacha12_four_blocks(&self.key, self.counter, &mut self.results);
             self.counter = self
                 .counter
                 .wrapping_add((BUFFER_WORDS / BLOCK_WORDS) as u64);
@@ -377,6 +387,85 @@ pub mod rngs {
                 let x = u64::from(self.results[BUFFER_WORDS - 1]);
                 self.generate_and_set(1);
                 (u64::from(self.results[0]) << 32) | x
+            }
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        /// The single-block ChaCha12 the four-lane refill replaced: one
+        /// block at `counter`, scalar state, same layout.
+        fn chacha12_block(key: &[u32; 8], counter: u64, out: &mut [u32]) {
+            fn quarter_round(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
+                s[a] = s[a].wrapping_add(s[b]);
+                s[d] = (s[d] ^ s[a]).rotate_left(16);
+                s[c] = s[c].wrapping_add(s[d]);
+                s[b] = (s[b] ^ s[c]).rotate_left(12);
+                s[a] = s[a].wrapping_add(s[b]);
+                s[d] = (s[d] ^ s[a]).rotate_left(8);
+                s[c] = s[c].wrapping_add(s[d]);
+                s[b] = (s[b] ^ s[c]).rotate_left(7);
+            }
+            const CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
+            let mut initial = [0u32; 16];
+            initial[..4].copy_from_slice(&CONSTANTS);
+            initial[4..12].copy_from_slice(key);
+            initial[12] = counter as u32;
+            initial[13] = (counter >> 32) as u32;
+            let mut working = initial;
+            for _ in 0..6 {
+                quarter_round(&mut working, 0, 4, 8, 12);
+                quarter_round(&mut working, 1, 5, 9, 13);
+                quarter_round(&mut working, 2, 6, 10, 14);
+                quarter_round(&mut working, 3, 7, 11, 15);
+                quarter_round(&mut working, 0, 5, 10, 15);
+                quarter_round(&mut working, 1, 6, 11, 12);
+                quarter_round(&mut working, 2, 7, 8, 13);
+                quarter_round(&mut working, 3, 4, 9, 14);
+            }
+            for (o, (w, i)) in out.iter_mut().zip(working.iter().zip(initial.iter())) {
+                *o = w.wrapping_add(*i);
+            }
+        }
+
+        /// The refill at `counter` against four single-block calls.
+        fn assert_refill_matches_single_blocks(rng: &mut StdRng, counter: u64) {
+            rng.counter = counter;
+            rng.generate_and_set(0);
+            let mut want = [0u32; BUFFER_WORDS];
+            for (b, block) in want.chunks_exact_mut(BLOCK_WORDS).enumerate() {
+                chacha12_block(&rng.key, counter.wrapping_add(b as u64), block);
+            }
+            assert_eq!(rng.results, want, "refill at counter {counter:#x}");
+            assert_eq!(rng.counter, counter.wrapping_add(4));
+        }
+
+        #[test]
+        fn four_lane_refill_matches_four_single_blocks() {
+            let mut rng = StdRng::seed_from_u64(17);
+            // The lanes' counters carry into the high word at 2^32 - 2 (the
+            // third lane starts it) and wrap the whole counter at the top.
+            for counter in [0, 1, 63, (1u64 << 32) - 2, (1u64 << 32) - 1, u64::MAX - 1] {
+                assert_refill_matches_single_blocks(&mut rng, counter);
+            }
+        }
+
+        #[test]
+        fn four_lane_stream_matches_the_single_block_stream() {
+            let mut rng = StdRng::seed_from_u64(17);
+            let key = rng.key;
+            let mut block = [0u32; BLOCK_WORDS];
+            for n in 0..64_000u64 {
+                if n % BLOCK_WORDS as u64 == 0 {
+                    chacha12_block(&key, n / BLOCK_WORDS as u64, &mut block);
+                }
+                assert_eq!(
+                    rng.next_u32(),
+                    block[(n % BLOCK_WORDS as u64) as usize],
+                    "word {n}"
+                );
             }
         }
     }
