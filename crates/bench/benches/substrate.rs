@@ -20,7 +20,12 @@
 //! shapes (its timings at the quick and large-tier shapes are recorded), and
 //! the one-pass `CsrMatrix::gcn_normalize` must equal the triplet chain it
 //! replaces bit for bit on the large-tier Flickr adjacency, as generated and
-//! with stored diagonals (both timings are recorded).  A
+//! with stored diagonals (both timings are recorded), and the fused
+//! softmax-regression gradient (`Matrix::softmax_regression_grad_into`) and
+//! its portable twin must equal the matmul → softmax → `transpose_matmul`
+//! chain they replace bit for bit at class-block shapes of large-tier Flickr,
+//! quick Reddit and quick Cora and at 260 features (both timings are
+//! recorded; the kernel being slower at a quick shape is warned on).  A
 //! `thread_scaling` column (threads 1/2/4/physical) is measured by
 //! re-executing this binary per thread count (`bgc_bench::scaling`).
 
@@ -371,6 +376,155 @@ fn gcn_normalize_gate(reps: usize) -> Vec<String> {
     entries
 }
 
+/// `(name, rows, features, classes)` of the fused softmax-regression
+/// gradient gate: a large-tier Flickr class block, a quick Reddit and a quick
+/// Cora class block, and 260 features (past `KC = 128`) over `rows % 4 = 3`.
+const SOFTMAX_GRAD_SHAPES: [(&str, usize, usize, usize); 4] = [
+    ("large_flickr_6393x128x7", 6393, 128, 7),
+    ("quick_reddit_77x64x10", 77, 64, 10),
+    ("quick_cora_4x64x7", 4, 64, 7),
+    ("awkward_131x260x10", 131, 260, 10),
+];
+
+/// Seeded `Z`, `W` and per-row labels of a `rows x features` softmax
+/// regression over `classes`.
+fn softmax_grad_inputs(
+    rows: usize,
+    features: usize,
+    classes: usize,
+) -> (Matrix, Matrix, Vec<usize>) {
+    let mut rng = rng_from_seed((rows * 1009 + features * 31 + classes) as u64);
+    let z = randn(rows, features, 0.0, 1.0, &mut rng);
+    let w = randn(features, classes, 0.0, 0.5, &mut rng);
+    let labels = (0..rows).map(|r| (r * 7 + 3) % classes).collect();
+    (z, w, labels)
+}
+
+/// Same-run gate: the fused softmax-regression gradient kernel
+/// (`Matrix::softmax_regression_grad_into`) and its portable twin must give
+/// the bits of the matmul → softmax → `−1` → `transpose_matmul` → scale chain
+/// they replace (`softmax_regression_grad_via_chain`) on every shape of
+/// [`SOFTMAX_GRAD_SHAPES`], for a class block's uniform label and for
+/// per-row labels. Returns the number of cases checked.
+fn softmax_grad_gate() -> usize {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut scratch = kernel::SoftmaxGradScratch::default();
+    let mut cases = 0;
+    for &(name, rows, features, classes) in &SOFTMAX_GRAD_SHAPES {
+        let (z, w, row_labels) = softmax_grad_inputs(rows, features, classes);
+        for labels in [
+            kernel::RowLabels::Uniform(classes - 1),
+            kernel::RowLabels::PerRow(&row_labels),
+        ] {
+            let chain = z.softmax_regression_grad_via_chain(&w, labels);
+            let mut fused = Matrix::zeros(features, classes);
+            z.softmax_regression_grad_into(&w, labels, &mut scratch, &mut fused);
+            let mut portable = vec![0.0f32; features * classes];
+            kernel::softmax_regression_grad_scalar(
+                rows,
+                features,
+                classes,
+                z.data(),
+                w.data(),
+                labels,
+                &mut scratch,
+                &mut portable,
+            );
+            assert!(
+                bits(fused.data()) == bits(chain.data()),
+                "softmax_regression_grad diverged from the chain at {name} ({labels:?})"
+            );
+            assert!(
+                bits(&portable) == bits(chain.data()),
+                "portable softmax_regression_grad diverged from the chain at {name} ({labels:?})"
+            );
+            cases += 1;
+        }
+    }
+    cases
+}
+
+/// Best-of-`reps` microseconds per class-block gradient by the chain, by
+/// the dispatched fused kernel and by its portable twin (scratch and output
+/// reused) at the first three shapes of [`SOFTMAX_GRAD_SHAPES`]. Warns when
+/// the kernel is slower than the chain at a quick shape, and when the
+/// dispatched tier is no faster than the portable twin (its AVX2 code would
+/// then buy nothing).
+fn softmax_grad_timings(reps: usize) -> Vec<String> {
+    let mut entries = Vec::new();
+    for (&(name, rows, features, classes), iters) in
+        SOFTMAX_GRAD_SHAPES.iter().zip([20usize, 4000, 40000])
+    {
+        let (z, w, _) = softmax_grad_inputs(rows, features, classes);
+        let labels = kernel::RowLabels::Uniform(0);
+        let per_call_us = |secs: f64| secs / iters as f64 * 1e6;
+        let chain_us = per_call_us(best_secs(reps, || {
+            for _ in 0..iters {
+                black_box(z.softmax_regression_grad_via_chain(&w, labels));
+            }
+        }));
+        let mut scratch = kernel::SoftmaxGradScratch::default();
+        let mut grad = Matrix::zeros(features, classes);
+        let kernel_us = per_call_us(best_secs(reps, || {
+            for _ in 0..iters {
+                z.softmax_regression_grad_into(&w, labels, &mut scratch, &mut grad);
+                black_box(&grad);
+            }
+        }));
+        let mut portable = vec![0.0f32; features * classes];
+        let portable_us = per_call_us(best_secs(reps, || {
+            for _ in 0..iters {
+                kernel::softmax_regression_grad_scalar(
+                    rows,
+                    features,
+                    classes,
+                    z.data(),
+                    w.data(),
+                    labels,
+                    &mut scratch,
+                    &mut portable,
+                );
+                black_box(&portable);
+            }
+        }));
+        println!(
+            "substrate_speedup/softmax_regression_grad/{:<24} chain {:.2} us  kernel {:.2} us  \
+             portable {:.2} us  speedup {:.2}x",
+            name,
+            chain_us,
+            kernel_us,
+            portable_us,
+            chain_us / kernel_us
+        );
+        if name.starts_with("quick") && kernel_us > chain_us {
+            eprintln!(
+                "substrate_speedup: WARNING: the fused softmax-regression gradient is slower \
+                 than the chain at {name} on this machine ({kernel_us:.2} us against {chain_us:.2} us)"
+            );
+        }
+        if kernel::simd_level() != kernel::SimdLevel::Scalar && kernel_us >= portable_us {
+            eprintln!(
+                "substrate_speedup: WARNING: the {} softmax-regression gradient is no faster \
+                 than its portable twin at {name} on this machine ({kernel_us:.2} us against \
+                 {portable_us:.2} us)",
+                kernel::simd_level().label()
+            );
+        }
+        entries.push(format!(
+            "    \"{}\": {{\"rows\": {}, \"features\": {}, \"classes\": {}, \"chain_us\": {:.3}, \"kernel_us\": {:.3}, \"portable_us\": {:.3}, \"speedup\": {:.3}}}",
+            name,
+            rows,
+            features,
+            classes,
+            chain_us,
+            kernel_us,
+            portable_us,
+            chain_us / kernel_us
+        ));
+    }
+    entries
+}
+
 fn bench_matmul(c: &mut Criterion) {
     let mut group = c.benchmark_group("dense_matmul");
     for &n in &[64usize, 128, 256] {
@@ -706,6 +860,20 @@ fn bench_substrate_speedup(_c: &mut Criterion) {
     sections.push(format!(
         "  \"propagate_row\": {{\n{}\n  }}",
         propagate_row_timings(reps).join(",\n")
+    ));
+
+    let softmax_grad_cases = softmax_grad_gate();
+    println!(
+        "substrate_speedup/softmax_regression_grad: bit-identical to the chain in {} cases",
+        softmax_grad_cases
+    );
+    sections.push(format!(
+        "  \"softmax_regression_grad_gate\": {{\"cases\": {}, \"bit_identical_to_chain\": true}}",
+        softmax_grad_cases
+    ));
+    sections.push(format!(
+        "  \"softmax_regression_grad\": {{\n{}\n  }}",
+        softmax_grad_timings(reps).join(",\n")
     ));
 
     let gcn_normalize = gcn_normalize_gate(reps);

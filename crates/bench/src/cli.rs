@@ -43,11 +43,12 @@ COMMANDS:
                     store; see docs/store.md
     help            Show this message
 
-GLOBAL OPTIONS:
+RUNNER OPTIONS (run, grid, table, fig, all; list takes no option):
     --scale quick|paper|large
                           Experiment scale (default: quick; large restores
                           the paper's full node counts with sampled plans)
-    --full                Include all four datasets in sweeps at quick scale
+    --full                table/fig/all: include all four datasets in sweeps
+                          at quick scale
     --serial              Disable the cell thread pool (bit-identical output)
     --no-cache            Run in memory, without the artifact store
     --keep-going          Complete the rest of the grid around failed cells
@@ -220,9 +221,9 @@ enum OutputFormat {
     Json,
 }
 
-/// Parsed flags shared by every subcommand.  `run` reads the singular
-/// experiment fields; `grid` reads the repeated ones; reports read only the
-/// globals and `--seed`.
+/// Parsed flags of a subcommand, which accepts only the flags
+/// [`accepted_flags`] lists for it.  `run` reads the singular experiment
+/// fields; `grid` reads the repeated ones.
 struct Options {
     scale: ExperimentScale,
     full: bool,
@@ -248,7 +249,95 @@ fn usage(msg: impl Into<String>) -> CliError {
     CliError::Usage(msg.into())
 }
 
-fn parse_options(args: &[&str]) -> Result<Options, CliError> {
+/// The flags that describe a cell: `run` takes each once, `grid` repeats
+/// them.
+const EXPERIMENT_FLAGS: [&str; 14] = [
+    "--dataset",
+    "--method",
+    "--attack",
+    "--ratio",
+    "--defense",
+    "--victim",
+    "--layers",
+    "--generator",
+    "--trigger-size",
+    "--epochs",
+    "--budget-ratio",
+    "--budget-count",
+    "--source-class",
+    "--plan",
+];
+
+/// The flags of the cell runner that every command computing cells builds.
+const RUNNER_FLAGS: [&str; 6] = [
+    "--scale",
+    "--serial",
+    "--no-cache",
+    "--keep-going",
+    "--cell-timeout",
+    "--deadline",
+];
+
+/// The one list of flags `command` accepts; [`parse_options`] rejects every
+/// other flag rather than silently ignoring it.
+fn accepted_flags(command: &str) -> Vec<&'static str> {
+    let mut flags = Vec::new();
+    match command {
+        "run" | "grid" => {
+            flags.extend(RUNNER_FLAGS);
+            flags.extend(EXPERIMENT_FLAGS);
+            flags.extend(["--seed", "--format"]);
+        }
+        "table" | "fig" => {
+            flags.extend(RUNNER_FLAGS);
+            flags.extend(["--full", "--seed"]);
+        }
+        "all" => {
+            flags.extend(RUNNER_FLAGS);
+            flags.extend(["--full", "--seed", "--format"]);
+        }
+        "store" => flags.extend(["--store-dir", "--format"]),
+        _ => {}
+    }
+    flags
+}
+
+/// The usage error of a `flag` that `command` does not accept.
+fn rejected_flag(command: &str, flag: &str) -> CliError {
+    let known = RUNNER_FLAGS.contains(&flag)
+        || EXPERIMENT_FLAGS.contains(&flag)
+        || ["--full", "--seed", "--format", "--store-dir"].contains(&flag);
+    if !known {
+        return usage(format!("unknown option '{}'", flag));
+    }
+    if flag == "--store-dir" {
+        return usage(format!(
+            "--store-dir only applies to `bgc store`; set {} to move the store of other commands",
+            bgc_store::STORE_DIR_ENV
+        ));
+    }
+    let accepted = accepted_flags(command);
+    let takes = if accepted.is_empty() {
+        "no option".to_string()
+    } else {
+        accepted.join(", ")
+    };
+    let hint = if EXPERIMENT_FLAGS.contains(&flag) || flag == "--seed" {
+        "; experiment options vary a cell of `bgc run` or `bgc grid`, and `table`, `fig` and \
+         `all` take only --seed of them"
+    } else {
+        ""
+    };
+    usage(format!(
+        "`bgc {}` does not take {} (it takes {}){}",
+        command, flag, takes, hint
+    ))
+}
+
+/// Parses the flags and operands of `bgc <command>`, rejecting a flag the
+/// command does not accept.
+fn parse_options(command: &str, args: &[&str]) -> Result<Options, CliError> {
+    let accepted = accepted_flags(command);
     let mut options = Options {
         scale: ExperimentScale::Quick,
         full: false,
@@ -270,6 +359,9 @@ fn parse_options(args: &[&str]) -> Result<Options, CliError> {
     };
     let mut iter = args.iter();
     while let Some(&arg) = iter.next() {
+        if arg.starts_with("--") && !accepted.contains(&arg) {
+            return Err(rejected_flag(command, arg));
+        }
         let mut value = |flag: &str| -> Result<&str, CliError> {
             iter.next()
                 .copied()
@@ -373,15 +465,8 @@ fn parse_num<T: std::str::FromStr>(text: &str, flag: &str) -> Result<T, CliError
 
 /// Builds the invocation's runner from the parsed runner-level flags and
 /// the `BGC_FAULTS` plan.  The runner's store lives at
-/// [`bgc_store::default_store_root`]; `--store-dir` belongs to `bgc store`
-/// alone and is rejected here rather than silently ignored.
+/// [`bgc_store::default_store_root`].
 fn build_runner(options: &Options) -> Result<Runner, CliError> {
-    if options.store_dir.is_some() {
-        return Err(usage(format!(
-            "--store-dir only applies to `bgc store`; set {} to move the store of other commands",
-            bgc_store::STORE_DIR_ENV
-        )));
-    }
     let fault_plan =
         FaultPlan::from_env().map_err(|err| usage(format!("malformed BGC_FAULTS: {}", err)))?;
     let mut runner = if options.no_cache {
@@ -410,25 +495,6 @@ fn no_operands(options: &Options) -> Result<(), CliError> {
         Some(operand) => Err(usage(format!("unexpected operand '{}'", operand))),
         None => Ok(()),
     }
-}
-
-/// Rejects the experiment options on `table`, `fig` and `all`, whose cells
-/// the paper's reports fix, and on `list` and `store`, which run no cell,
-/// rather than silently ignoring them; `--seed` is the one they accept.
-fn no_experiment_options(options: &Options, command: &str) -> Result<(), CliError> {
-    let set = !options.datasets.is_empty()
-        || !options.methods.is_empty()
-        || !options.attacks.is_empty()
-        || !options.ratios.is_empty()
-        || options.defense.is_some()
-        || options.overrides != CellOverrides::default();
-    if set {
-        return Err(usage(format!(
-            "`bgc {}` takes no experiment option but --seed; vary a cell with `bgc run` or `bgc grid`",
-            command
-        )));
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -543,7 +609,7 @@ fn emit_json(command: &str, runner: &Runner, collector: &OutcomeCollector, start
 }
 
 fn cmd_run(args: &[&str]) -> Result<CliOutcome, CliError> {
-    let options = parse_options(args)?;
+    let options = parse_options("run", args)?;
     let runner = build_runner(&options)?;
     let experiment = run_experiment(&options)?;
     let started = Instant::now();
@@ -564,7 +630,7 @@ fn cmd_run(args: &[&str]) -> Result<CliOutcome, CliError> {
 }
 
 fn cmd_grid(args: &[&str]) -> Result<CliOutcome, CliError> {
-    let options = parse_options(args)?;
+    let options = parse_options("grid", args)?;
     let runner = build_runner(&options)?;
     no_operands(&options)?;
     if options.datasets.is_empty() {
@@ -658,7 +724,7 @@ const REPORTS: [(&str, u32, Regenerate); 13] = [
 
 /// `bgc table <n>` / `bgc fig <n>`.
 fn cmd_report(args: &[&str], family: &str) -> Result<CliOutcome, CliError> {
-    let options = parse_options(args)?;
+    let options = parse_options(family, args)?;
     let numbers = if family == "table" {
         "1-8"
     } else {
@@ -681,7 +747,6 @@ fn cmd_report(args: &[&str], family: &str) -> Result<CliOutcome, CliError> {
         )));
     };
     let runner = build_runner(&options)?;
-    no_experiment_options(&options, family)?;
     let started = Instant::now();
     let collector = OutcomeCollector::new();
     let report = {
@@ -694,10 +759,9 @@ fn cmd_report(args: &[&str], family: &str) -> Result<CliOutcome, CliError> {
 }
 
 fn cmd_all(args: &[&str]) -> Result<CliOutcome, CliError> {
-    let options = parse_options(args)?;
+    let options = parse_options("all", args)?;
     let runner = build_runner(&options)?;
     no_operands(&options)?;
-    no_experiment_options(&options, "all")?;
     let started = Instant::now();
     let collector = OutcomeCollector::new();
     let _wave = enter_wave(invocation_wave(&options, &collector));
@@ -728,8 +792,7 @@ fn cmd_all(args: &[&str]) -> Result<CliOutcome, CliError> {
 // ---------------------------------------------------------------------------
 
 fn cmd_list(args: &[&str]) -> Result<CliOutcome, CliError> {
-    let options = parse_options(args)?;
-    no_experiment_options(&options, "list")?;
+    let options = parse_options("list", args)?;
     if options.operands.len() != 1 {
         return Err(usage(
             "list expects one of: attacks, methods, defenses, datasets, architectures, generators, scales",
@@ -779,8 +842,7 @@ pub fn list_lines(what: &str) -> Result<Vec<String>, CliError> {
 /// sorted name order, so the rendered report is deterministic for a given
 /// store state.
 fn cmd_store(args: &[&str]) -> Result<CliOutcome, CliError> {
-    let options = parse_options(args)?;
-    no_experiment_options(&options, "store")?;
+    let options = parse_options("store", args)?;
     if options.operands.len() != 1 {
         return Err(usage("store expects one of: stats, gc, doctor, clear"));
     }
@@ -982,15 +1044,15 @@ mod tests {
 
     #[test]
     fn fault_tolerance_flags_parse() {
-        let options = parse_options(&["--keep-going", "--cell-timeout", "2.5"]).unwrap();
+        let options = parse_options("all", &["--keep-going", "--cell-timeout", "2.5"]).unwrap();
         assert!(options.keep_going);
         assert_eq!(options.cell_timeout, Some(Duration::from_millis(2500)));
         assert!(matches!(
-            parse_options(&["--cell-timeout", "0"]),
+            parse_options("all", &["--cell-timeout", "0"]),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
-            parse_options(&["--cell-timeout", "soon"]),
+            parse_options("all", &["--cell-timeout", "soon"]),
             Err(CliError::Usage(_))
         ));
     }
@@ -1066,7 +1128,7 @@ mod tests {
         let lowered = |flags: &[&str]| -> Vec<CellKey> {
             let mut args = vec!["--dataset", "cora"];
             args.extend(flags);
-            let options = parse_options(&args).expect("flags parse");
+            let options = parse_options("run", &args).expect("flags parse");
             let experiment = run_experiment(&options).expect("experiment validates");
             experiment.group(&runner).expect("scales match").keys
         };
@@ -1198,8 +1260,71 @@ mod tests {
                 assert_eq!(exit_code(&result), EXIT_USAGE);
             }
         }
-        // `--seed` is the one experiment option they accept.
-        let options = parse_options(&["--seed", "5"]).expect("seed parses");
-        assert!(no_experiment_options(&options, "all").is_ok());
+        // `--seed` is the one experiment option the reports accept.
+        for command in ["table", "fig", "all"] {
+            let options = parse_options(command, &["--seed", "5"]).expect("seed parses");
+            assert_eq!(options.seed, Some(5));
+        }
+    }
+
+    #[test]
+    fn list_and_store_reject_the_flags_they_ignore() {
+        let runner_flags: [&[&str]; 7] = [
+            &["--scale", "quick"],
+            &["--full"],
+            &["--serial"],
+            &["--no-cache"],
+            &["--keep-going"],
+            &["--cell-timeout", "3"],
+            &["--deadline", "5"],
+        ];
+        let cases = runner_flags
+            .iter()
+            .flat_map(|&flag| [(&["list", "scales"][..], flag), (&["store", "stats"], flag)])
+            .chain([
+                (&["list", "scales"][..], &["--seed", "5"][..]),
+                (&["list", "scales"], &["--format", "json"]),
+                (&["list", "scales"], &["--store-dir", "elsewhere"]),
+                (&["store", "stats"], &["--seed", "5"]),
+            ]);
+        for (command, flag) in cases {
+            let mut args = argv(command);
+            args.extend(argv(flag));
+            let result = run(&args);
+            assert!(
+                matches!(&result, Err(CliError::Usage(message)) if message.contains(flag[0])),
+                "{:?} must be a usage error",
+                args
+            );
+            assert_eq!(exit_code(&result), EXIT_USAGE);
+        }
+        // `store` keeps its own options.
+        let options = parse_options("store", &["--store-dir", "elsewhere", "--format", "json"])
+            .expect("parses");
+        assert_eq!(options.store_dir.as_deref(), Some("elsewhere"));
+    }
+
+    #[test]
+    fn every_command_accepts_the_flags_it_uses() {
+        // bgcbench's workloads and CI's invocations, among others.
+        let cases = [
+            ("all", "--scale quick --format json --seed 17 --serial"),
+            (
+                "run",
+                "--dataset flickr --scale large --method GCond-X --format json --seed 17 --no-cache",
+            ),
+            ("grid", "--dataset cora --method GCond --keep-going"),
+            ("table", "2 --full --deadline 5 --cell-timeout 1"),
+            ("store", "doctor --format json"),
+        ];
+        for (command, args) in cases {
+            let args: Vec<&str> = args.split_whitespace().collect();
+            assert!(
+                parse_options(command, &args).is_ok(),
+                "{} {:?}",
+                command,
+                args
+            );
+        }
     }
 }

@@ -12,6 +12,7 @@ use bgc_condense::{CondensationKind, CondensationMethod};
 use bgc_graph::{CondensedGraph, Graph};
 use bgc_nn::{Adam, AdjacencyRef};
 use bgc_tensor::init::{rng_from_seed, xavier_uniform};
+use bgc_tensor::kernel::{RowLabels, SoftmaxGradScratch};
 use bgc_tensor::{Matrix, Tape};
 
 use crate::attach::build_poisoned_graph;
@@ -52,21 +53,21 @@ impl GtaAttack {
         }
     }
 
-    /// Trains a static SGC surrogate on the original (working) graph.
+    /// Trains a static SGC surrogate on the original (working) graph: 200
+    /// full-batch gradient steps of softmax regression on the training
+    /// nodes' propagated features, each one call of the fused kernel.
     fn static_surrogate(&self, graph: &Graph) -> Matrix {
         let mut rng = rng_from_seed(self.config.seed ^ 0x67a);
         let z = graph.propagated_features(self.config.condensation.propagation_steps);
         let train = &graph.split.train;
         let z_train = z.select_rows(train);
         let labels = graph.labels_of(train);
-        let y = Matrix::one_hot(&labels, graph.num_classes);
         let mut w = xavier_uniform(graph.num_features(), graph.num_classes, &mut rng);
-        let n = train.len().max(1) as f32;
+        let mut grad = Matrix::zeros(w.rows(), w.cols());
+        let mut scratch = SoftmaxGradScratch::default();
         for _ in 0..200 {
-            let logits = z_train.matmul(&w);
-            let probs = logits.softmax_rows();
-            let diff = probs.sub(&y);
-            let grad = z_train.transpose_matmul(&diff).scale(1.0 / n);
+            let labels = RowLabels::PerRow(&labels);
+            z_train.softmax_regression_grad_into(&w, labels, &mut scratch, &mut grad);
             w.add_scaled_assign(&grad, -0.5);
         }
         w
@@ -142,6 +143,43 @@ impl GtaAttack {
 mod tests {
     use super::*;
     use bgc_graph::{DatasetKind, PoisonBudget};
+
+    /// `static_surrogate` as written before the fused kernel: `matmul` →
+    /// `softmax_rows` → `sub` → `transpose_matmul` → `scale` per step.
+    fn chain_surrogate(attack: &GtaAttack, graph: &Graph) -> Matrix {
+        let mut rng = rng_from_seed(attack.config.seed ^ 0x67a);
+        let z = graph.propagated_features(attack.config.condensation.propagation_steps);
+        let train = &graph.split.train;
+        let z_train = z.select_rows(train);
+        let y = Matrix::one_hot(&graph.labels_of(train), graph.num_classes);
+        let mut w = xavier_uniform(graph.num_features(), graph.num_classes, &mut rng);
+        let n = train.len().max(1) as f32;
+        for _ in 0..200 {
+            let logits = z_train.matmul(&w);
+            let probs = logits.softmax_rows();
+            let diff = probs.sub(&y);
+            let grad = z_train.transpose_matmul(&diff).scale(1.0 / n);
+            w.add_scaled_assign(&grad, -0.5);
+        }
+        w
+    }
+
+    #[test]
+    fn static_surrogate_keeps_the_bits_of_the_chain() {
+        // Quick Cora's 7 classes put the chain's logits on the narrow gemm
+        // path, quick Reddit's 10 on the wide one.
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (dataset, classes) in [(DatasetKind::Cora, 7), (DatasetKind::Reddit, 10)] {
+            let graph = dataset.load_small(17);
+            assert_eq!(graph.num_classes, classes);
+            let attack = GtaAttack::new(BgcConfig::quick());
+            assert_eq!(
+                bits(&attack.static_surrogate(&graph)),
+                bits(&chain_surrogate(&attack, &graph)),
+                "{dataset}"
+            );
+        }
+    }
 
     #[test]
     fn gta_runs_end_to_end() {

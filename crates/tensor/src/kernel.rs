@@ -25,6 +25,15 @@
 //! * **Serial fallbacks.** Problems below [`PAR_GEMM_WORK`] multiply-adds
 //!   (or [`PAR_ELEM_WORK`] elements for the element-wise helpers) skip the
 //!   pool entirely.
+//! * **One fused softmax-regression gradient.**
+//!   [`softmax_regression_grad`] computes `Zᵀ (softmax(Z · W) − Y) / rows`,
+//!   the weight gradient of a linear softmax classifier, in one pass that
+//!   reads `Z` [`KU`] rows at a time. It keeps the bits of the chain it
+//!   replaced, for every shape and on both tiers: the logits in [`gemm`]'s
+//!   per-element order, `softmax_row_in_place`, `−1` at the label, the
+//!   gradient in [`gemm_tn`]'s accumulation order, then the scale. The
+//!   chain stays as `Matrix::softmax_regression_grad_via_chain`, the
+//!   reference of a property test and of a substrate-bench gate.
 //!
 //! The pre-substrate reference implementations are retained as
 //! [`naive_matmul`], [`naive_transpose_matmul`] and
@@ -566,6 +575,367 @@ fn pack_transposed(src: Tile<'_>, kb: usize, cols: usize, panel: &mut [f32]) {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Fused softmax-regression gradient
+// ---------------------------------------------------------------------------
+
+/// The labels of [`softmax_regression_grad`]'s rows.
+#[derive(Clone, Copy, Debug)]
+pub enum RowLabels<'a> {
+    /// Every row has this label (one class's block of rows).
+    Uniform(usize),
+    /// Row `r` has label `labels[r]`.
+    PerRow(&'a [usize]),
+}
+
+impl RowLabels<'_> {
+    /// The label of row `row`.
+    pub(crate) fn label(&self, row: usize) -> usize {
+        match *self {
+            RowLabels::Uniform(label) => label,
+            RowLabels::PerRow(labels) => labels[row],
+        }
+    }
+}
+
+/// Caller-owned scratch of [`softmax_regression_grad`]: reused across
+/// calls, so a steady-state call allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub struct SoftmaxGradScratch {
+    /// `W` with its columns zero-padded to a multiple of [`LANES`].
+    w: Vec<f32>,
+    /// The gradient accumulator, `features x` the padded class count.
+    acc: Vec<f32>,
+    /// One [`KU`]-group of padded logit rows, turned into `p - y` in place.
+    probs: Vec<f32>,
+}
+
+impl SoftmaxGradScratch {
+    /// Sizes the buffers for `features x classes` weights padded to `cp`
+    /// columns, copies `w` in and zeroes the accumulator.
+    fn prepare(&mut self, features: usize, classes: usize, cp: usize, w: &[f32]) {
+        self.w.clear();
+        self.w.resize(features * cp, 0.0);
+        for (dst, src) in self.w.chunks_exact_mut(cp).zip(w.chunks_exact(classes)) {
+            dst[..classes].copy_from_slice(src);
+        }
+        self.acc.clear();
+        self.acc.resize(features * cp, 0.0);
+        self.probs.clear();
+        self.probs.resize(KU * cp, 0.0);
+    }
+}
+
+/// Weight gradient of a linear softmax classifier,
+/// `grad = Zᵀ (softmax(Z · W) − onehot(labels)) · (1 / max(rows, 1))`, in one
+/// pass over `Z` (`rows x features`) for `W` and `grad` of `features x
+/// classes`.
+///
+/// It reads `Z` [`KU`] rows at a time: their logits, their softmax minus the
+/// label's one, and their rank-`KU` update of the gradient, so `Z` is read
+/// once and nothing is allocated beyond `scratch`. Every element gets the
+/// bits of the chain it replaces — [`gemm`], `softmax_row_in_place`, `−1` at
+/// the label, [`gemm_tn`], then the scale:
+///
+/// * each logit is the gemm's sum: [`KU`]-fused groups in ascending depth,
+///   then the single-step depth tail;
+/// * each probability row runs `softmax_row_in_place` over its `classes`
+///   entries, then subtracts `1` at the label;
+/// * each gradient element gets `gemm_tn`'s updates: [`KU`]-groups of rows in
+///   ascending order, then the single-row tail;
+/// * the result is multiplied by `1 / max(rows, 1)`.
+///
+/// The AVX2 lanes run over the classes zero-padded to a multiple of
+/// [`LANES`]; the portable twin performs the same operations and agrees bit
+/// for bit. Serial: a caller with independent problems (one per class) runs
+/// them as pool tasks.
+///
+/// # Panics
+/// On a shape mismatch or a label outside `0..classes`.
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the problem shape and operands plus the labels, scratch and output"
+)]
+pub fn softmax_regression_grad(
+    rows: usize,
+    features: usize,
+    classes: usize,
+    z: &[f32],
+    w: &[f32],
+    labels: RowLabels<'_>,
+    scratch: &mut SoftmaxGradScratch,
+    grad: &mut [f32],
+) {
+    softmax_regression_grad_at(
+        simd_level(),
+        rows,
+        features,
+        classes,
+        z,
+        w,
+        labels,
+        scratch,
+        grad,
+    );
+}
+
+/// [`softmax_regression_grad`] on the portable kernels only: the reference
+/// its AVX2 path is checked against.
+#[doc(hidden)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the problem shape and operands plus the labels, scratch and output"
+)]
+pub fn softmax_regression_grad_scalar(
+    rows: usize,
+    features: usize,
+    classes: usize,
+    z: &[f32],
+    w: &[f32],
+    labels: RowLabels<'_>,
+    scratch: &mut SoftmaxGradScratch,
+    grad: &mut [f32],
+) {
+    softmax_regression_grad_at(
+        SimdLevel::Scalar,
+        rows,
+        features,
+        classes,
+        z,
+        w,
+        labels,
+        scratch,
+        grad,
+    );
+}
+
+/// [`softmax_regression_grad`] at a fixed micro-kernel tier.
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the problem shape and operands plus the tier, labels, scratch and output"
+)]
+fn softmax_regression_grad_at(
+    level: SimdLevel,
+    rows: usize,
+    features: usize,
+    classes: usize,
+    z: &[f32],
+    w: &[f32],
+    labels: RowLabels<'_>,
+    scratch: &mut SoftmaxGradScratch,
+    grad: &mut [f32],
+) {
+    assert_eq!(z.len(), rows * features, "softmax_regression_grad: Z shape");
+    assert_eq!(
+        w.len(),
+        features * classes,
+        "softmax_regression_grad: W shape"
+    );
+    assert_eq!(grad.len(), w.len(), "softmax_regression_grad: output shape");
+    if let RowLabels::PerRow(labels) = labels {
+        assert_eq!(
+            labels.len(),
+            rows,
+            "softmax_regression_grad: one label per row"
+        );
+    }
+    if grad.is_empty() {
+        return;
+    }
+    let cp = classes.next_multiple_of(LANES);
+    scratch.prepare(features, classes, cp, w);
+    let SoftmaxGradScratch { w, acc, probs } = scratch;
+    let mut pass = FusedPass {
+        level,
+        features,
+        classes,
+        labels,
+        w,
+        probs,
+        acc,
+    };
+    let mut r = 0;
+    while r + KU <= rows {
+        pass.rows::<KU>(r, &z[r * features..(r + KU) * features]);
+        r += KU;
+    }
+    for r in r..rows {
+        pass.rows::<1>(r, &z[r * features..(r + 1) * features]);
+    }
+    let scale = 1.0 / rows.max(1) as f32;
+    for (g_row, a_row) in grad.chunks_exact_mut(classes).zip(acc.chunks_exact(cp)) {
+        for (g, &a) in g_row.iter_mut().zip(a_row) {
+            *g = a * scale;
+        }
+    }
+}
+
+/// One [`softmax_regression_grad`] call's operands: `w` and `acc` are `W`
+/// and the gradient accumulator with their columns padded to `cp`, a
+/// multiple of [`LANES`]; `probs` holds one [`KU`]-group of padded residual
+/// rows. Padding columns carry zero-weight sums that are never read back.
+struct FusedPass<'a> {
+    level: SimdLevel,
+    features: usize,
+    classes: usize,
+    labels: RowLabels<'a>,
+    w: &'a [f32],
+    probs: &'a mut [f32],
+    acc: &'a mut [f32],
+}
+
+impl FusedPass<'_> {
+    /// Rows `r0..r0 + R` (`z`, `R x features`): their residuals
+    /// `softmax(z_r · W) − onehot(label_r)` into `probs`, then their
+    /// rank-`R` update of the accumulator. `R` is [`KU`] for a group of
+    /// `gemm_tn`'s depth and 1 for its tail.
+    fn rows<const R: usize>(&mut self, r0: usize, z: &[f32]) {
+        let cp = self.w.len() / self.features;
+        let probs = &mut self.probs[..R * cp];
+        logits_rows::<R>(self.level, z, self.features, self.w, probs);
+        for (i, p) in probs.chunks_exact_mut(cp).enumerate() {
+            let label = self.labels.label(r0 + i);
+            assert!(
+                label < self.classes,
+                "softmax_regression_grad: label {label} out of range for {} classes",
+                self.classes
+            );
+            crate::matrix::softmax_row_in_place(&mut p[..self.classes]);
+            p[label] -= 1.0;
+        }
+        rank_update::<R>(self.level, z, self.features, probs, self.acc);
+    }
+}
+
+/// [`logits_rows_portable`] at a micro-kernel tier.
+#[allow(
+    unsafe_code,
+    reason = "sanctioned SIMD dispatch (see the crate-level note)"
+)]
+fn logits_rows<const R: usize>(
+    level: SimdLevel,
+    z: &[f32],
+    features: usize,
+    w: &[f32],
+    out: &mut [f32],
+) {
+    let cp = out.len() / R;
+    assert!(
+        cp.is_multiple_of(LANES) && z.len() == R * features && w.len() == features * cp,
+        "logits_rows: shapes"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if level == SimdLevel::Avx2 {
+        // SAFETY: Avx2 is only selected when the CPU has it; the shapes
+        // are checked above.
+        unsafe { avx2::logits_rows::<R>(z, features, w, out) };
+        return;
+    }
+    logits_rows_portable::<R>(z, features, w, out);
+}
+
+/// [`rank_update_portable`] at a micro-kernel tier.
+#[allow(
+    unsafe_code,
+    reason = "sanctioned SIMD dispatch (see the crate-level note)"
+)]
+fn rank_update<const R: usize>(
+    level: SimdLevel,
+    z: &[f32],
+    features: usize,
+    p: &[f32],
+    acc: &mut [f32],
+) {
+    let cp = p.len() / R;
+    assert!(
+        cp.is_multiple_of(LANES) && z.len() == R * features && acc.len() == features * cp,
+        "rank_update: shapes"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if level == SimdLevel::Avx2 {
+        // SAFETY: Avx2 is only selected when the CPU has it; the shapes
+        // are checked above.
+        unsafe { avx2::rank_update::<R>(z, features, p, acc) };
+        return;
+    }
+    rank_update_portable::<R>(z, features, p, acc);
+}
+
+/// `out_r = z_r · W` for the `R` rows of `z` (`R x features`) into the
+/// `R x cp` rows of `out`, where `w` is `W` padded to `cp` columns: per
+/// element [`gemm`]'s sum from `+0.0`, [`KU`]-fused groups
+/// `((z0·w0 + z1·w1) + z2·w2) + z3·w3` in ascending depth, then the depth
+/// tail one product at a time. One [`LANES`]-wide column chunk at a time,
+/// with the `R` accumulators in registers.
+fn logits_rows_portable<const R: usize>(z: &[f32], features: usize, w: &[f32], out: &mut [f32]) {
+    let cp = out.len() / R;
+    for v in (0..cp).step_by(LANES) {
+        let w_lanes = |kk: usize| &w[kk * cp + v..][..LANES];
+        let mut acc = [[0.0f32; LANES]; R];
+        let mut kk = 0;
+        while kk + KU <= features {
+            let (w0, w1, w2, w3) = (
+                w_lanes(kk),
+                w_lanes(kk + 1),
+                w_lanes(kk + 2),
+                w_lanes(kk + 3),
+            );
+            for (r, acc) in acc.iter_mut().enumerate() {
+                let zr = &z[r * features + kk..][..KU];
+                for l in 0..LANES {
+                    acc[l] += zr[0] * w0[l] + zr[1] * w1[l] + zr[2] * w2[l] + zr[3] * w3[l];
+                }
+            }
+            kk += KU;
+        }
+        while kk < features {
+            let w0 = w_lanes(kk);
+            for (r, acc) in acc.iter_mut().enumerate() {
+                let zr = z[r * features + kk];
+                for l in 0..LANES {
+                    acc[l] += zr * w0[l];
+                }
+            }
+            kk += 1;
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            out[r * cp + v..][..LANES].copy_from_slice(acc);
+        }
+    }
+}
+
+/// `acc_i += ((z0[i]·p0 + z1[i]·p1) + z2[i]·p2) + z3[i]·p3` for every
+/// `cp`-wide row `acc_i` of the accumulator (`features x cp`), with `R`
+/// rows `z_r` of `z` and residual rows `p_r` of `p` (`R = 4` as shown;
+/// `R = 1` is `acc_i += z0[i]·p0`): [`gemm_tn`]'s update of one depth
+/// group or tail row. One [`LANES`]-wide chunk at a time, its `p` lanes in
+/// registers.
+fn rank_update_portable<const R: usize>(z: &[f32], features: usize, p: &[f32], acc: &mut [f32]) {
+    let cp = p.len() / R;
+    for v in (0..cp).step_by(LANES) {
+        let mut pv = [[0.0f32; LANES]; R];
+        for (r, pv) in pv.iter_mut().enumerate() {
+            pv.copy_from_slice(&p[r * cp + v..][..LANES]);
+        }
+        for i in 0..features {
+            let mut s = [0.0f32; LANES];
+            for l in 0..LANES {
+                s[l] = z[i] * pv[0][l];
+            }
+            for (r, pv) in pv.iter().enumerate().skip(1) {
+                let zr = z[r * features + i];
+                for l in 0..LANES {
+                    s[l] += zr * pv[l];
+                }
+            }
+            let a = &mut acc[i * cp + v..][..LANES];
+            for l in 0..LANES {
+                a[l] += s[l];
+            }
+        }
+    }
+}
+
 /// Cache-blocked transpose: writes the `cols x rows` transpose of the
 /// row-major `rows x cols` matrix `src` into `dst`.
 ///
@@ -955,6 +1325,96 @@ mod avx2 {
             j += 1;
         }
     }
+
+    /// Vector twin of [`super::logits_rows_portable`]: the same per-lane
+    /// operations, with the `R` accumulators of one column chunk in
+    /// registers and each chunk of four `W` rows loaded once for all `R`
+    /// rows.
+    ///
+    /// # Safety
+    /// Requires AVX2; `z.len() == R * features`, `w.len() == features * cp`
+    /// and `out.len() == R * cp` with `cp` a multiple of `LANES`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn logits_rows<const R: usize>(
+        z: &[f32],
+        features: usize,
+        w: &[f32],
+        out: &mut [f32],
+    ) {
+        let cp = out.len() / R;
+        let zp = z.as_ptr();
+        let wp = w.as_ptr();
+        let op = out.as_mut_ptr();
+        let mut v = 0;
+        while v < cp {
+            let mut acc = [_mm256_setzero_ps(); R];
+            let mut kk = 0;
+            while kk + KU <= features {
+                let w0 = _mm256_loadu_ps(wp.add(kk * cp + v));
+                let w1 = _mm256_loadu_ps(wp.add((kk + 1) * cp + v));
+                let w2 = _mm256_loadu_ps(wp.add((kk + 2) * cp + v));
+                let w3 = _mm256_loadu_ps(wp.add((kk + 3) * cp + v));
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let zr = zp.add(r * features + kk);
+                    let mut s = _mm256_mul_ps(_mm256_set1_ps(*zr), w0);
+                    s = _mm256_add_ps(s, _mm256_mul_ps(_mm256_set1_ps(*zr.add(1)), w1));
+                    s = _mm256_add_ps(s, _mm256_mul_ps(_mm256_set1_ps(*zr.add(2)), w2));
+                    s = _mm256_add_ps(s, _mm256_mul_ps(_mm256_set1_ps(*zr.add(3)), w3));
+                    *acc = _mm256_add_ps(*acc, s);
+                }
+                kk += KU;
+            }
+            while kk < features {
+                let w0 = _mm256_loadu_ps(wp.add(kk * cp + v));
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let zr = _mm256_set1_ps(*zp.add(r * features + kk));
+                    *acc = _mm256_add_ps(*acc, _mm256_mul_ps(zr, w0));
+                }
+                kk += 1;
+            }
+            for (r, acc) in acc.iter().enumerate() {
+                _mm256_storeu_ps(op.add(r * cp + v), *acc);
+            }
+            v += LANES;
+        }
+    }
+
+    /// Vector twin of [`super::rank_update_portable`]: the same per-lane
+    /// operations, with the `R` residual chunks of one column chunk in
+    /// registers while the loop walks the features.
+    ///
+    /// # Safety
+    /// Requires AVX2; `z.len() == R * features`, `p.len() == R * cp` and
+    /// `acc.len() == features * cp` with `cp` a multiple of `LANES`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn rank_update<const R: usize>(
+        z: &[f32],
+        features: usize,
+        p: &[f32],
+        acc: &mut [f32],
+    ) {
+        let cp = p.len() / R;
+        let zp = z.as_ptr();
+        let pp = p.as_ptr();
+        let ap = acc.as_mut_ptr();
+        let mut v = 0;
+        while v < cp {
+            let mut pv = [_mm256_setzero_ps(); R];
+            for (r, pv) in pv.iter_mut().enumerate() {
+                *pv = _mm256_loadu_ps(pp.add(r * cp + v));
+            }
+            for i in 0..features {
+                let mut s = _mm256_mul_ps(_mm256_set1_ps(*zp.add(i)), pv[0]);
+                for (r, pv) in pv.iter().enumerate().skip(1) {
+                    let zr = _mm256_set1_ps(*zp.add(r * features + i));
+                    s = _mm256_add_ps(s, _mm256_mul_ps(zr, *pv));
+                }
+                let a = ap.add(i * cp + v);
+                _mm256_storeu_ps(a, _mm256_add_ps(_mm256_loadu_ps(a), s));
+            }
+            v += LANES;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1114,6 +1574,121 @@ mod tests {
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Feature and class counts of the softmax-regression gradient checks:
+    /// features cross the `KU` groups and `KC = 128`, classes cross `LANES`
+    /// (the narrow and the wide gemm paths) and its padding.
+    const SR_FEATURES: [usize; 8] = [1, 3, 5, 64, 127, 128, 129, 260];
+    const SR_CLASSES: [usize; 8] = [1, 2, 7, 8, 10, 16, 17, 41];
+
+    /// The chain's, the dispatched kernel's and the portable kernel's bits
+    /// of the gradient of a `rows x features` problem over `classes`.
+    fn softmax_regression_bits(
+        rows: usize,
+        features: usize,
+        classes: usize,
+        per_row: bool,
+        seed: u64,
+    ) -> [Vec<u32>; 3] {
+        let mut rng = crate::init::rng_from_seed(seed);
+        let z = crate::init::randn(rows, features, 0.0, 1.0, &mut rng);
+        let w = crate::init::randn(features, classes, 0.0, 0.5, &mut rng);
+        let row_labels: Vec<usize> = (0..rows)
+            .map(|r| (r * 7 + seed as usize) % classes)
+            .collect();
+        let labels = if per_row {
+            RowLabels::PerRow(&row_labels)
+        } else {
+            RowLabels::Uniform(seed as usize % classes)
+        };
+        let chain = z.softmax_regression_grad_via_chain(&w, labels);
+        let mut scratch = SoftmaxGradScratch::default();
+        let mut dispatched = vec![f32::NAN; features * classes];
+        softmax_regression_grad(
+            rows,
+            features,
+            classes,
+            z.data(),
+            w.data(),
+            labels,
+            &mut scratch,
+            &mut dispatched,
+        );
+        let mut portable = vec![f32::NAN; features * classes];
+        softmax_regression_grad_scalar(
+            rows,
+            features,
+            classes,
+            z.data(),
+            w.data(),
+            labels,
+            &mut scratch,
+            &mut portable,
+        );
+        [bits(chain.data()), bits(&dispatched), bits(&portable)]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn softmax_regression_grad_matches_the_chain_bit_for_bit(
+            rows in 1usize..301,
+            f in 0usize..SR_FEATURES.len(),
+            c in 0usize..SR_CLASSES.len(),
+            per_row in 0usize..2,
+            seed in 0u64..1000,
+        ) {
+            let (features, classes) = (SR_FEATURES[f], SR_CLASSES[c]);
+            let [chain, dispatched, portable] =
+                softmax_regression_bits(rows, features, classes, per_row == 1, seed);
+            proptest::prop_assert!(
+                dispatched == chain,
+                "kernel diverged from the chain at {}x{}x{}", rows, features, classes
+            );
+            proptest::prop_assert!(
+                portable == chain,
+                "portable kernel diverged from the chain at {}x{}x{}", rows, features, classes
+            );
+        }
+    }
+
+    #[test]
+    fn softmax_regression_grad_covers_every_shape_of_the_grid() {
+        // Every feature and class count at one row count per `rows % KU`,
+        // with both label kinds, on one reused scratch.
+        for (i, &rows) in [4usize, 9, 14, 3].iter().enumerate() {
+            for &features in &SR_FEATURES {
+                for &classes in &SR_CLASSES {
+                    let per_row = (features + classes + i) % 2 == 0;
+                    let [chain, dispatched, portable] =
+                        softmax_regression_bits(rows, features, classes, per_row, i as u64);
+                    assert_eq!(dispatched, chain, "kernel at {rows}x{features}x{classes}");
+                    assert_eq!(portable, chain, "portable at {rows}x{features}x{classes}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn softmax_regression_grad_of_no_rows_is_zero() {
+        let w = vec![0.5f32; 3 * 7];
+        let mut grad = vec![f32::NAN; 3 * 7];
+        let mut scratch = SoftmaxGradScratch::default();
+        let labels = RowLabels::PerRow(&[]);
+        softmax_regression_grad(0, 3, 7, &[], &w, labels, &mut scratch, &mut grad);
+        assert!(grad.iter().all(|&g| g.to_bits() == 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn softmax_regression_grad_rejects_a_label_outside_the_classes() {
+        let (z, w) = (fill(2 * 3, 1), fill(3 * 4, 2));
+        let mut grad = vec![0.0; 3 * 4];
+        let mut scratch = SoftmaxGradScratch::default();
+        let labels = RowLabels::PerRow(&[0, 4]);
+        softmax_regression_grad(2, 3, 4, &z, &w, labels, &mut scratch, &mut grad);
     }
 
     #[test]

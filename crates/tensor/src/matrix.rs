@@ -7,7 +7,7 @@
 //! [`crate::kernel`], and differentiable versions are layered on top by
 //! [`crate::tape`].
 
-use crate::kernel;
+use crate::kernel::{self, RowLabels, SoftmaxGradScratch};
 use std::cell::RefCell;
 use std::fmt;
 
@@ -337,28 +337,12 @@ impl Matrix {
     /// materialized; the result is bit-identical to transposing `self` and
     /// calling [`Matrix::matmul`].
     pub fn transpose_matmul(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        self.transpose_matmul_into(other, &mut out);
-        out
-    }
-
-    /// [`Matrix::transpose_matmul`] into a caller-provided output (zeroed
-    /// here).
-    pub fn transpose_matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows, other.rows,
             "transpose_matmul: row mismatch {} vs {}",
             self.rows, other.rows
         );
-        assert_eq!(
-            out.shape(),
-            (self.cols, other.cols),
-            "transpose_matmul_into: output shape {:?} does not match {}x{}",
-            out.shape(),
-            self.cols,
-            other.cols
-        );
-        out.data.fill(0.0);
+        let mut out = Matrix::zeros(self.cols, other.cols);
         kernel::gemm_tn(
             self.rows,
             self.cols,
@@ -367,6 +351,7 @@ impl Matrix {
             &other.data,
             &mut out.data,
         );
+        out
     }
 
     /// Computes `self * other^T` through the shared blocked kernel: the
@@ -394,6 +379,55 @@ impl Matrix {
         out
     }
 
+    /// Weight gradient of a linear softmax classifier on the rows of `self`
+    /// (`Z`): `Zᵀ (softmax(Z · w) − onehot(labels)) / max(rows, 1)` into
+    /// `out` (shaped like `w`), by the one-pass
+    /// [`crate::kernel::softmax_regression_grad`]. Bit-identical to
+    /// [`Matrix::softmax_regression_grad_via_chain`].
+    pub fn softmax_regression_grad_into(
+        &self,
+        w: &Matrix,
+        labels: RowLabels<'_>,
+        scratch: &mut SoftmaxGradScratch,
+        out: &mut Matrix,
+    ) {
+        assert_eq!(
+            self.cols, w.rows,
+            "softmax_regression_grad: {}x{} rows against a {}x{} weight",
+            self.rows, self.cols, w.rows, w.cols
+        );
+        assert_eq!(
+            out.shape(),
+            w.shape(),
+            "softmax_regression_grad_into: output shape"
+        );
+        kernel::softmax_regression_grad(
+            self.rows,
+            self.cols,
+            w.cols,
+            &self.data,
+            &w.data,
+            labels,
+            scratch,
+            &mut out.data,
+        );
+    }
+
+    /// The chain [`Matrix::softmax_regression_grad_into`] replaced —
+    /// `matmul`, `softmax_rows`, `−1` at each label, `transpose_matmul`,
+    /// then the `1 / max(rows, 1)` scale — kept as the reference it is
+    /// checked against bit for bit.
+    #[doc(hidden)]
+    pub fn softmax_regression_grad_via_chain(&self, w: &Matrix, labels: RowLabels<'_>) -> Matrix {
+        let mut diff = self.matmul(w).softmax_rows();
+        for r in 0..self.rows {
+            diff.row_mut(r)[labels.label(r)] -= 1.0;
+        }
+        let mut grad = self.transpose_matmul(&diff);
+        grad.scale_assign(1.0 / self.rows.max(1) as f32);
+        grad
+    }
+
     /// Overwrites `self` with the contents of an equally shaped `src`.
     pub fn copy_from(&mut self, src: &Matrix) {
         assert_eq!(
@@ -404,52 +438,6 @@ impl Matrix {
             src.shape()
         );
         self.data.copy_from_slice(&src.data);
-    }
-
-    /// [`Matrix::matmul`] into a caller-provided output (zeroed here), so
-    /// steady-state loops can reuse one buffer instead of allocating.
-    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul: inner dimensions differ ({}x{} * {}x{})",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        assert_eq!(
-            out.shape(),
-            (self.rows, other.cols),
-            "matmul_into: output shape {:?} does not match {}x{}",
-            out.shape(),
-            self.rows,
-            other.cols
-        );
-        out.data.fill(0.0);
-        kernel::gemm(
-            self.rows,
-            self.cols,
-            other.cols,
-            &self.data,
-            &other.data,
-            &mut out.data,
-        );
-    }
-
-    /// [`Matrix::sub`] into a caller-provided output.
-    pub fn sub_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.shape(),
-            other.shape(),
-            "sub: shape mismatch {:?} vs {:?}",
-            self.shape(),
-            other.shape()
-        );
-        assert_eq!(out.shape(), self.shape(), "sub_into: output shape mismatch");
-        kernel::binary_map_into(&self.data, &other.data, &mut out.data, |a, b| a - b);
-    }
-
-    /// [`Matrix::softmax_rows`] into a caller-provided output.
-    pub fn softmax_rows_into(&self, out: &mut Matrix) {
-        out.copy_from(self);
-        kernel::for_each_row(&mut out.data, self.cols, |_, row| softmax_row_in_place(row));
     }
 
     /// Element-wise addition.
