@@ -195,14 +195,37 @@ fn attached_tree(sub: usize, hop1: usize, t: usize) -> Matrix {
     Matrix::from_fn(n, n, |r, c| a.get(r, c) * inv_sqrt[r] * inv_sqrt[c])
 }
 
+/// The base rows of a readout: `ids` into a feature matrix larger than the
+/// computation graph, and `copy`, those rows copied out (the chain's base).
+struct ReadoutBase {
+    features: Matrix,
+    ids: Vec<usize>,
+    copy: Arc<Matrix>,
+}
+
+impl ReadoutBase {
+    /// Every third row of `features` from the far end, `sub` of them:
+    /// scattered and descending.
+    fn new(features: Matrix, sub: usize) -> Self {
+        let ids: Vec<usize> = (0..sub).map(|i| 3 * (sub - 1 - i) + 2).collect();
+        let copy = Arc::new(features.select_rows(&ids));
+        Self {
+            features,
+            ids,
+            copy,
+        }
+    }
+}
+
 /// Records the centre readout (row 0) of `adj^steps · [base; tail]` on
-/// `tape` — by `Tape::propagate_row` when `fused`, else by the chain it
-/// replaces (concat → `steps` x `const_matmul` → row select) — and a loss
-/// whose gradient at the readout is `g`.  Returns `(tail, readout, loss)`.
+/// `tape` — by `Tape::propagate_row`, gathering the base rows by id, when
+/// `fused`, else by the chain it replaces (concat of the copied base →
+/// `steps` x `const_matmul` → row select) — and a loss whose gradient at the
+/// readout is `g`.  Returns `(tail, readout, loss)`.
 fn record_readout(
     tape: &mut Tape,
     adj: &Arc<Matrix>,
-    base: &Arc<Matrix>,
+    base: &ReadoutBase,
     tail: &Matrix,
     g: &Arc<Matrix>,
     steps: usize,
@@ -210,9 +233,9 @@ fn record_readout(
 ) -> (Var, Var, Var) {
     let tail = tape.leaf_copied(tail);
     let out = if fused {
-        tape.propagate_row(adj.clone(), base.clone(), tail, steps, 0)
+        tape.propagate_row(adj.clone(), &base.features, &base.ids, tail, steps, 0)
     } else {
-        let base = tape.const_leaf(base.clone());
+        let base = tape.const_leaf(base.copy.clone());
         let mut z = tape.concat_rows(base, tail);
         for _ in 0..steps {
             z = tape.const_matmul(adj.clone(), z);
@@ -244,7 +267,7 @@ fn propagate_row_gate() -> usize {
     for &(sub, hop1, t, d) in &PROPAGATE_ROW_SHAPES {
         let mut rng = rng_from_seed((sub * 1009 + t * 31 + d) as u64);
         let adj = Arc::new(attached_tree(sub, hop1, t));
-        let base = Arc::new(randn(sub, d, 0.0, 1.0, &mut rng));
+        let base = ReadoutBase::new(randn(3 * sub + 5, d, 0.0, 1.0, &mut rng), sub);
         let tail = randn(t, d, 0.0, 1.0, &mut rng);
         let g = Arc::new(randn(1, d, 0.0, 1.0, &mut rng));
         for steps in 1..=3 {
@@ -281,7 +304,7 @@ fn propagate_row_timings(reps: usize) -> Vec<String> {
     ] {
         let mut rng = rng_from_seed(31);
         let adj = Arc::new(attached_tree(sub, hop1, t));
-        let base = Arc::new(randn(sub, d, 0.0, 1.0, &mut rng));
+        let base = ReadoutBase::new(randn(3 * sub + 5, d, 0.0, 1.0, &mut rng), sub);
         let tail = randn(t, d, 0.0, 1.0, &mut rng);
         let g = Arc::new(randn(1, d, 0.0, 1.0, &mut rng));
         let mut tape = Tape::new();

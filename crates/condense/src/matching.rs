@@ -290,10 +290,21 @@ impl GradientMatchingState {
 
     /// Propagated synthetic representation `Z' = (D^{-1}(A'+I))^K X'` as a
     /// plain matrix (used for surrogate training).
+    ///
+    /// A structure-free variant's operator is exactly `I`: each row of
+    /// `0 + I` sums to `1 + 1e-8`, which rounds to `1.0` in f32.  On a
+    /// finite `X'` the product `I · X'` changes only `-0.0`, which its
+    /// `+0.0` accumulator absorbs, so `X'` with `-0.0` flushed to `+0.0`
+    /// stands in for the `K` products.  A non-finite `X'` keeps them
+    /// (`0 · ∞` spreads NaN through a column).
     pub fn synthetic_representation(&self) -> Matrix {
+        let steps = self.config.propagation_steps;
+        if self.structure.is_none() && steps > 0 && !self.syn_features.has_non_finite() {
+            return self.syn_features.map(|v| v + 0.0);
+        }
         let prop = self.synthetic_propagation_matrix();
         let mut z = self.syn_features.clone();
-        for _ in 0..self.config.propagation_steps {
+        for _ in 0..steps {
             z = prop.matmul(&z);
         }
         z
@@ -631,6 +642,56 @@ mod tests {
                 "{} must be structure-free",
                 variant.name()
             );
+        }
+    }
+
+    /// The structure-free shortcut of `synthetic_representation` has the
+    /// bits of multiplying `X'` by the row-normalized `0 + I` `K` times, on
+    /// an `X'` holding signed zeros, subnormals and the extremes of f32,
+    /// for both structure-free variants and every depth; a non-finite `X'`
+    /// keeps the product.
+    #[test]
+    fn structure_free_shortcut_matches_the_identity_product_bit_for_bit() {
+        let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let specials = [
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(3),
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE / 4.0,
+            f32::MAX,
+            -f32::MAX,
+            1.5,
+            -2.25e-30,
+        ];
+        for variant in [MatchingVariant::DcGraph, MatchingVariant::GCondX] {
+            let (_, mut state) = quick_state(variant);
+            let (n, d) = state.syn_features.shape();
+            let finite = Matrix::from_fn(n, d, |r, c| specials[(r * 7 + c * 3) % specials.len()]);
+            assert!(finite
+                .data()
+                .iter()
+                .any(|v| v.to_bits() == (-0.0f32).to_bits()));
+            let mut non_finite = finite.clone();
+            non_finite.set(n - 1, 0, f32::INFINITY);
+            for x in [finite, non_finite] {
+                state.syn_features = x;
+                for steps in 0..=3 {
+                    state.config.propagation_steps = steps;
+                    let prop = state.synthetic_propagation_matrix();
+                    assert_eq!(bits(&prop), bits(&Matrix::identity(n)), "{variant:?}");
+                    let mut product = state.syn_features.clone();
+                    for _ in 0..steps {
+                        product = prop.matmul(&product);
+                    }
+                    assert_eq!(
+                        bits(&state.synthetic_representation()),
+                        bits(&product),
+                        "{variant:?}, K = {steps}"
+                    );
+                }
+            }
         }
     }
 

@@ -7,6 +7,11 @@
 //!   (Eq. 13/17) and for ASR evaluation, a trigger block is appended to the
 //!   k-hop computation graph of a single node and the combined adjacency is
 //!   re-normalized; the trigger features may be differentiable tape variables.
+//!   An [`AttachedGraph`] is the computation graph's node ids plus that
+//!   attached adjacency: its input is the graph's feature rows of those ids
+//!   followed by the trigger block, gathered where it is read
+//!   ([`AttachedGraph::input`], [`bgc_tensor::Tape::propagate_row`]), so the
+//!   attack loop's extraction cache holds no copy of the graph's features.
 //! * **Full-graph attachment** — to build the poisoned graph `G_P` that the
 //!   condensation step consumes (Eq. 14/18), trigger nodes are appended to
 //!   the original graph, each group fully connected internally, linked to its
@@ -24,20 +29,18 @@ use bgc_tensor::Matrix;
 
 use crate::config::BgcConfig;
 
-/// A computation graph with an attached (fully connected) trigger block.
+/// A computation graph with an attached (fully connected) trigger block:
+/// node ids and the attached adjacency, no feature rows.
 #[derive(Clone, Debug)]
 pub struct AttachedGraph {
-    /// The centre node in original-graph indexing.
-    pub node: usize,
-    /// Features of the computation-graph nodes (constant part of the input).
-    pub sub_features: Arc<Matrix>,
+    /// The computation graph's nodes in original-graph indexing, centre
+    /// first: the attached graph's first rows.
+    pub nodes: Vec<usize>,
     /// GCN-normalized dense adjacency of `computation graph + trigger block`.
     /// Trigger rows occupy the last `trigger_size` positions.
     pub norm_adj: Arc<Matrix>,
     /// Row index of the centre node (always 0).
     pub center: usize,
-    /// Number of computation-graph nodes (excluding the trigger).
-    pub sub_nodes: usize,
     /// Number of trigger nodes.
     pub trigger_size: usize,
 }
@@ -45,7 +48,7 @@ pub struct AttachedGraph {
 impl AttachedGraph {
     /// Total number of nodes including the trigger block.
     pub fn total_nodes(&self) -> usize {
-        self.sub_nodes + self.trigger_size
+        self.nodes.len() + self.trigger_size
     }
 
     /// Wraps the dense normalized adjacency for GNN forward passes.
@@ -53,14 +56,22 @@ impl AttachedGraph {
         AdjacencyRef::Dense(self.norm_adj.clone())
     }
 
-    /// Plain combined feature matrix for non-differentiable evaluation.
-    pub fn combined_features_plain(&self, trigger_features: &Matrix) -> Matrix {
+    /// The attached graph's input for non-differentiable evaluation: the
+    /// rows of `features` (the graph's feature matrix) at the computation
+    /// graph's nodes, then the trigger block.
+    pub fn input(&self, features: &Matrix, trigger_features: &Matrix) -> Matrix {
+        let d = features.cols();
         assert_eq!(
             trigger_features.shape(),
-            (self.trigger_size, self.sub_features.cols()),
+            (self.trigger_size, d),
             "trigger feature block has the wrong shape"
         );
-        self.sub_features.vstack(trigger_features)
+        let mut data = Vec::with_capacity(self.total_nodes() * d);
+        for &id in &self.nodes {
+            data.extend_from_slice(features.row(id));
+        }
+        data.extend_from_slice(trigger_features.data());
+        Matrix::new(self.total_nodes(), d, data)
     }
 }
 
@@ -104,16 +115,14 @@ fn normalized_attached_adjacency(
     Matrix::from_fn(total, total, |r, c| a.get(r, c) * inv_sqrt[r] * inv_sqrt[c])
 }
 
-/// Attaches a trigger block of the given size to `sub`, the computation
-/// graph of `node` (trigger features to be supplied separately).
-fn attach(node: usize, sub: ComputationGraph, trigger_size: usize) -> AttachedGraph {
+/// Attaches a trigger block of the given size to the computation graph
+/// `sub` (trigger features to be supplied separately).
+fn attach(sub: ComputationGraph, trigger_size: usize) -> AttachedGraph {
     let norm_adj = normalized_attached_adjacency(&sub.adjacency, trigger_size, sub.center);
     AttachedGraph {
-        node,
-        sub_features: Arc::new(sub.features),
+        nodes: sub.nodes,
         norm_adj: Arc::new(norm_adj),
         center: sub.center,
-        sub_nodes: sub.nodes.len(),
         trigger_size,
     }
 }
@@ -128,7 +137,7 @@ pub fn attach_to_computation_graph(
     max_per_hop: usize,
 ) -> AttachedGraph {
     let sub = k_hop_subgraph(graph, node, khop, Some(max_per_hop));
-    attach(node, sub, trigger_size)
+    attach(sub, trigger_size)
 }
 
 /// Attachment used by the ASR evaluation.  Full-batch plans keep the
@@ -157,11 +166,7 @@ pub fn attach_for_evaluation(
         ),
         TrainingPlan::Sampled(sampled) => {
             let sampler = NeighborSampler::new(sampled.fanouts.clone(), seed ^ 0x47ac);
-            attach(
-                node,
-                sampler.sampled_computation_graph(graph, node),
-                trigger_size,
-            )
+            attach(sampler.sampled_computation_graph(graph, node), trigger_size)
         }
     }
 }
@@ -335,7 +340,9 @@ mod tests {
         let node = graph.split.train[0];
         let attached = attach_to_computation_graph(&graph, node, 3, 2, 8);
         assert_eq!(attached.center, 0);
-        assert_eq!(attached.total_nodes(), attached.sub_nodes + 3);
+        assert_eq!(attached.nodes[0], node);
+        let sub_nodes = attached.nodes.len();
+        assert_eq!(attached.total_nodes(), sub_nodes + 3);
         let a = &attached.norm_adj;
         // Symmetric.
         for r in 0..attached.total_nodes() {
@@ -344,27 +351,39 @@ mod tests {
             }
         }
         // Centre connects to the first trigger node.
-        assert!(a.get(attached.center, attached.sub_nodes) > 0.0);
+        assert!(a.get(attached.center, sub_nodes) > 0.0);
         // Trigger block is fully connected.
-        assert!(a.get(attached.sub_nodes, attached.sub_nodes + 1) > 0.0);
-        assert!(a.get(attached.sub_nodes + 1, attached.sub_nodes + 2) > 0.0);
+        assert!(a.get(sub_nodes, sub_nodes + 1) > 0.0);
+        assert!(a.get(sub_nodes + 1, sub_nodes + 2) > 0.0);
     }
 
+    /// The input gathered from node ids has the bits of the copied rows
+    /// stacked on the trigger block, under both extractions.
     #[test]
     fn combined_features_stack_in_the_right_order() {
         let graph = DatasetKind::Cora.load_small(2);
-        let node = graph.split.train[1];
-        let attached = attach_to_computation_graph(&graph, node, 2, 1, 8);
+        let config = BgcConfig::quick();
+        let sampled = TrainingPlan::Sampled(bgc_nn::SampledPlan {
+            fanouts: vec![3, 3],
+            batch_size: 64,
+        });
         let mut rng = rng_from_seed(0);
-        let trig = randn(2, graph.num_features(), 0.0, 1.0, &mut rng);
-        let combined = attached.combined_features_plain(&trig);
-        assert_eq!(combined.rows(), attached.total_nodes());
-        assert_eq!(combined.row(0), graph.features.row(node));
-        assert_eq!(
-            combined.row(attached.sub_nodes),
-            trig.row(0),
-            "trigger rows follow the computation-graph rows"
-        );
+        for plan in [TrainingPlan::FullBatch, sampled] {
+            for &node in &graph.split.test[..20] {
+                let attached = attach_for_evaluation(&graph, node, 2, &config, &plan, 5);
+                let trig = randn(2, graph.num_features(), 0.0, 1.0, &mut rng);
+                let combined = attached.input(&graph.features, &trig);
+                let copied = graph.features.select_rows(&attached.nodes).vstack(&trig);
+                assert_eq!(bits(&combined), bits(&copied), "node {node}, {plan:?}");
+                assert_eq!(combined.rows(), attached.total_nodes());
+                assert_eq!(combined.row(0), graph.features.row(node));
+                assert_eq!(
+                    combined.row(attached.nodes.len()),
+                    trig.row(0),
+                    "trigger rows follow the computation-graph rows"
+                );
+            }
+        }
     }
 
     #[test]

@@ -299,7 +299,9 @@ pub(crate) fn zero_grads(trigger: &mut impl TrainableTrigger) -> Vec<Matrix> {
 /// The surrogate scores only the centre node of each attached graph, so
 /// [`Tape::propagate_row`] propagates only the centre's receptive field
 /// (the rows its `K` hops read) and sends the gradient back only to the
-/// trigger rows.  Losses and trigger updates are bit-identical to
+/// trigger rows.  It gathers the computation graph's rows of
+/// `graph.features` by node id, so `cache` holds ids and adjacencies, no
+/// feature rows.  Losses and trigger updates are bit-identical to
 /// propagating the whole attached graph.
 ///
 /// `tape` is a pooled tape reused across steps (reset here); `zero_grads`
@@ -345,7 +347,8 @@ pub(crate) fn trigger_step(
         };
         let center = tape.propagate_row(
             attached.norm_adj.clone(),
-            attached.sub_features.clone(),
+            &graph.features,
+            &attached.nodes,
             block,
             config.condensation.propagation_steps,
             attached.center,
@@ -426,9 +429,10 @@ pub(crate) mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// The former [`trigger_step`]: each attached graph is propagated whole
-    /// (concat → K x `const_matmul` → centre row select).  The oracle the
-    /// receptive-field readout must match bit for bit.
+    /// The former [`trigger_step`]: each attached graph's feature rows are
+    /// copied and the graph is propagated whole (concat → K x
+    /// `const_matmul` → centre row select).  The oracle the receptive-field
+    /// readout must match bit for bit.
     #[allow(clippy::too_many_arguments, reason = "mirrors `trigger_step`")]
     fn chain_trigger_step(
         config: &BgcConfig,
@@ -461,7 +465,7 @@ pub(crate) mod tests {
         let mut total: Option<Var> = None;
         for (node, &block) in sample.iter().zip(&blocks) {
             let attached = &cache[node];
-            let base = tape.const_leaf(attached.sub_features.clone());
+            let base = tape.constant(graph.features.select_rows(&attached.nodes));
             let mut z = tape.concat_rows(base, block);
             for _ in 0..config.condensation.propagation_steps {
                 z = tape.const_matmul(attached.norm_adj.clone(), z);

@@ -5,6 +5,9 @@
 //! and measures them all on one set of ASR inputs, so a cell's ASR and
 //! C-ASR read the same triggered nodes.
 
+use std::cell::OnceCell;
+use std::sync::Arc;
+
 use bgc_defense::Defense;
 use bgc_graph::{CondensedGraph, Graph};
 use bgc_nn::{
@@ -188,10 +191,16 @@ pub fn evaluate_backdoor(
 /// the ASR is measured on, and no victim's result depends on the others.
 /// Every prediction goes through [`Defense::predict`] when the defense
 /// overrides inference (randomized smoothing), and through the plain forward
-/// pass otherwise.  The victims share the ASR inputs: the sample is drawn
-/// once, one [`TriggerProvider::triggers`] call covers it, and each sampled
-/// node's computation graph is extracted once.  An empty sample calls no
-/// provider.
+/// pass otherwise.  The clean-accuracy passes share one borrowed `Â · X`:
+/// the whole graph's first propagation step is computed once, on first
+/// use, and every victim whose clean pass is the plain forward of a model
+/// that [`GnnModel::propagates_input_first`] (GCN, SGC) reads it under
+/// [`AdjacencyRef::after_first_step`], with the bits of propagating its own
+/// copy of `X`; other victims read `X` itself.  The victims share the ASR
+/// inputs: the sample is drawn once, one [`TriggerProvider::triggers`] call
+/// covers it, and each sampled node's computation graph is extracted once,
+/// as node ids whose feature rows are gathered from `graph` into each
+/// attached input.  An empty sample calls no provider.
 pub fn evaluate_victims(
     graph: &Graph,
     condensed: &[&CondensedGraph],
@@ -201,20 +210,79 @@ pub fn evaluate_victims(
     options: &EvaluationOptions,
     defense: Option<&dyn Defense>,
 ) -> Vec<AttackEvaluation> {
+    let test_labels = graph.labels_of(&graph.split.test);
+    let predictions = predict_victims(
+        graph,
+        condensed,
+        provider,
+        attack_config,
+        victim,
+        options,
+        defense,
+    );
+    predictions
+        .into_iter()
+        .map(|victim| {
+            let test_preds: Vec<usize> =
+                graph.split.test.iter().map(|&i| victim.clean[i]).collect();
+            AttackEvaluation {
+                cta: accuracy(&test_preds, &test_labels),
+                asr: attack_success_rate(&victim.triggered, attack_config.target_class),
+                asr_nodes: victim.triggered.len(),
+            }
+        })
+        .collect()
+}
+
+/// What one victim of [`evaluate_victims`] predicted.
+#[derive(Debug, PartialEq)]
+struct VictimPredictions {
+    /// The class of every node of the clean graph.
+    clean: Vec<usize>,
+    /// The class of each sampled ASR node in its triggered computation
+    /// graph, in sample order.
+    triggered: Vec<usize>,
+}
+
+/// Trains the victims of [`evaluate_victims`] and records their
+/// predictions.
+fn predict_victims(
+    graph: &Graph,
+    condensed: &[&CondensedGraph],
+    provider: &dyn TriggerProvider,
+    attack_config: &BgcConfig,
+    victim: &VictimSpec,
+    options: &EvaluationOptions,
+    defense: Option<&dyn Defense>,
+) -> Vec<VictimPredictions> {
+    let defended = |model: &dyn GnnModel, adj: &AdjacencyRef, x: &Matrix| {
+        defense.and_then(|d| d.predict(model, adj, x, graph.num_classes))
+    };
     let predict = |model: &dyn GnnModel, tape: &mut Tape, adj: &AdjacencyRef, x: &Matrix| {
-        defense
-            .and_then(|d| d.predict(model, adj, x, graph.num_classes))
-            .unwrap_or_else(|| model.predict_on(tape, adj, x))
+        defended(model, adj, x).unwrap_or_else(|| model.predict_on(tape, adj, x))
     };
     // One pooled tape serves the clean-accuracy forward passes, trigger
     // generation, and every victim's prediction on every sampled ASR node.
     let mut tape = Tape::new();
     let full_adj = AdjacencyRef::from_graph(graph);
-    let test_labels = graph.labels_of(&graph.split.test);
+    let propagated: OnceCell<Arc<Matrix>> = OnceCell::new();
+    let predict_clean = |model: &dyn GnnModel, tape: &mut Tape| {
+        if let Some(preds) = defended(model, &full_adj, &graph.features) {
+            return preds;
+        }
+        if !model.propagates_input_first() {
+            return model.predict_on(tape, &full_adj, &graph.features);
+        }
+        let ax = propagated.get_or_init(|| Arc::new(graph.normalized.spmm(&graph.features)));
+        tape.reset();
+        let x = tape.const_leaf(ax.clone());
+        let pass = model.forward(tape, &full_adj.clone().after_first_step(), x);
+        tape.value_ref(pass.logits).argmax_rows()
+    };
     let init_salt = if defense.is_some() { 0x5107 } else { 0xe7a1 };
-    // Each victim trains, then takes its clean test accuracy on the full
-    // original graph.
-    let (models, ctas): (Vec<Box<dyn GnnModel>>, Vec<f32>) = condensed
+    // Each victim trains, then predicts every node of the full original
+    // graph (its clean test accuracy).
+    let (models, mut predictions): (Vec<Box<dyn GnnModel>>, Vec<VictimPredictions>) = condensed
         .iter()
         .map(|&condensed| {
             let sanitized = defense.map(|d| d.sanitize(condensed));
@@ -228,15 +296,16 @@ pub fn evaluate_victims(
             );
             let condensed = sanitized.as_ref().unwrap_or(condensed);
             train_on_condensed(model.as_mut(), condensed, &victim.train);
-            let preds = predict(model.as_ref(), &mut tape, &full_adj, &graph.features);
-            let test_preds: Vec<usize> = graph.split.test.iter().map(|&i| preds[i]).collect();
-            (model, accuracy(&test_preds, &test_labels))
+            let clean = predict_clean(model.as_ref(), &mut tape);
+            let triggered = Vec::new();
+            (model, VictimPredictions { clean, triggered })
         })
         .unzip();
+    // The ASR pass reads only computation graphs: release the shared `Â · X`.
+    drop(propagated);
 
-    // Attack success rate on triggered test nodes.
+    // Predictions on triggered test nodes.
     let sample = asr_sample_nodes(graph, options, attack_config.target_class);
-    let mut triggered = vec![Vec::new(); models.len()];
     if !sample.is_empty() {
         let size = provider.trigger_size();
         let triggers = provider.triggers(&mut tape, &full_adj, &graph.features, &sample);
@@ -250,22 +319,15 @@ pub fn evaluate_victims(
                 options.seed,
             );
             let block: Vec<usize> = (i * size..(i + 1) * size).collect();
-            let features = attached.combined_features_plain(&triggers.select_rows(&block));
+            let features = attached.input(&graph.features, &triggers.select_rows(&block));
             let adj = attached.adjacency_ref();
-            for (model, predictions) in models.iter().zip(&mut triggered) {
+            for (model, victim) in models.iter().zip(&mut predictions) {
                 let preds = predict(model.as_ref(), &mut tape, &adj, &features);
-                predictions.push(preds[attached.center]);
+                victim.triggered.push(preds[attached.center]);
             }
         }
     }
-    ctas.into_iter()
-        .zip(triggered)
-        .map(|(cta, predictions)| AttackEvaluation {
-            cta,
-            asr: attack_success_rate(&predictions, attack_config.target_class),
-            asr_nodes: predictions.len(),
-        })
-        .collect()
+    predictions
 }
 
 /// Accuracy of a victim-shaped model trained full batch on the original
@@ -635,6 +697,144 @@ mod tests {
                 assert_eq!(together.asr_nodes, alone.asr_nodes);
                 assert_eq!(alone.asr_nodes, 30);
             }
+        }
+    }
+
+    /// [`predict_victims`] as it was before the shared `Â · X` and the
+    /// id-based computation graphs: every prediction through
+    /// [`GnnModel::predict_on`] on its own copy of the input (or through
+    /// [`Defense::predict`]), and each attached input stacked from copied
+    /// feature rows.
+    fn predict_on_reference(
+        graph: &Graph,
+        condensed: &[&CondensedGraph],
+        provider: &dyn TriggerProvider,
+        attack_config: &BgcConfig,
+        victim: &VictimSpec,
+        options: &EvaluationOptions,
+        defense: Option<&dyn Defense>,
+    ) -> Vec<VictimPredictions> {
+        let predict = |model: &dyn GnnModel, tape: &mut Tape, adj: &AdjacencyRef, x: &Matrix| {
+            defense
+                .and_then(|d| d.predict(model, adj, x, graph.num_classes))
+                .unwrap_or_else(|| model.predict_on(tape, adj, x))
+        };
+        let mut tape = Tape::new();
+        let full_adj = AdjacencyRef::from_graph(graph);
+        let init_salt = if defense.is_some() { 0x5107 } else { 0xe7a1 };
+        let mut models = Vec::new();
+        let mut predictions = Vec::new();
+        for &condensed in condensed {
+            let sanitized = defense.map(|d| d.sanitize(condensed));
+            let mut model = victim.architecture.build(
+                graph.num_features(),
+                victim.hidden_dim,
+                graph.num_classes,
+                victim.num_layers,
+                &mut rng_from_seed(options.seed ^ init_salt),
+            );
+            let condensed = sanitized.as_ref().unwrap_or(condensed);
+            train_on_condensed(model.as_mut(), condensed, &victim.train);
+            let clean = predict(model.as_ref(), &mut tape, &full_adj, &graph.features);
+            models.push(model);
+            predictions.push(VictimPredictions {
+                clean,
+                triggered: Vec::new(),
+            });
+        }
+        let sample = asr_sample_nodes(graph, options, attack_config.target_class);
+        let size = provider.trigger_size();
+        let triggers = provider.triggers(&mut tape, &full_adj, &graph.features, &sample);
+        for (i, &node) in sample.iter().enumerate() {
+            let attached = attach_for_evaluation(
+                graph,
+                node,
+                size,
+                attack_config,
+                &options.plan,
+                options.seed,
+            );
+            let block: Vec<usize> = (i * size..(i + 1) * size).collect();
+            let sub_features = graph.features.select_rows(&attached.nodes);
+            let features = sub_features.vstack(&triggers.select_rows(&block));
+            for (model, victim) in models.iter().zip(&mut predictions) {
+                let preds = predict(
+                    model.as_ref(),
+                    &mut tape,
+                    &attached.adjacency_ref(),
+                    &features,
+                );
+                victim.triggered.push(preds[attached.center]);
+            }
+        }
+        predictions
+    }
+
+    /// Every victim's clean predictions (its CTA) and ASR predictions keep
+    /// the bits of the `predict_on` reference: GCN at 1, 2 and 3 layers and
+    /// SGC at K = 1 and 2 read the shared `Â · X`, undefended and behind
+    /// Prune; SAGE, APPNP, ChebyNet and MLP read `X`, and so do GCN and SGC
+    /// behind randomized smoothing, whose `Defense::predict` overrides
+    /// inference.
+    #[test]
+    fn victims_keep_the_bits_of_a_predict_on_reference() {
+        use bgc_defense::{PruneDefense, RandsmoothDefense};
+        use GnnArchitecture::{Appnp, Cheby, Gcn, Mlp, Sage, Sgc};
+        let graph = DatasetKind::Cora.load_small(41);
+        let mut config = BgcConfig::quick();
+        config.condensation.outer_epochs = 5;
+        config.poison_budget = PoisonBudget::Count(6);
+        let outcome = BgcAttack::new(config.clone())
+            .run(&graph, CondensationKind::GCondX)
+            .expect("attack should run");
+        let clean = CondensationKind::GCondX
+            .build()
+            .condense(&graph, &config.condensation)
+            .expect("clean condensation");
+        let condensed = [&outcome.condensed, &clean];
+        let options = EvaluationOptions {
+            max_asr_nodes: 20,
+            seed: 3,
+            ..EvaluationOptions::default()
+        };
+        let (prune, randsmooth) = (PruneDefense::default(), RandsmoothDefense::default());
+        let first_step: [(GnnArchitecture, usize); 5] =
+            [(Gcn, 1), (Gcn, 2), (Gcn, 3), (Sgc, 1), (Sgc, 2)];
+        let raw_input = [(Sage, 2), (Appnp, 2), (Cheby, 2), (Mlp, 2)];
+        let mut cases: Vec<(GnnArchitecture, usize, Option<&dyn Defense>)> = Vec::new();
+        for (arch, layers) in first_step {
+            cases.extend([
+                (arch, layers, None),
+                (arch, layers, Some(&prune as &dyn Defense)),
+            ]);
+        }
+        cases.extend(raw_input.map(|(arch, layers)| (arch, layers, None)));
+        cases.extend([
+            (Gcn, 2, Some(&randsmooth as &dyn Defense)),
+            (Sgc, 1, Some(&randsmooth)),
+        ]);
+        for (arch, layers, defense) in cases {
+            let victim = VictimSpec {
+                architecture: arch,
+                num_layers: layers,
+                ..VictimSpec::quick()
+            };
+            let model = arch.build(4, 4, 2, layers, &mut rng_from_seed(0));
+            assert_eq!(
+                model.propagates_input_first(),
+                first_step.contains(&(arch, layers)),
+                "{arch} x {layers}"
+            );
+            let provider = &outcome.generator;
+            let shared = predict_victims(
+                &graph, &condensed, provider, &config, &victim, &options, defense,
+            );
+            let reference = predict_on_reference(
+                &graph, &condensed, provider, &config, &victim, &options, defense,
+            );
+            let name = defense.map_or("standard", |d| d.name());
+            assert_eq!(shared, reference, "{arch} x {layers}, {name}");
+            assert!(shared.iter().all(|v| v.triggered.len() == 20));
         }
     }
 

@@ -84,8 +84,11 @@ pub fn randsmooth_predict(
     let dense = match adj {
         AdjacencyRef::Dense(d) => (**d).clone(),
         AdjacencyRef::Sparse(s) => s.to_dense(),
-        AdjacencyRef::Blocks { .. } => {
-            unreachable!("randomized smoothing operates on whole (sub)graphs, not sampled blocks")
+        AdjacencyRef::Blocks { .. } | AdjacencyRef::FirstStepApplied { .. } => {
+            unreachable!(
+                "randomized smoothing operates on whole (sub)graphs and raw features, not \
+                 sampled blocks or an applied first step"
+            )
         }
     };
     let n = features.rows();

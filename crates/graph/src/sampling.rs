@@ -30,7 +30,7 @@ use bgc_tensor::init::{rng_from_seed, sample_without_replacement};
 use bgc_tensor::CsrMatrix;
 
 use crate::graph::Graph;
-use crate::subgraph::ComputationGraph;
+use crate::subgraph::{ComputationGraph, Included};
 
 /// Mixes auxiliary words into a seed (FNV-1a over the little-endian bytes).
 /// Shared by the sampler and by callers deriving per-batch seeds.
@@ -197,9 +197,7 @@ impl NeighborSampler {
     pub fn sampled_computation_graph(&self, graph: &Graph, center: usize) -> ComputationGraph {
         assert!(center < graph.num_nodes(), "center node out of range");
         let mut rng = rng_from_seed(self.seed ^ mix_seed(&[center as u64, 0x5ab]));
-        let mut included: Vec<usize> = vec![center];
-        let mut seen = vec![false; graph.num_nodes()];
-        seen[center] = true;
+        let mut included = Included::new(center);
         let mut frontier = vec![center];
         for &fanout in self.fanouts.iter().rev() {
             let mut next = Vec::new();
@@ -209,7 +207,7 @@ impl NeighborSampler {
                     .row_indices(u)
                     .iter()
                     .copied()
-                    .filter(|&v| !seen[v])
+                    .filter(|&v| !included.contains(v))
                     .collect();
                 let chosen: Vec<usize> = if fanout == 0 || fresh.len() <= fanout {
                     fresh
@@ -219,8 +217,7 @@ impl NeighborSampler {
                     picked.into_iter().map(|i| fresh[i]).collect()
                 };
                 for v in chosen {
-                    seen[v] = true;
-                    included.push(v);
+                    included.insert(v);
                     next.push(v);
                 }
             }
@@ -229,16 +226,7 @@ impl NeighborSampler {
                 break;
             }
         }
-        let adjacency = graph.adjacency.induced_submatrix(&included);
-        let features = graph.features.select_rows(&included);
-        let labels = graph.labels_of(&included);
-        ComputationGraph {
-            nodes: included,
-            adjacency,
-            features,
-            labels,
-            center: 0,
-        }
+        included.into_graph(&graph.adjacency)
     }
 }
 
@@ -439,6 +427,7 @@ fn sample_block(
 mod tests {
     use super::*;
     use crate::datasets::DatasetKind;
+    use crate::subgraph::tests::{entries, hub_graph};
     use bgc_tensor::Matrix;
 
     fn sorted_targets(graph: &Graph, count: usize) -> Vec<usize> {
@@ -575,6 +564,72 @@ mod tests {
         assert!(sub.num_nodes() <= 13, "got {} nodes", sub.num_nodes());
         let again = sampler.sampled_computation_graph(&g, center);
         assert_eq!(sub.nodes, again.nodes, "extraction must be deterministic");
+    }
+
+    /// [`NeighborSampler::sampled_computation_graph`] as it was with a
+    /// graph-sized `seen` table and [`CsrMatrix::induced_submatrix`]: the
+    /// nodes and the adjacency the included-sized lookup must reproduce.
+    fn sampled_reference(
+        sampler: &NeighborSampler,
+        graph: &Graph,
+        center: usize,
+    ) -> (Vec<usize>, CsrMatrix) {
+        let mut rng = rng_from_seed(sampler.seed ^ mix_seed(&[center as u64, 0x5ab]));
+        let mut included: Vec<usize> = vec![center];
+        let mut seen = vec![false; graph.num_nodes()];
+        seen[center] = true;
+        let mut frontier = vec![center];
+        for &fanout in sampler.fanouts.iter().rev() {
+            let mut next = Vec::new();
+            for &u in &frontier {
+                let fresh: Vec<usize> = graph
+                    .adjacency
+                    .row_indices(u)
+                    .iter()
+                    .copied()
+                    .filter(|&v| !seen[v])
+                    .collect();
+                let chosen: Vec<usize> = if fanout == 0 || fresh.len() <= fanout {
+                    fresh
+                } else {
+                    let mut picked = sample_without_replacement(fresh.len(), fanout, &mut rng);
+                    picked.sort_unstable();
+                    picked.into_iter().map(|i| fresh[i]).collect()
+                };
+                for v in chosen {
+                    seen[v] = true;
+                    included.push(v);
+                    next.push(v);
+                }
+            }
+            frontier = next;
+            if frontier.is_empty() {
+                break;
+            }
+        }
+        let adjacency = graph.adjacency.induced_submatrix(&included);
+        (included, adjacency)
+    }
+
+    #[test]
+    fn sampled_extraction_matches_the_graph_sized_reference() {
+        let graphs = [
+            DatasetKind::Cora.load_small(3),
+            DatasetKind::Reddit.load_small(3),
+            hub_graph(),
+        ];
+        for graph in &graphs {
+            for fanouts in [vec![10, 10], vec![3, 3], vec![0, 4], vec![5], vec![2, 2, 2]] {
+                let sampler = NeighborSampler::new(fanouts.clone(), 41);
+                for center in (0..graph.num_nodes()).step_by(7).chain(0..6) {
+                    let sub = sampler.sampled_computation_graph(graph, center);
+                    let (nodes, adjacency) = sampled_reference(&sampler, graph, center);
+                    let case = format!("{} centre {center}, fanouts {fanouts:?}", graph.name);
+                    assert_eq!(sub.nodes, nodes, "{case}");
+                    assert_eq!(entries(&sub.adjacency), entries(&adjacency), "{case}");
+                }
+            }
+        }
     }
 
     #[test]

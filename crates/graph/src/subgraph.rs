@@ -5,9 +5,12 @@
 //! generator update (Eq. 13/17) evaluates the surrogate model on the
 //! computation graph of each sampled node with a trigger attached, so this
 //! module extracts induced k-hop subgraphs with a known position for the
-//! centre node.
+//! centre node.  A computation graph is node ids plus their induced
+//! adjacency: its features and labels are the graph's rows of those ids.
+//! Extraction allocates only in proportion to the nodes it includes, never
+//! to the graph.
 
-use bgc_tensor::{CsrMatrix, Matrix};
+use bgc_tensor::CsrMatrix;
 
 use crate::graph::Graph;
 
@@ -18,10 +21,6 @@ pub struct ComputationGraph {
     pub nodes: Vec<usize>,
     /// Induced adjacency (same order as `nodes`), *not* normalized.
     pub adjacency: CsrMatrix,
-    /// Features of the included nodes (same order as `nodes`).
-    pub features: Matrix,
-    /// Labels of the included nodes.
-    pub labels: Vec<usize>,
     /// Index of the centre node inside this subgraph (always 0).
     pub center: usize,
 }
@@ -30,6 +29,84 @@ impl ComputationGraph {
     /// Number of nodes in the computation graph.
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
+    }
+}
+
+/// Words of [`Included`]'s filter: one bit per node id modulo 1024.
+const FILTER_WORDS: usize = 16;
+
+/// The filter word and bit of `node`.
+fn filter_bit(node: usize) -> (usize, u64) {
+    ((node / 64) % FILTER_WORDS, 1 << (node % 64))
+}
+
+/// The nodes an extraction has included, in inclusion order, with lookups
+/// sized by them rather than by the graph: `index` holds `(node id,
+/// position in nodes)` sorted by id, and `filter` marks the included ids
+/// modulo 1024, so most ids that are not included miss without a search.
+pub(crate) struct Included {
+    nodes: Vec<usize>,
+    index: Vec<(usize, usize)>,
+    filter: [u64; FILTER_WORDS],
+}
+
+impl Included {
+    /// The set holding only `center`.
+    pub(crate) fn new(center: usize) -> Self {
+        let mut included = Self {
+            nodes: Vec::new(),
+            index: Vec::new(),
+            filter: [0; FILTER_WORDS],
+        };
+        included.insert(center);
+        included
+    }
+
+    /// `node`'s position in inclusion order, if it is included.
+    fn position(&self, node: usize) -> Option<usize> {
+        let (word, bit) = filter_bit(node);
+        if self.filter[word] & bit == 0 {
+            return None;
+        }
+        let at = self.index.binary_search_by_key(&node, |&(id, _)| id).ok()?;
+        Some(self.index[at].1)
+    }
+
+    /// Whether `node` is included.
+    pub(crate) fn contains(&self, node: usize) -> bool {
+        self.position(node).is_some()
+    }
+
+    /// Includes `node` unless it already is; `true` when it was added.
+    pub(crate) fn insert(&mut self, node: usize) -> bool {
+        let Err(at) = self.index.binary_search_by_key(&node, |&(id, _)| id) else {
+            return false;
+        };
+        self.index.insert(at, (node, self.nodes.len()));
+        self.nodes.push(node);
+        let (word, bit) = filter_bit(node);
+        self.filter[word] |= bit;
+        true
+    }
+
+    /// The computation graph of the included nodes, centred on the first:
+    /// the induced adjacency of [`CsrMatrix::induced_submatrix`], relabelled
+    /// through these lookups instead of a graph-sized position table.
+    pub(crate) fn into_graph(self, adjacency: &CsrMatrix) -> ComputationGraph {
+        let mut triplets = Vec::new();
+        for (new_r, &old_r) in self.nodes.iter().enumerate() {
+            for (c, v) in adjacency.row_iter(old_r) {
+                if let Some(new_c) = self.position(c) {
+                    triplets.push((new_r, new_c, v));
+                }
+            }
+        }
+        let n = self.nodes.len();
+        ComputationGraph {
+            nodes: self.nodes,
+            adjacency: CsrMatrix::from_triplets(n, n, &triplets),
+            center: 0,
+        }
     }
 }
 
@@ -43,18 +120,14 @@ pub fn k_hop_subgraph(
     max_per_hop: Option<usize>,
 ) -> ComputationGraph {
     assert!(center < graph.num_nodes(), "center node out of range");
-    let mut included: Vec<usize> = vec![center];
-    let mut seen = vec![false; graph.num_nodes()];
-    seen[center] = true;
+    let mut included = Included::new(center);
     let mut frontier = vec![center];
     for _ in 0..k {
         let mut next = Vec::new();
         for &u in &frontier {
             let mut added = 0usize;
             for &v in graph.adjacency.row_indices(u) {
-                if !seen[v] {
-                    seen[v] = true;
-                    included.push(v);
+                if included.insert(v) {
                     next.push(v);
                     added += 1;
                     if let Some(cap) = max_per_hop {
@@ -70,23 +143,16 @@ pub fn k_hop_subgraph(
             break;
         }
     }
-    let adjacency = graph.adjacency.induced_submatrix(&included);
-    let features = graph.features.select_rows(&included);
-    let labels = graph.labels_of(&included);
-    ComputationGraph {
-        nodes: included,
-        adjacency,
-        features,
-        labels,
-        center: 0,
-    }
+    included.into_graph(&graph.adjacency)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::datasets::DatasetKind;
     use crate::graph::TaskSetting;
     use crate::splits::DataSplit;
+    use bgc_tensor::Matrix;
 
     fn path_graph(n: usize) -> Graph {
         let edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
@@ -156,13 +222,105 @@ mod tests {
         assert_eq!(sub.num_nodes(), 6); // centre + 5 capped neighbours
     }
 
+    /// A 1,300-node graph whose degree sits on a few hubs: nodes 0–5 link
+    /// to every node of their residue class (about 215 each) and to each
+    /// other, and every other node has two ring neighbours.  Ids past 1,024
+    /// share filter bits with smaller ones.
+    pub(crate) fn hub_graph() -> Graph {
+        let n = 1300;
+        let mut edges: Vec<(usize, usize)> = (6..n).map(|i| (i, 6 + (i - 5) % (n - 6))).collect();
+        for hub in 0..6 {
+            edges.extend((hub + 1..6).map(|other| (hub, other)));
+            edges.extend((6..n).filter(|v| v % 6 == hub).map(|v| (hub, v)));
+        }
+        let adj = CsrMatrix::from_edges(n, &edges).symmetrize();
+        let split = DataSplit {
+            train: (0..n).collect(),
+            val: vec![],
+            test: vec![],
+        };
+        Graph::new(
+            "hubs",
+            adj,
+            Matrix::zeros(n, 1),
+            vec![0; n],
+            1,
+            split,
+            TaskSetting::Transductive,
+        )
+    }
+
+    /// `(row, column, value bits)` of every stored entry.
+    pub(crate) fn entries(m: &CsrMatrix) -> Vec<(usize, usize, u32)> {
+        m.triplets()
+            .into_iter()
+            .map(|(r, c, v)| (r, c, v.to_bits()))
+            .collect()
+    }
+
+    /// [`k_hop_subgraph`] as it was with a graph-sized `seen` table and
+    /// [`CsrMatrix::induced_submatrix`]: the nodes and the adjacency the
+    /// included-sized lookup must reproduce.
+    fn k_hop_reference(
+        graph: &Graph,
+        center: usize,
+        k: usize,
+        max_per_hop: Option<usize>,
+    ) -> (Vec<usize>, CsrMatrix) {
+        let mut included: Vec<usize> = vec![center];
+        let mut seen = vec![false; graph.num_nodes()];
+        seen[center] = true;
+        let mut frontier = vec![center];
+        for _ in 0..k {
+            let mut next = Vec::new();
+            for &u in &frontier {
+                let mut added = 0usize;
+                for &v in graph.adjacency.row_indices(u) {
+                    if !seen[v] {
+                        seen[v] = true;
+                        included.push(v);
+                        next.push(v);
+                        added += 1;
+                        if max_per_hop.is_some_and(|cap| added >= cap) {
+                            break;
+                        }
+                    }
+                }
+            }
+            frontier = next;
+            if frontier.is_empty() {
+                break;
+            }
+        }
+        let adjacency = graph.adjacency.induced_submatrix(&included);
+        (included, adjacency)
+    }
+
     #[test]
-    fn features_and_labels_follow_node_order() {
-        let g = path_graph(5);
-        let sub = k_hop_subgraph(&g, 4, 1, None);
-        for (i, &orig) in sub.nodes.iter().enumerate() {
-            assert_eq!(sub.features.row(i), g.features.row(orig));
-            assert_eq!(sub.labels[i], g.labels[orig]);
+    fn extraction_matches_the_graph_sized_reference() {
+        let graphs = [
+            DatasetKind::Cora.load_small(3),
+            DatasetKind::Reddit.load_small(3),
+            hub_graph(),
+        ];
+        for graph in &graphs {
+            let centers = (0..graph.num_nodes()).step_by(7).chain(0..6);
+            for center in centers {
+                for (k, cap) in [
+                    (1, None),
+                    (2, None),
+                    (2, Some(8)),
+                    (2, Some(16)),
+                    (3, Some(3)),
+                ] {
+                    let sub = k_hop_subgraph(graph, center, k, cap);
+                    let (nodes, adjacency) = k_hop_reference(graph, center, k, cap);
+                    let case = format!("{} centre {center}, k {k}, cap {cap:?}", graph.name);
+                    assert_eq!(sub.nodes, nodes, "{case}");
+                    assert_eq!(entries(&sub.adjacency), entries(&adjacency), "{case}");
+                    assert_eq!(sub.adjacency.rows(), nodes.len(), "{case}");
+                }
+            }
         }
     }
 }

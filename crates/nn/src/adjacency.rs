@@ -1,9 +1,12 @@
 //! A unified handle over sparse (original graph), dense (condensed graph /
 //! attached trigger block) and bipartite-block (sampled minibatch) normalized
 //! adjacencies, so that every GNN implementation works unchanged on all of
-//! them.
+//! them.  Any of them can be handed to a model under an input that already
+//! holds its first propagation step ([`AdjacencyRef::after_first_step`]):
+//! the sampled trainer's batches and the victims' clean-accuracy pass share
+//! one `Â · X` that way.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bgc_graph::{CondensedGraph, Graph, SampledBatch};
@@ -28,10 +31,20 @@ pub enum AdjacencyRef {
         batch: Arc<SampledBatch>,
         /// Index of the next block to consume.
         cursor: Arc<AtomicUsize>,
-        /// The input already is the first block's output, computed by the
-        /// batch producer: the first `propagate` consumes block 0 and
-        /// returns its input unchanged.
-        first_step_applied: bool,
+    },
+    /// `adj` under an input that already is its first propagation step's
+    /// output, computed by the caller: `Â · X` for a whole graph, block 0's
+    /// output rows for a block chain.  The first
+    /// [`AdjacencyRef::propagate`] consumes that step (block 0 of a chain)
+    /// and returns its input unchanged; later steps run on `adj`.  Only for
+    /// models whose forward reads the input solely through a first
+    /// propagation ([`crate::GnnModel::propagates_input_first`]).
+    /// **Single-use** like `Blocks`: clones share the flag.
+    FirstStepApplied {
+        /// The adjacency whose first step the input already holds.
+        adj: Box<AdjacencyRef>,
+        /// Whether a propagation consumed the applied step.
+        consumed: Arc<AtomicBool>,
     },
 }
 
@@ -62,36 +75,32 @@ impl AdjacencyRef {
         AdjacencyRef::Blocks {
             batch,
             cursor: Arc::new(AtomicUsize::new(0)),
-            first_step_applied: false,
         }
     }
 
-    /// Wraps a block chain whose first step the caller already applied: the
-    /// input holds `block[0] · X`, one row per destination node of the
-    /// first block.  Only for models whose forward reads the input solely
-    /// through a first [`AdjacencyRef::propagate`]
-    /// ([`crate::GnnModel::propagates_input_first`]).
-    pub fn blocks_after_first_step(batch: Arc<SampledBatch>) -> Self {
-        AdjacencyRef::Blocks {
-            batch,
-            cursor: Arc::new(AtomicUsize::new(0)),
-            first_step_applied: true,
+    /// This adjacency under an input that already holds its first step's
+    /// output ([`AdjacencyRef::FirstStepApplied`]): `Â · X` for a whole
+    /// graph, `block[0] · X` (one row per destination node of the first
+    /// block) for a block chain.
+    pub fn after_first_step(self) -> Self {
+        AdjacencyRef::FirstStepApplied {
+            adj: Box::new(self),
+            consumed: Arc::new(AtomicBool::new(false)),
         }
     }
 
     /// Number of input-side nodes (for `Blocks`: the nodes whose raw
-    /// features feed the first block, or its destination nodes when the
-    /// first step is already applied).
+    /// features feed the first block; under an applied first step, the
+    /// rows that step outputs).
     pub fn num_nodes(&self) -> usize {
         match self {
             AdjacencyRef::Sparse(a) => a.rows(),
             AdjacencyRef::Dense(a) => a.rows(),
-            AdjacencyRef::Blocks {
-                batch,
-                first_step_applied: false,
-                ..
-            } => batch.input_nodes().len(),
-            AdjacencyRef::Blocks { batch, .. } => batch.blocks[0].num_dst(),
+            AdjacencyRef::Blocks { batch, .. } => batch.input_nodes().len(),
+            AdjacencyRef::FirstStepApplied { adj, .. } => match &**adj {
+                AdjacencyRef::Blocks { batch, .. } => batch.blocks[0].num_dst(),
+                whole => whole.num_nodes(),
+            },
         }
     }
 
@@ -103,17 +112,9 @@ impl AdjacencyRef {
         match self {
             AdjacencyRef::Sparse(a) => tape.spmm(a.clone(), h),
             AdjacencyRef::Dense(a) => tape.const_matmul(a.clone(), h),
-            AdjacencyRef::Blocks {
-                batch,
-                cursor,
-                first_step_applied,
-            } => {
-                let (step, block) = Self::take_block(batch, cursor);
+            AdjacencyRef::Blocks { batch, cursor } => {
+                let block = Self::take_block(batch, cursor);
                 let rows = tape.shape(h).0;
-                if *first_step_applied && step == 0 {
-                    Self::check_applied_rows(rows, block);
-                    return h;
-                }
                 assert_eq!(
                     rows,
                     block.num_src(),
@@ -123,6 +124,13 @@ impl AdjacencyRef {
                     block.num_src()
                 );
                 tape.spmm(block.adj.clone(), h)
+            }
+            AdjacencyRef::FirstStepApplied { adj, consumed } => {
+                if consumed.swap(true, Ordering::SeqCst) {
+                    return adj.propagate(tape, h);
+                }
+                Self::check_applied_rows(tape.shape(h).0, adj.skip_first_step());
+                h
             }
         }
     }
@@ -136,19 +144,17 @@ impl AdjacencyRef {
     pub fn dst_restrict(&self, tape: &mut Tape, h: Var) -> Var {
         match self {
             AdjacencyRef::Sparse(_) | AdjacencyRef::Dense(_) => h,
-            AdjacencyRef::Blocks {
-                batch,
-                cursor,
-                first_step_applied,
-            } => {
-                let step = cursor.load(Ordering::SeqCst);
+            AdjacencyRef::Blocks { batch, cursor } => {
+                let block = Self::peek_block(batch, cursor.load(Ordering::SeqCst));
+                tape.row_select(h, &block.dst_in_src)
+            }
+            AdjacencyRef::FirstStepApplied { adj, consumed } => {
                 assert!(
-                    !(*first_step_applied && step == 0),
+                    consumed.load(Ordering::SeqCst),
                     "dst_restrict before an already-applied first step: the raw input rows \
                      are not available"
                 );
-                let block = Self::peek_block(batch, step);
-                tape.row_select(h, &block.dst_in_src)
+                adj.dst_restrict(tape, h)
             }
         }
     }
@@ -159,26 +165,35 @@ impl AdjacencyRef {
         match self {
             AdjacencyRef::Sparse(a) => a.spmm(h),
             AdjacencyRef::Dense(a) => a.matmul(h),
-            AdjacencyRef::Blocks {
-                batch,
-                cursor,
-                first_step_applied,
-            } => {
-                let (step, block) = Self::take_block(batch, cursor);
-                if *first_step_applied && step == 0 {
-                    Self::check_applied_rows(h.rows(), block);
-                    return h.clone();
+            AdjacencyRef::Blocks { batch, cursor } => Self::take_block(batch, cursor).adj.spmm(h),
+            AdjacencyRef::FirstStepApplied { adj, consumed } => {
+                if consumed.swap(true, Ordering::SeqCst) {
+                    return adj.propagate_matrix(h);
                 }
-                block.adj.spmm(h)
+                Self::check_applied_rows(h.rows(), adj.skip_first_step());
+                h.clone()
             }
         }
     }
 
-    /// Consumes the next block and returns it with its step index.
+    /// Consumes the first propagation step without computing it (block 0
+    /// of a chain) and returns the number of rows it outputs.
+    fn skip_first_step(&self) -> usize {
+        match self {
+            AdjacencyRef::Blocks { batch, cursor } => Self::take_block(batch, cursor).num_dst(),
+            AdjacencyRef::FirstStepApplied { adj, consumed } => {
+                consumed.store(true, Ordering::SeqCst);
+                adj.skip_first_step()
+            }
+            whole => whole.num_nodes(),
+        }
+    }
+
+    /// Consumes the next block.
     fn take_block<'a>(
         batch: &'a Arc<SampledBatch>,
         cursor: &Arc<AtomicUsize>,
-    ) -> (usize, &'a bgc_graph::SampledBlock) {
+    ) -> &'a bgc_graph::SampledBlock {
         let i = cursor.fetch_add(1, Ordering::SeqCst);
         assert!(
             i < batch.blocks.len(),
@@ -187,17 +202,14 @@ impl AdjacencyRef {
             i + 1,
             batch.blocks.len()
         );
-        (i, &batch.blocks[i])
+        &batch.blocks[i]
     }
 
-    fn check_applied_rows(rows: usize, block: &bgc_graph::SampledBlock) {
+    fn check_applied_rows(rows: usize, expected: usize) {
         assert_eq!(
-            rows,
-            block.num_dst(),
-            "block propagation: the first step is already applied, so the input must have one \
-             row per destination node ({}), not {}",
-            block.num_dst(),
-            rows
+            rows, expected,
+            "propagation: the first step is already applied, so the input must have one row \
+             per output row of that step ({expected}), not {rows}"
         );
     }
 
@@ -283,7 +295,7 @@ mod tests {
 
         let full = AdjacencyRef::blocks(batch.clone());
         let expected = full.propagate_matrix(&full.propagate_matrix(&raw));
-        let applied = AdjacencyRef::blocks_after_first_step(batch.clone());
+        let applied = AdjacencyRef::blocks(batch.clone()).after_first_step();
         assert_eq!(applied.num_nodes(), batch.blocks[0].num_dst());
         let mut tape = Tape::new();
         let x = tape.leaf(first.clone());
@@ -292,9 +304,24 @@ mod tests {
         let h2 = applied.propagate(&mut tape, h1);
         assert_eq!(tape.value_ref(h2).data(), expected.data());
 
-        let plain = AdjacencyRef::blocks_after_first_step(batch);
+        let plain = AdjacencyRef::blocks(batch).after_first_step();
         let again = plain.propagate_matrix(&plain.propagate_matrix(&first));
         assert_eq!(again.data(), expected.data());
+    }
+
+    #[test]
+    fn an_applied_first_step_on_a_whole_graph_skips_one_spmm() {
+        let g = DatasetKind::Cora.load_small(9);
+        let full = AdjacencyRef::from_graph(&g);
+        let expected = full.propagate_matrix(&full.propagate_matrix(&g.features));
+        let applied = full.after_first_step();
+        assert_eq!(applied.num_nodes(), g.num_nodes());
+        let mut tape = Tape::new();
+        let x = tape.const_leaf(Arc::new(g.normalized.spmm(&g.features)));
+        let h1 = applied.propagate(&mut tape, x);
+        assert_eq!(h1, x, "the applied step records nothing");
+        let h2 = applied.propagate(&mut tape, h1);
+        assert_eq!(tape.value_ref(h2).data(), expected.data());
     }
 
     #[test]
@@ -304,7 +331,7 @@ mod tests {
         let sampler = NeighborSampler::new(vec![2], 0);
         let targets = vec![g.split.train.iter().copied().min().unwrap()];
         let batch = Arc::new(sampler.sample(&g.normalized, &targets, 0));
-        let adj = AdjacencyRef::blocks_after_first_step(batch.clone());
+        let adj = AdjacencyRef::blocks(batch.clone()).after_first_step();
         let mut tape = Tape::new();
         let x = tape.leaf(Matrix::zeros(batch.blocks[0].num_dst(), g.num_features()));
         let _ = adj.dst_restrict(&mut tape, x);

@@ -62,12 +62,13 @@ pub trait GnnModel {
 
     /// Whether [`GnnModel::forward`] reads its input `x` only through a
     /// first [`AdjacencyRef::propagate`].  That first product `Â · x`
-    /// involves no parameter, so the sampled trainer may compute it ahead
-    /// of time from one `Â · X` per training run and hand the model the
-    /// first block's output rows under
-    /// [`AdjacencyRef::blocks_after_first_step`].  The default `false`
-    /// keeps the raw-input gather, which models that read `x` directly
-    /// (a self term, a skip connection, a per-node MLP) need.
+    /// involves no parameter, so a caller may compute it ahead of time and
+    /// hand the model its output under [`AdjacencyRef::after_first_step`]:
+    /// the sampled trainer gives each batch the first block's output rows
+    /// of one `Â · X` per training run, and the victims' clean-accuracy
+    /// pass shares one `Â · X` per evaluation.  The default `false` keeps
+    /// the raw input, which models that read `x` directly (a self term, a
+    /// skip connection, a per-node MLP) need.
     fn propagates_input_first(&self) -> bool {
         false
     }

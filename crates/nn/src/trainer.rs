@@ -501,10 +501,11 @@ fn train_sampled_epochs(
                 ..
             } = prefetcher.next_batch(epoch, index);
             let num_inputs = input_features.rows();
+            let adj = AdjacencyRef::blocks(Arc::new(sampled));
             let adj = if first_step_applied {
-                AdjacencyRef::blocks_after_first_step(Arc::new(sampled))
+                adj.after_first_step()
             } else {
-                AdjacencyRef::blocks(Arc::new(sampled))
+                adj
             };
             let x = tape.const_leaf(input_features.clone());
             spent_features = Some(input_features);

@@ -68,7 +68,8 @@ enum Op {
     ConstMul(Arc<Matrix>, usize),
     /// Variable times transposed dense constant (`x * c^T`).
     MatMulTransposeConst(usize, Arc<Matrix>),
-    /// Row `row` of `adj^steps · [base; tail]`; only `tail` is a variable.
+    /// Row `row` of `adj^steps · [features[base]; tail]`; only `tail` is a
+    /// variable.
     PropagateRow {
         adj: Arc<Matrix>,
         tail: usize,
@@ -437,10 +438,14 @@ impl Tape {
         self.push_owned(out, Op::MatMulTransposeConst(x.0, constant))
     }
 
-    /// Row `row` of `adj^steps · [base; tail]` as a `1 x d` node: `steps`
-    /// dense propagation hops over `base` stacked on `tail`, read at one
-    /// row.  `base` is constant; only `tail` carries a gradient.  This is
-    /// the centre-node readout of an attached trigger block.
+    /// Row `row` of `adj^steps · [features[base]; tail]` as a `1 x d`
+    /// node: `steps` dense propagation hops over the rows `base` of
+    /// `features` stacked on `tail`, read at one row.  `features` is
+    /// constant; only `tail` carries a gradient.  This is the centre-node
+    /// readout of an attached trigger block: `features` is the graph's
+    /// feature matrix and `base` the computation graph's node ids, gathered
+    /// into the buffer the first hop reads, so no caller keeps a copy of
+    /// the rows.
     ///
     /// The value and the `tail` gradient equal those of `concat_rows` →
     /// `steps` x [`Tape::const_matmul`] → [`Tape::row_select`] bit for bit,
@@ -461,7 +466,8 @@ impl Tape {
     pub fn propagate_row(
         &mut self,
         adj: Arc<Matrix>,
-        base: Arc<Matrix>,
+        features: &Matrix,
+        base: &[usize],
         tail: Var,
         steps: usize,
         row: usize,
@@ -470,7 +476,7 @@ impl Tape {
         let (t, d) = self.shape(tail);
         assert_eq!(adj.cols(), n, "propagate_row: adjacency is not square");
         assert_eq!(
-            (base.rows() + t, base.cols()),
+            (base.len() + t, features.cols()),
             (n, d),
             "propagate_row: [base; tail] does not match the {n}x{n} adjacency and {d} columns"
         );
@@ -489,8 +495,10 @@ impl Tape {
             fields.push(rows);
         }
         let mut z = pool.raw(n, d);
-        z.data_mut()[..base.len()].copy_from_slice(base.data());
-        z.data_mut()[base.len()..].copy_from_slice(nodes[tail.0].value.matrix().data());
+        for (i, &id) in base.iter().enumerate() {
+            z.row_mut(i).copy_from_slice(features.row(id));
+        }
+        z.data_mut()[base.len() * d..].copy_from_slice(nodes[tail.0].value.matrix().data());
         for rows in fields.into_iter().rev() {
             // Unread rows stay zero: finite, and multiplied by zeros only.
             let mut next = pool.zeros(n, d);
@@ -1744,7 +1752,7 @@ mod tests {
         Matrix::from_fn(n, n, |r, c| a.get(r, c) * inv_sqrt[r] * inv_sqrt[c])
     }
 
-    /// The chain [`Tape::propagate_row`] replaces.
+    /// The chain [`Tape::propagate_row`] replaces, on a copied base.
     fn propagate_row_chain(
         tape: &mut Tape,
         adj: &Arc<Matrix>,
@@ -1763,7 +1771,9 @@ mod tests {
 
     /// [`Tape::propagate_row`] gives the bits of concat → `steps` x
     /// `const_matmul` → row select, for the value and for the gradient of a
-    /// `tail` that one or two readouts share.  The shapes cover the quick
+    /// `tail` that one or two readouts share.  The op gathers its base rows
+    /// from a larger feature matrix at non-contiguous, unordered ids; the
+    /// chain reads a copy of those rows.  The shapes cover the quick
     /// grid's (24 rows, 64 features), a narrow output (`d < LANES`), one
     /// trigger row, and the large tier's (81 rows, 128 features), where the
     /// chain's products take the parallel gemm path.  The adjacency's
@@ -1781,7 +1791,10 @@ mod tests {
         ] {
             let mut rng = rng_from_seed((sub * 1009 + t * 31 + d) as u64);
             let adj = Arc::new(attached_adjacency(sub, t, sub as u64));
-            let base = Arc::new(randn(sub, d, 0.0, 1.0, &mut rng));
+            let features = randn(3 * sub + 5, d, 0.0, 1.0, &mut rng);
+            // Every third row, from the far end: scattered and descending.
+            let ids: Vec<usize> = (0..sub).map(|i| 3 * (sub - 1 - i) + 2).collect();
+            let base = Arc::new(features.select_rows(&ids));
             let tail0 = randn(t, d, 0.0, 1.0, &mut rng);
             let mut g = randn(1, d, 0.0, 1.0, &mut rng);
             g.set(0, 1, 0.0);
@@ -1796,7 +1809,7 @@ mod tests {
                         let mut total = None;
                         for &row in &rows {
                             let out = if fused {
-                                tape.propagate_row(adj.clone(), base.clone(), tail, steps, row)
+                                tape.propagate_row(adj.clone(), &features, &ids, tail, steps, row)
                             } else {
                                 propagate_row_chain(&mut tape, &adj, &base, tail, steps, row)
                             };
